@@ -376,15 +376,36 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
        (the paper's fast conflict detection, Listing 1.4) rather than as
        one of the deadlocks the chaotic closure also induces. *)
     let formulas = [ weakened; Ctl.deadlock_free ] in
+    let check_env env = Checker.check_conjunction_env ~strategy env formulas in
+    (* The out-of-core evaluators: explore the sharded product — in process
+       or on the worker fleet — and answer [(states, holds)] from the global
+       fixpoints, closing the product before returning. *)
+    let sharded_verdict scfg =
+      match scfg.Mechaml_ts.Shard.distribution with
+      | Some _ ->
+        let dp = Mechaml_dist.Distshard.explore ~config:scfg context closure in
+        Fun.protect
+          ~finally:(fun () -> Mechaml_dist.Distshard.close dp)
+          (fun () ->
+            let env = Mechaml_dist.Distsat.create dp in
+            ( Mechaml_dist.Distshard.num_states dp,
+              List.for_all (Mechaml_dist.Distsat.holds_initially env) formulas ))
+      | None ->
+        let sp = Mechaml_ts.Shard.explore ~config:scfg context closure in
+        Fun.protect
+          ~finally:(fun () -> Mechaml_ts.Shard.close sp)
+          (fun () ->
+            let env = Mechaml_mc.Shardsat.create sp in
+            ( Mechaml_ts.Shard.num_states sp,
+              List.for_all (Mechaml_mc.Shardsat.holds_initially env) formulas ))
+    in
     let product_lazy, product_states, outcome =
       timed check_seconds ~name:"loop.check"
         ~args:[ ("iteration", Trace.Int index) ]
         (fun () ->
           match sharding with
           | Some scfg ->
-            (* Sharded, out-of-core check: the product is explored in
-               partitioned CSR segments and the verdict computed by the
-               sharded fixpoint engine — byte-identical to the materialized
+            (* Sharded, out-of-core check, byte-identical to the materialized
                path for any shard count.  The materialized product is only
                built lazily, when a violation needs its witness machinery
                (projection, provenance, extra counterexamples) — so proved
@@ -396,37 +417,10 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
             let outcome =
               on_check ~product:closure ~formulas
                 ~compute:(fun () ->
-                  match scfg.Mechaml_ts.Shard.distribution with
-                  | Some _ ->
-                    (* Distributed: shard segments live in worker processes;
-                       the coordinator's discovery-order merge keeps every
-                       verdict byte-identical to the in-process engines. *)
-                    let dp = Mechaml_dist.Distshard.explore ~config:scfg context closure in
-                    Fun.protect
-                      ~finally:(fun () -> Mechaml_dist.Distshard.close dp)
-                      (fun () ->
-                        counted := Some (Mechaml_dist.Distshard.num_states dp);
-                        let senv = Mechaml_dist.Distsat.create dp in
-                        if
-                          List.for_all (Mechaml_dist.Distsat.holds_initially senv) formulas
-                        then Checker.Holds
-                        else
-                          Checker.check_conjunction_env ~strategy
-                            (Sat.create (Lazy.force product_lazy).Compose.auto)
-                            formulas)
-                  | None ->
-                    let sp = Mechaml_ts.Shard.explore ~config:scfg context closure in
-                    Fun.protect
-                      ~finally:(fun () -> Mechaml_ts.Shard.close sp)
-                      (fun () ->
-                        counted := Some (Mechaml_ts.Shard.num_states sp);
-                        let senv = Mechaml_mc.Shardsat.create sp in
-                        if List.for_all (Mechaml_mc.Shardsat.holds_initially senv) formulas
-                        then Checker.Holds
-                        else
-                          Checker.check_conjunction_env ~strategy
-                            (Sat.create (Lazy.force product_lazy).Compose.auto)
-                            formulas))
+                  let states, holds = sharded_verdict scfg in
+                  counted := Some states;
+                  if holds then Checker.Holds
+                  else check_env (Sat.create (Lazy.force product_lazy).Compose.auto))
             in
             let states =
               match !counted with
@@ -473,7 +467,7 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
                   | _ -> Sat.create product.Compose.auto
                 in
                 env_used := Some env;
-                Checker.check_conjunction_env ~strategy env formulas)
+                check_env env)
           in
           (match !env_used with
           | Some env ->

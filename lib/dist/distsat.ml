@@ -1,175 +1,34 @@
-(* Global CTL satisfaction over a distributed product ({!Distshard}).
-
-   Mirrors {!Mechaml_mc.Shardsat} operator for operator, but every
-   satisfaction set is one global bit vector held by the coordinator;
-   successor sweeps and the four unbounded fixpoints run on the worker
-   fleet through {!Distshard.agg} / {!Distshard.fixpoint}.  All the
-   unbounded fixpoints are confluent, so the distributed processing order
-   (and any mid-operator worker restart) converges to bit-for-bit the same
-   sets as the in-process engines, for any worker count.
-
-   Converged sets are banked in the coordinator's segment manager, sharing
-   its residency budget with the banked CSR generations. *)
+(* The distributed backend: successor sweeps and the four unbounded
+   fixpoints run on the worker fleet through {!Distshard.agg} /
+   {!Distshard.fixpoint}; satisfaction sets are global bit vectors on the
+   coordinator, banked in its segment manager so they share its residency
+   budget with the banked CSR generations. *)
 
 module Ctl = Mechaml_logic.Ctl
-module Bitset = Mechaml_util.Bitset
-module Bitvec = Mechaml_util.Bitvec
-module Segment = Mechaml_util.Segment
-module Universe = Mechaml_ts.Universe
+module Eval = Mechaml_mc.Eval
 
-type env = {
-  d : Distshard.t;
-  n : int;
-  labels : Bitset.t array;
-  blocking : Bitvec.t;
-  memo : (Ctl.t, Segment.slot) Hashtbl.t;
-  mutable next_id : int;
-}
+module Backend = struct
+  type t = Distshard.t
 
-let create d =
-  {
-    d;
-    n = Distshard.num_states d;
-    labels = Distshard.labels d;
-    blocking = Distshard.blocking d;
-    memo = Hashtbl.create 8;
-    next_id = 0;
-  }
+  type slot = Mechaml_util.Segment.slot
 
-let fresh env = Bitvec.create env.n
+  let num_states = Distshard.num_states
 
-let full env = Bitvec.create_full env.n
+  let initial = Distshard.initial
 
-let store env v =
-  let id = env.next_id in
-  env.next_id <- id + 1;
-  Segment.add (Distshard.manager env.d) ~name:(Printf.sprintf "dsat%d" id) [ ("b", Segment.Bits v) ]
+  let prop d p =
+    Eval.prop_of_labels ~where:"the distributed product" (Distshard.props d)
+      (Distshard.labels d) p
 
-let fetch env slot =
-  match List.assoc_opt "b" (Segment.get (Distshard.manager env.d) slot) with
-  | Some (Segment.Bits b) -> b
-  | _ -> raise (Segment.Spill_error "dist sat segment field missing")
+  let blocking = Distshard.blocking
 
-(* Successor sweeps, short-circuiting the wire when the operand is empty:
-   every state [forall]-quantifies an empty set exactly when it is blocking,
-   and no state [exists]-quantifies one. *)
-let forall_succ env next =
-  if Bitvec.is_empty next then Bitvec.copy env.blocking else Distshard.agg env.d ~forall:true next
+  let agg = Distshard.agg
 
-let exists_succ env next =
-  if Bitvec.is_empty next then fresh env else Distshard.agg env.d ~forall:false next
+  let fixpoint = Distshard.fixpoint
 
-(* -- bounded operators: the same per-step dynamic program as the in-process
-   engines, with the per-state formula rewritten as vector algebra --------- *)
+  let bank d v = Eval.bank_in (Distshard.manager d) v
 
-let bounded_dp env ~hi ~step =
-  let next = ref (step (hi + 1) (fresh env)) in
-  for k = hi downto 0 do
-    next := step k !next
-  done;
-  !next
+  let fetch d slot = Eval.fetch_from (Distshard.manager d) slot
+end
 
-let af_bounded env { Ctl.lo; hi } fset =
-  bounded_dp env ~hi ~step:(fun k next ->
-      if k = hi + 1 then fresh env
-      else
-        let reach = Bitvec.logandnot (forall_succ env next) env.blocking in
-        if k >= lo then Bitvec.logor fset reach else reach)
-
-let ef_bounded env { Ctl.lo; hi } fset =
-  bounded_dp env ~hi ~step:(fun k next ->
-      if k = hi + 1 then fresh env
-      else
-        let reach = exists_succ env next in
-        if k >= lo then Bitvec.logor fset reach else reach)
-
-let ag_bounded env { Ctl.lo; hi } fset =
-  bounded_dp env ~hi ~step:(fun k next ->
-      if k = hi + 1 then full env
-      else
-        let hold = if k < lo then full env else fset in
-        if k >= hi then Bitvec.copy hold
-        else Bitvec.logand hold (Bitvec.logor env.blocking (forall_succ env next)))
-
-let eg_bounded env { Ctl.lo; hi } fset =
-  bounded_dp env ~hi ~step:(fun k next ->
-      if k = hi + 1 then full env
-      else
-        let hold = if k < lo then full env else fset in
-        if k >= hi then Bitvec.copy hold
-        else Bitvec.logand hold (Bitvec.logor env.blocking (exists_succ env next)))
-
-let au_bounded env { Ctl.lo; hi } fset gset =
-  bounded_dp env ~hi ~step:(fun k next ->
-      if k = hi + 1 then fresh env
-      else
-        let cont =
-          if k < hi then
-            Bitvec.logand fset (Bitvec.logandnot (forall_succ env next) env.blocking)
-          else fresh env
-        in
-        if k >= lo then Bitvec.logor gset cont else cont)
-
-let eu_bounded env { Ctl.lo; hi } fset gset =
-  bounded_dp env ~hi ~step:(fun k next ->
-      if k = hi + 1 then fresh env
-      else
-        let cont =
-          if k < hi then Bitvec.logand fset (exists_succ env next) else fresh env
-        in
-        if k >= lo then Bitvec.logor gset cont else cont)
-
-let rec sat_vec env (f : Ctl.t) : Bitvec.t =
-  match Hashtbl.find_opt env.memo f with
-  | Some slot -> fetch env slot
-  | None ->
-    let v = compute env f in
-    Hashtbl.replace env.memo f (store env v);
-    v
-
-and compute env (f : Ctl.t) : Bitvec.t =
-  match f with
-  | True -> full env
-  | False -> fresh env
-  | Prop p -> (
-    match Universe.index_opt (Distshard.props env.d) p with
-    | None -> invalid_arg (Printf.sprintf "Distsat: proposition %S not in the product" p)
-    | Some i ->
-      let v = fresh env in
-      for g = 0 to env.n - 1 do
-        if Bitset.mem i env.labels.(g) then Bitvec.unsafe_set v g
-      done;
-      v)
-  | Deadlock -> Bitvec.copy env.blocking
-  | Not g -> Bitvec.lognot (sat_vec env g)
-  | And (a, b) -> Bitvec.logand (sat_vec env a) (sat_vec env b)
-  | Or (a, b) -> Bitvec.logor (sat_vec env a) (sat_vec env b)
-  | Implies (a, b) -> Bitvec.logimplies (sat_vec env a) (sat_vec env b)
-  | Ax g -> Distshard.agg env.d ~forall:true (sat_vec env g)
-  | Ex g -> Distshard.agg env.d ~forall:false (sat_vec env g)
-  | Ef (None, g) -> Distshard.fixpoint env.d Distshard.Ef ~seed:(sat_vec env g) ~guard:None
-  | Ef (Some b, g) -> ef_bounded env b (sat_vec env g)
-  | Af (None, g) ->
-    Distshard.fixpoint env.d Distshard.Au ~seed:(sat_vec env g) ~guard:(Some (full env))
-  | Af (Some b, g) -> af_bounded env b (sat_vec env g)
-  | Ag (None, g) ->
-    (* AG f = ¬EF¬f, exactly as the in-process engines *)
-    Bitvec.lognot
-      (Distshard.fixpoint env.d Distshard.Ef ~seed:(sat_vec env (Ctl.Not g)) ~guard:None)
-  | Ag (Some b, g) -> ag_bounded env b (sat_vec env g)
-  | Eg (None, g) -> Distshard.fixpoint env.d Distshard.Eg ~seed:(sat_vec env g) ~guard:None
-  | Eg (Some b, g) -> eg_bounded env b (sat_vec env g)
-  | Au (None, a, b) ->
-    Distshard.fixpoint env.d Distshard.Au ~seed:(sat_vec env b) ~guard:(Some (sat_vec env a))
-  | Au (Some bd, a, b) -> au_bounded env bd (sat_vec env a) (sat_vec env b)
-  | Eu (None, a, b) ->
-    Distshard.fixpoint env.d Distshard.Eu ~seed:(sat_vec env b) ~guard:(Some (sat_vec env a))
-  | Eu (Some bd, a, b) -> eu_bounded env bd (sat_vec env a) (sat_vec env b)
-
-let holds_initially env f =
-  let v = sat_vec env f in
-  List.for_all (fun g -> Bitvec.get v g) (Distshard.initial env.d)
-
-let failing_initial env f =
-  let v = sat_vec env f in
-  List.find_opt (fun g -> not (Bitvec.get v g)) (Distshard.initial env.d)
+include Eval.Make (Backend)

@@ -14,6 +14,7 @@
 module Bitset = Mechaml_util.Bitset
 module Bitvec = Mechaml_util.Bitvec
 module Segment = Mechaml_util.Segment
+module Ivec = Mechaml_util.Ivec
 module Json = Mechaml_obs.Json
 module Metrics = Mechaml_obs.Metrics
 module Universe = Mechaml_ts.Universe
@@ -49,29 +50,6 @@ let total_restarts () = Metrics.counter_value m_restarts
 exception Dist_error of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Dist_error m)) fmt
-
-module Ivec = struct
-  type t = { mutable a : int array; mutable n : int }
-
-  let create () = { a = Array.make 16 0; n = 0 }
-
-  let push v x =
-    if v.n = Array.length v.a then begin
-      let b = Array.make (2 * v.n) 0 in
-      Array.blit v.a 0 b 0 v.n;
-      v.a <- b
-    end;
-    v.a.(v.n) <- x;
-    v.n <- v.n + 1
-
-  let get v i = Array.unsafe_get v.a i
-
-  let length v = v.n
-
-  let to_array v = Array.sub v.a 0 v.n
-
-  let clear v = v.n <- 0
-end
 
 type worker = {
   mutable addr : Wire.addr;
@@ -817,22 +795,22 @@ let agg t ~forall (x : Bitvec.t) =
         res;
       match !failed with [] -> Ok (assemble t outs) | f -> Error f)
 
-type fix_kind = Ef | Eu | Eg | Au
+type fix_kind = Mechaml_mc.Eval.fix = Ef | Eu | Eg | Au
 
 let kind_name = function Ef -> "ef" | Eu -> "eu" | Eg -> "eg" | Au -> "au"
 
-(* A full distributed fixpoint: init with the seed (and guard), then rounds
+(* A full distributed fixpoint: init with [init] (and guard), then rounds
    of boundary exchange until no worker emits cross-shard work, then
    collect.  Any worker loss restarts the whole fixpoint from the operands —
    the fixpoints are confluent, so the re-run converges to the same set. *)
-let fixpoint t kind ~(seed : Bitvec.t) ~(guard : Bitvec.t option) =
+let fixpoint t kind ~(init : Bitvec.t) ~(guard : Bitvec.t option) =
   let nw = Array.length t.workers in
   with_recovery t (fun () ->
       let exception Lost of int in
       try
         let act = worker_indices t in
         let init_data =
-          ("seed", Segment.Bits seed)
+          ("seed", Segment.Bits init)
           :: (match guard with Some g -> [ ("guard", Segment.Bits g) ] | None -> [])
         in
         let send_all mk =

@@ -112,10 +112,10 @@ val agg : t -> forall:bool -> Bitvec.t -> Bitvec.t
 (** [agg t ~forall x] — per state: quantify [x] over its successors
     ([forall]: vacuously true when blocking; [exists]: false). *)
 
-type fix_kind = Ef | Eu | Eg | Au
+type fix_kind = Mechaml_mc.Eval.fix = Ef | Eu | Eg | Au
 
-val fixpoint : t -> fix_kind -> seed:Bitvec.t -> guard:Bitvec.t option -> Bitvec.t
-(** The four unbounded fixpoints, distributed: seeds and boundary frontiers
-    travel as digest-checked bitset deltas; workers drain shard-local
-    worklists between exchanges.  [guard] is the [f] of [E/A (f U g)]
-    (required for [Eu]/[Au]). *)
+val fixpoint : t -> fix_kind -> init:Bitvec.t -> guard:Bitvec.t option -> Bitvec.t
+(** The four unbounded fixpoints ({!Mechaml_mc.Eval.fix}), distributed:
+    initial sets and boundary frontiers travel as digest-checked bitset
+    deltas; workers drain shard-local worklists between exchanges.
+    [guard] is the [f] of [E/A (f U g)] (required for [Eu]/[Au]). *)

@@ -7,474 +7,197 @@ let m_states_explored =
   Metrics.counter "mc_states_explored_total"
     ~help:"States in automata handed to the global model checker (summed at Sat.create)."
 
-let m_fixpoint_sweeps =
-  Metrics.counter "mc_fixpoint_sweeps_total"
-    ~help:
-      "Whole-state-space passes by the fixpoint engine: one per unbounded worklist fixpoint \
-       (its seed scan) and one per bounded-DP step."
-
 let m_worklist_pops =
   Metrics.counter "mc_worklist_pops_total"
     ~help:"States popped from the EF/EG/AU/EU fixpoint worklists."
 
-let m_sat_set_size =
-  Metrics.histogram "mc_sat_set_size"
-    ~buckets:(Metrics.log_buckets ~lo:1. ~hi:1e6 13)
-    ~help:"Number of satisfying states per computed CTL subformula."
-
-let m_seeded_fixpoints =
-  Metrics.counter "mc_warm_seeded_fixpoints_total"
-    ~help:"Unbounded fixpoint computations warm-started from a previous converged sat set."
-
-let m_seedable_fixpoints =
-  Metrics.counter "mc_warm_seedable_fixpoints_total"
-    ~help:"Unbounded fixpoint computations in warm environments (seeded or not)."
-
-(* Satisfaction sets are bit vectors and both transition directions are CSR
+(* The materialized backend.  Both transition directions are CSR
    (compressed sparse row) arrays: [row]/[dst] come straight from the
    automaton's packed index, [pred_row]/[pred_src] invert them once at
    [create].  Parallel edges appear once per transition in both directions,
    which keeps the successor-counting fixpoints in step with the
-   per-transition quantifiers they replace. *)
-type env = {
-  auto : Automaton.t;
-  n : int;
-  memo : (Ctl.t, Bitvec.t) Hashtbl.t;
-  memo_arr : (Ctl.t, bool array) Hashtbl.t;
-  row : int array;
-  dst : int array;
-  pred_row : int array;
-  pred_src : int array;
-  blocking : Bitvec.t;
-  mutable warm : warm option;
-}
-
-(* Warm-start state, present when the env was created with {!create_warm}.
-   [w_mask] holds the states on which the previous product's converged sat
-   bits are exact: a state is masked iff it cannot reach (and is not itself)
-   a state whose outgoing row changed or that is new — on such states the
-   old and new reachable subgraphs are isomorphic with equal labels, so for
-   EVERY CTL subformula the old bit transfers verbatim.  Least fixpoints are
-   then seeded with the transferred bits (a subset of the final set, so the
-   worklist converges to the same fixpoint from much closer); greatest
-   fixpoints (EG) and the bounded dynamic programs recompute cold — their
-   iteration shapes gain nothing from a partial seed, and staying cold keeps
-   the soundness argument one-sided. *)
-and warm = {
-  w_prev : env;
-  w_old_of : int array;
-  w_mask : Bitvec.t;
-  w_debug : bool;
-  mutable w_hits : int;
-  mutable w_total : int;
-}
-
-let create auto =
-  let n = Automaton.num_states auto in
-  let row = Automaton.Csr.row auto in
-  let dst = Automaton.Csr.dst auto in
-  let total = row.(n) in
-  let pred_row = Array.make (n + 1) 0 in
-  Array.iter (fun d -> pred_row.(d + 1) <- pred_row.(d + 1) + 1) dst;
-  for s = 0 to n - 1 do
-    pred_row.(s + 1) <- pred_row.(s + 1) + pred_row.(s)
-  done;
-  let fill = Array.copy pred_row in
-  let pred_src = Array.make (max total 1) 0 in
-  for s = 0 to n - 1 do
-    for k = row.(s) to row.(s + 1) - 1 do
-      let d = dst.(k) in
-      pred_src.(fill.(d)) <- s;
-      fill.(d) <- fill.(d) + 1
-    done
-  done;
-  let blocking = Bitvec.init n (fun s -> row.(s + 1) = row.(s)) in
-  Metrics.add m_states_explored n;
-  {
-    auto;
-    n;
-    memo = Hashtbl.create 8;
-    memo_arr = Hashtbl.create 8;
-    row;
-    dst;
-    pred_row;
-    pred_src;
-    blocking;
-    warm = None;
+   per-transition quantifiers.  Converged sets stay in memory. *)
+module Backend = struct
+  type t = {
+    auto : Automaton.t;
+    n : int;
+    row : int array;
+    dst : int array;
+    pred_row : int array;
+    pred_src : int array;
+    blocking : Bitvec.t;
+    memo_arr : (Ctl.t, bool array) Hashtbl.t;
   }
 
-let automaton env = env.auto
+  type slot = Bitvec.t
 
-let blocking env s = Bitvec.unsafe_get env.blocking s
+  let create auto =
+    let n = Automaton.num_states auto in
+    let row = Automaton.Csr.row auto in
+    let dst = Automaton.Csr.dst auto in
+    let total = row.(n) in
+    let pred_row = Array.make (n + 1) 0 in
+    Array.iter (fun d -> pred_row.(d + 1) <- pred_row.(d + 1) + 1) dst;
+    for s = 0 to n - 1 do
+      pred_row.(s + 1) <- pred_row.(s + 1) + pred_row.(s)
+    done;
+    let fill = Array.copy pred_row in
+    let pred_src = Array.make (max total 1) 0 in
+    for s = 0 to n - 1 do
+      for k = row.(s) to row.(s + 1) - 1 do
+        let d = dst.(k) in
+        pred_src.(fill.(d)) <- s;
+        fill.(d) <- fill.(d) + 1
+      done
+    done;
+    let blocking = Bitvec.init n (fun s -> row.(s + 1) = row.(s)) in
+    Metrics.add m_states_explored n;
+    { auto; n; row; dst; pred_row; pred_src; blocking; memo_arr = Hashtbl.create 8 }
 
-let for_all_succ env v s =
-  let hi = env.row.(s + 1) in
-  let k = ref env.row.(s) and ok = ref true in
-  while !ok && !k < hi do
-    if not (Bitvec.unsafe_get v env.dst.(!k)) then ok := false;
-    incr k
-  done;
-  !ok
+  let num_states t = t.n
 
-let exists_succ env v s =
-  let hi = env.row.(s + 1) in
-  let k = ref env.row.(s) and found = ref false in
-  while (not !found) && !k < hi do
-    if Bitvec.unsafe_get v env.dst.(!k) then found := true;
-    incr k
-  done;
-  !found
+  let initial t = t.auto.Automaton.initial
 
-(* All worklist fixpoints push each state at most once, so a plain int array
-   serves as the stack. *)
-let with_stack env f =
-  let stack = Array.make (max env.n 1) 0 in
-  let sp = ref 0 in
-  let push s =
-    stack.(!sp) <- s;
-    incr sp
-  in
-  let pops = ref 0 in
-  let pop () =
-    decr sp;
-    incr pops;
-    stack.(!sp)
-  in
-  let out = f ~push ~pop ~pending:(fun () -> !sp > 0) in
-  Metrics.add m_worklist_pops !pops;
-  out
+  let prop t p =
+    Eval.prop_of_labels
+      ~where:("automaton " ^ t.auto.Automaton.name)
+      t.auto.Automaton.props t.auto.Automaton.labels p
 
-(* Least fixpoint for EF: backward closure from the target set.  [seed] must
-   be a subset of the final closure; seeded states enter the initial
-   worklist, so the closure is only explored outward from the frontier the
-   seed does not already cover. *)
-let backward_closure ?seed env (target : Bitvec.t) =
-  Metrics.add m_fixpoint_sweeps 1;
-  let out =
-    match seed with None -> Bitvec.copy target | Some s -> Bitvec.logor target s
-  in
-  with_stack env (fun ~push ~pop ~pending ->
-      Bitvec.iter_true push out;
-      while pending () do
-        let s = pop () in
-        for k = env.pred_row.(s) to env.pred_row.(s + 1) - 1 do
-          let p = env.pred_src.(k) in
-          if not (Bitvec.unsafe_get out p) then begin
-            Bitvec.unsafe_set out p;
-            push p
-          end
-        done
-      done;
-      out)
+  let blocking t = t.blocking
 
-(* Greatest fixpoint for EG f over maximal runs: start from the f-states and
-   remove states that are not blocking and have no successor left in the
-   set.  [cnt.(s)] tracks the number of successor edges still inside the
-   set; a state is removed exactly when its count reaches zero, and each
-   removal decrements its predecessors — O(E) total instead of repeated
-   whole-space sweeps. *)
-let eg_fixpoint env (fset : Bitvec.t) =
-  Metrics.add m_fixpoint_sweeps 1;
-  let out = Bitvec.copy fset in
-  let cnt = Array.make env.n 0 in
-  with_stack env (fun ~push ~pop ~pending ->
-      for s = 0 to env.n - 1 do
-        if Bitvec.unsafe_get out s then begin
-          let c = ref 0 in
-          for k = env.row.(s) to env.row.(s + 1) - 1 do
-            if Bitvec.unsafe_get out env.dst.(k) then incr c
-          done;
-          cnt.(s) <- !c;
-          if !c = 0 && not (blocking env s) then push s
-        end
-      done;
-      while pending () do
-        let s = pop () in
-        if Bitvec.unsafe_get out s then begin
-          Bitvec.unsafe_clear out s;
-          for k = env.pred_row.(s) to env.pred_row.(s + 1) - 1 do
-            let p = env.pred_src.(k) in
-            if Bitvec.unsafe_get out p then begin
-              cnt.(p) <- cnt.(p) - 1;
-              (* predecessors have outgoing edges, so never blocking *)
-              if cnt.(p) = 0 then push p
+  let agg t ~forall v = Bitvec.init t.n (Eval.quantify ~forall ~row:t.row ~dst:t.dst v)
+
+  (* All worklist fixpoints push each state at most once, so a plain int
+     array serves as the stack. *)
+  let with_stack t f =
+    let stack = Array.make (max t.n 1) 0 in
+    let sp = ref 0 in
+    let push s =
+      stack.(!sp) <- s;
+      incr sp
+    in
+    let pops = ref 0 in
+    let pop () =
+      decr sp;
+      incr pops;
+      stack.(!sp)
+    in
+    let out = f ~push ~pop ~pending:(fun () -> !sp > 0) in
+    Metrics.add m_worklist_pops !pops;
+    out
+
+  (* EF / E(f U g): backward closure from [init] through [guard]-states. *)
+  let closure t out guard =
+    with_stack t (fun ~push ~pop ~pending ->
+        Bitvec.iter_true push out;
+        while pending () do
+          let s = pop () in
+          for k = t.pred_row.(s) to t.pred_row.(s + 1) - 1 do
+            let p = t.pred_src.(k) in
+            if (not (Bitvec.unsafe_get out p)) && Bitvec.unsafe_get guard p then begin
+              Bitvec.unsafe_set out p;
+              push p
             end
           done
-        end
-      done;
-      out)
-
-(* Least fixpoint for A(f U g) over maximal runs: a blocking ¬g state fails.
-   [bad.(s)] counts successor edges leaving the set; a candidate joins when
-   it hits zero, decrementing its predecessors' counts in turn. *)
-let au_fixpoint ?seed env (fset : Bitvec.t) (gset : Bitvec.t) =
-  Metrics.add m_fixpoint_sweeps 1;
-  (* a seed (subset of the final set) joins [out] before the bad counts are
-     taken, so counts are consistent and no propagation is owed for it *)
-  let out =
-    match seed with None -> Bitvec.copy gset | Some s -> Bitvec.logor gset s
-  in
-  let bad = Array.make env.n 0 in
-  let candidate s =
-    (not (Bitvec.unsafe_get out s))
-    && Bitvec.unsafe_get fset s
-    && (not (blocking env s))
-    && bad.(s) = 0
-  in
-  with_stack env (fun ~push ~pop ~pending ->
-      for s = 0 to env.n - 1 do
-        let c = ref 0 in
-        for k = env.row.(s) to env.row.(s + 1) - 1 do
-          if not (Bitvec.unsafe_get out env.dst.(k)) then incr c
         done;
-        bad.(s) <- !c
-      done;
-      for s = 0 to env.n - 1 do
-        if candidate s then begin
-          Bitvec.unsafe_set out s;
-          push s
-        end
-      done;
-      while pending () do
-        let s = pop () in
-        for k = env.pred_row.(s) to env.pred_row.(s + 1) - 1 do
-          let p = env.pred_src.(k) in
-          bad.(p) <- bad.(p) - 1;
-          if candidate p then begin
-            Bitvec.unsafe_set out p;
-            push p
+        out)
+
+  (* EG over maximal runs: remove states that are not blocking and have no
+     successor left in the set.  [cnt.(s)] tracks the successor edges still
+     inside the set; a state is removed exactly when its count reaches zero,
+     and each removal decrements its predecessors — O(E) total instead of
+     repeated whole-space sweeps. *)
+  let eg t out =
+    let cnt = Array.make t.n 0 in
+    with_stack t (fun ~push ~pop ~pending ->
+        for s = 0 to t.n - 1 do
+          if Bitvec.unsafe_get out s then begin
+            let c = ref 0 in
+            for k = t.row.(s) to t.row.(s + 1) - 1 do
+              if Bitvec.unsafe_get out t.dst.(k) then incr c
+            done;
+            cnt.(s) <- !c;
+            if !c = 0 && not (Bitvec.unsafe_get t.blocking s) then push s
           end
-        done
-      done;
-      out)
-
-(* Least fixpoint for E(f U g): backward closure from g through f-states. *)
-let eu_fixpoint ?seed env (fset : Bitvec.t) (gset : Bitvec.t) =
-  Metrics.add m_fixpoint_sweeps 1;
-  let out =
-    match seed with None -> Bitvec.copy gset | Some s -> Bitvec.logor gset s
-  in
-  with_stack env (fun ~push ~pop ~pending ->
-      Bitvec.iter_true push out;
-      while pending () do
-        let s = pop () in
-        for k = env.pred_row.(s) to env.pred_row.(s + 1) - 1 do
-          let p = env.pred_src.(k) in
-          if (not (Bitvec.unsafe_get out p)) && Bitvec.unsafe_get fset p then begin
-            Bitvec.unsafe_set out p;
-            push p
+        done;
+        while pending () do
+          let s = pop () in
+          if Bitvec.unsafe_get out s then begin
+            Bitvec.unsafe_clear out s;
+            for k = t.pred_row.(s) to t.pred_row.(s + 1) - 1 do
+              let p = t.pred_src.(k) in
+              if Bitvec.unsafe_get out p then begin
+                cnt.(p) <- cnt.(p) - 1;
+                (* predecessors have outgoing edges, so never blocking *)
+                if cnt.(p) = 0 then push p
+              end
+            done
           end
-        done
-      done;
-      out)
+        done;
+        out)
 
-(* Bounded operators: dynamic programming from the end of the window back to
-   time 0.  [step] computes H_k from H_{k+1} given the elapsed time k. *)
-let bounded_dp env ~hi ~step =
-  let next = ref (step (hi + 1) (Bitvec.create env.n)) in
-  for k = hi downto 0 do
-    next := step k !next
-  done;
-  Metrics.add m_fixpoint_sweeps (hi + 2);
-  !next
+  (* A(f U g) over maximal runs: a blocking ¬g state fails.  [bad.(s)]
+     counts successor edges leaving the set; a candidate joins when it hits
+     zero, decrementing its predecessors' counts in turn. *)
+  let au t out guard =
+    let bad = Array.make t.n 0 in
+    let candidate s =
+      (not (Bitvec.unsafe_get out s))
+      && Bitvec.unsafe_get guard s
+      && (not (Bitvec.unsafe_get t.blocking s))
+      && bad.(s) = 0
+    in
+    with_stack t (fun ~push ~pop ~pending ->
+        for s = 0 to t.n - 1 do
+          let c = ref 0 in
+          for k = t.row.(s) to t.row.(s + 1) - 1 do
+            if not (Bitvec.unsafe_get out t.dst.(k)) then incr c
+          done;
+          bad.(s) <- !c
+        done;
+        for s = 0 to t.n - 1 do
+          if candidate s then begin
+            Bitvec.unsafe_set out s;
+            push s
+          end
+        done;
+        while pending () do
+          let s = pop () in
+          for k = t.pred_row.(s) to t.pred_row.(s + 1) - 1 do
+            let p = t.pred_src.(k) in
+            bad.(p) <- bad.(p) - 1;
+            if candidate p then begin
+              Bitvec.unsafe_set out p;
+              push p
+            end
+          done
+        done;
+        out)
 
-let af_bounded env { Ctl.lo; hi } (fset : Bitvec.t) =
-  bounded_dp env ~hi ~step:(fun k next ->
-      if k = hi + 1 then Bitvec.create env.n
-      else
-        Bitvec.init env.n (fun s ->
-            (k >= lo && Bitvec.unsafe_get fset s)
-            || ((not (blocking env s)) && for_all_succ env next s)))
+  let fixpoint t (kind : Eval.fix) ~init ~guard =
+    let out = Bitvec.copy init in
+    let guard = match guard with Some f -> f | None -> Bitvec.create_full t.n in
+    match kind with Ef | Eu -> closure t out guard | Au -> au t out guard | Eg -> eg t out
 
-let ef_bounded env { Ctl.lo; hi } (fset : Bitvec.t) =
-  bounded_dp env ~hi ~step:(fun k next ->
-      if k = hi + 1 then Bitvec.create env.n
-      else
-        Bitvec.init env.n (fun s ->
-            (k >= lo && Bitvec.unsafe_get fset s) || exists_succ env next s))
+  let bank _ v = v
 
-let ag_bounded env { Ctl.lo; hi } (fset : Bitvec.t) =
-  bounded_dp env ~hi ~step:(fun k next ->
-      if k = hi + 1 then Bitvec.create_full env.n
-      else
-        Bitvec.init env.n (fun s ->
-            (k < lo || Bitvec.unsafe_get fset s)
-            && (k >= hi || blocking env s || for_all_succ env next s)))
+  let fetch _ v = v
+end
 
-let eg_bounded env { Ctl.lo; hi } (fset : Bitvec.t) =
-  bounded_dp env ~hi ~step:(fun k next ->
-      if k = hi + 1 then Bitvec.create_full env.n
-      else
-        Bitvec.init env.n (fun s ->
-            (k < lo || Bitvec.unsafe_get fset s)
-            && (k >= hi || blocking env s || exists_succ env next s)))
+include Eval.Make (Backend)
 
-let au_bounded env { Ctl.lo; hi } (fset : Bitvec.t) (gset : Bitvec.t) =
-  bounded_dp env ~hi ~step:(fun k next ->
-      if k = hi + 1 then Bitvec.create env.n
-      else
-        Bitvec.init env.n (fun s ->
-            (k >= lo && Bitvec.unsafe_get gset s)
-            || (k < hi
-               && Bitvec.unsafe_get fset s
-               && (not (blocking env s))
-               && for_all_succ env next s)))
+let create auto = create (Backend.create auto)
 
-let eu_bounded env { Ctl.lo; hi } (fset : Bitvec.t) (gset : Bitvec.t) =
-  bounded_dp env ~hi ~step:(fun k next ->
-      if k = hi + 1 then Bitvec.create env.n
-      else
-        Bitvec.init env.n (fun s ->
-            (k >= lo && Bitvec.unsafe_get gset s)
-            || (k < hi && Bitvec.unsafe_get fset s && exists_succ env next s)))
+let create_warm ?debug ~prev ~old_of ~dirty auto =
+  create_warm ?debug ~prev ~old_of ~dirty (Backend.create auto)
 
-let create_warm ?(debug = false) ~prev ~old_of ~dirty auto =
-  let env = create auto in
-  if Array.length old_of <> env.n then
-    invalid_arg "Mc.Sat.create_warm: old_of length does not match the automaton";
-  let dirty_vec = Bitvec.create env.n in
-  List.iter
-    (fun s ->
-      if s < 0 || s >= env.n then invalid_arg "Mc.Sat.create_warm: dirty state out of range";
-      Bitvec.unsafe_set dirty_vec s)
-    dirty;
-  (* Exactness region: states that cannot reach any changed-or-new state.
-     Every masked state must have an old counterpart — new states are
-     required to be in [dirty], hence outside the mask. *)
-  let mask = Bitvec.lognot (backward_closure env dirty_vec) in
-  Bitvec.iter_true
-    (fun s ->
-      if old_of.(s) < 0 then
-        invalid_arg "Mc.Sat.create_warm: unmapped state outside the dirty region")
-    mask;
-  env.warm <-
-    Some { w_prev = prev; w_old_of = old_of; w_mask = mask; w_debug = debug; w_hits = 0; w_total = 0 };
-  env
-
-let warm_stats env =
-  match env.warm with None -> None | Some w -> Some (w.w_hits, w.w_total)
-
-(* Transfer the previous env's converged bits for [key] onto the exactness
-   mask — the seed handed to the least fixpoints.  [invert] transfers the
-   complement (for AG, whose inner closure computes EF¬g = ¬AG g). *)
-let seed_for ?(invert = false) env key =
-  match env.warm with
-  | None -> None
-  | Some w ->
-    w.w_total <- w.w_total + 1;
-    Metrics.incr m_seedable_fixpoints;
-    (match Hashtbl.find_opt w.w_prev.memo key with
-    | None -> None
-    | Some old_v ->
-      w.w_hits <- w.w_hits + 1;
-      Metrics.incr m_seeded_fixpoints;
-      let s = Bitvec.create env.n in
-      Bitvec.iter_true
-        (fun i ->
-          let o = w.w_old_of.(i) in
-          if o >= 0 && Bitvec.get old_v o <> invert then Bitvec.unsafe_set s i)
-        w.w_mask;
-      Some s)
-
-(* With [debug] every seeded fixpoint is recomputed cold and compared —
-   the warm path must be bit-for-bit equivalent, not just verdict-equal. *)
-let checked env name run seed =
-  let fast = run (Some seed) in
-  (match env.warm with
-  | Some w when w.w_debug ->
-    let cold = run None in
-    if not (Bitvec.equal cold fast) then
-      failwith (Printf.sprintf "Mc.Sat: warm-start divergence in %s fixpoint" name)
-  | _ -> ());
-  fast
-
-let rec sat_vec env (f : Ctl.t) =
-  match Hashtbl.find_opt env.memo f with
-  | Some v -> v
-  | None ->
-    let v = compute env f in
-    Hashtbl.add env.memo f v;
-    (* Counting the set is itself a sweep, so only pay it when collecting. *)
-    if Metrics.enabled () then
-      Metrics.observe m_sat_set_size (float_of_int (Bitvec.count v));
-    v
-
-and compute env (f : Ctl.t) =
-  match f with
-  | True -> Bitvec.create_full env.n
-  | False -> Bitvec.create env.n
-  | Prop p ->
-    (match Mechaml_ts.Universe.index_opt env.auto.Automaton.props p with
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Mc.Sat: proposition %S not in automaton %s" p env.auto.Automaton.name)
-    | Some i ->
-      Bitvec.init env.n (fun s -> Mechaml_util.Bitset.mem i (Automaton.label env.auto s)))
-  | Deadlock -> Bitvec.copy env.blocking
-  | Not g -> Bitvec.lognot (sat_vec env g)
-  | And (a, b) -> Bitvec.logand (sat_vec env a) (sat_vec env b)
-  | Or (a, b) -> Bitvec.logor (sat_vec env a) (sat_vec env b)
-  | Implies (a, b) -> Bitvec.logimplies (sat_vec env a) (sat_vec env b)
-  | Ax g ->
-    let sg = sat_vec env g in
-    Bitvec.init env.n (fun s -> for_all_succ env sg s)
-  | Ex g ->
-    let sg = sat_vec env g in
-    Bitvec.init env.n (fun s -> exists_succ env sg s)
-  | Ef (None, g) -> (
-    let sg = sat_vec env g in
-    match seed_for env f with
-    | None -> backward_closure env sg
-    | Some s -> checked env "EF" (fun seed -> backward_closure ?seed env sg) s)
-  | Ef (Some b, g) -> ef_bounded env b (sat_vec env g)
-  | Af (None, g) -> (
-    let sg = sat_vec env g in
-    let full = Bitvec.create_full env.n in
-    match seed_for env f with
-    | None -> au_fixpoint env full sg
-    | Some s -> checked env "AF" (fun seed -> au_fixpoint ?seed env full sg) s)
-  | Af (Some b, g) -> af_bounded env b (sat_vec env g)
-  | Ag (None, g) -> (
-    (* AG f = ¬EF¬f; the seed for the inner closure is the complement of the
-       previous AG set *)
-    let sng = sat_vec env (Ctl.Not g) in
-    match seed_for ~invert:true env f with
-    | None -> Bitvec.lognot (backward_closure env sng)
-    | Some s ->
-      checked env "AG"
-        (fun seed -> Bitvec.lognot (backward_closure ?seed env sng))
-        s)
-  | Ag (Some b, g) -> ag_bounded env b (sat_vec env g)
-  | Eg (None, g) ->
-    (* greatest fixpoint: stays cold — seeding from below is unsound and a
-       sound superset seed would not shrink the removal cascade *)
-    eg_fixpoint env (sat_vec env g)
-  | Eg (Some b, g) -> eg_bounded env b (sat_vec env g)
-  | Au (None, a, b) -> (
-    let sa = sat_vec env a and sb = sat_vec env b in
-    match seed_for env f with
-    | None -> au_fixpoint env sa sb
-    | Some s -> checked env "AU" (fun seed -> au_fixpoint ?seed env sa sb) s)
-  | Au (Some bd, a, b) -> au_bounded env bd (sat_vec env a) (sat_vec env b)
-  | Eu (None, a, b) -> (
-    let sa = sat_vec env a and sb = sat_vec env b in
-    match seed_for env f with
-    | None -> eu_fixpoint env sa sb
-    | Some s -> checked env "EU" (fun seed -> eu_fixpoint ?seed env sa sb) s)
-  | Eu (Some bd, a, b) -> eu_bounded env bd (sat_vec env a) (sat_vec env b)
+let automaton env = (backend env).Backend.auto
 
 let sat env f =
-  match Hashtbl.find_opt env.memo_arr f with
+  let memo = (backend env).Backend.memo_arr in
+  match Hashtbl.find_opt memo f with
   | Some a -> a
   | None ->
     let a = Bitvec.to_bool_array (sat_vec env f) in
-    Hashtbl.add env.memo_arr f a;
+    Hashtbl.add memo f a;
     a
-
-let holds_initially env f =
-  let v = sat_vec env f in
-  List.for_all (fun q -> Bitvec.get v q) env.auto.Automaton.initial
-
-let failing_initial env f =
-  let v = sat_vec env f in
-  List.find_opt (fun q -> not (Bitvec.get v q)) env.auto.Automaton.initial

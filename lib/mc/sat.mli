@@ -1,11 +1,13 @@
-(** Satisfaction sets for CCTL over the explicit state space of an automaton.
+(** Satisfaction sets for CCTL over the explicit state space of an
+    automaton: the {!Eval} evaluator over the materialized backend.
 
-    Semantics is over {e maximal} runs: a run is maximal when it is infinite
-    or ends in a blocking state (from which the special proposition [δ]
-    holds).  Bounded operators count discrete time units, one per transition
-    (Definition 1); a maximal run that ends before a bounded obligation's
-    window closes fails eventualities ([AF]/[EF]/[AU]/[EU]) and trivially
-    satisfies the remaining safety obligations ([AG]/[EG]). *)
+    The backend keeps the automaton's CSR adjacency in both directions and
+    runs each unbounded fixpoint as a single worklist; converged sets stay
+    in memory.  The CCTL semantics (maximal runs, discrete-time bounds) and
+    the operator table are {!Eval}'s, shared with {!Shardsat} and
+    [Mechaml_dist.Distsat], which compute bit-for-bit the same sets.  This
+    is the one backend with a warm-start entry point ({!create_warm}) and
+    a [bool array] view ({!sat}) for witness extraction. *)
 
 type env
 (** Memoizes satisfaction sets per subformula for one automaton. *)

@@ -1,9 +1,6 @@
 module Ctl = Mechaml_logic.Ctl
 module Shard = Mechaml_ts.Shard
-module Universe = Mechaml_ts.Universe
-module Bitset = Mechaml_util.Bitset
 module Bitvec = Mechaml_util.Bitvec
-module Segment = Mechaml_util.Segment
 module Trace = Mechaml_obs.Trace
 module Metrics = Mechaml_obs.Metrics
 
@@ -19,413 +16,206 @@ let m_sets =
   Metrics.counter "mc_shard_sat_sets_total"
     ~help:"Converged sharded satisfaction sets registered with the segment manager."
 
-(* A satisfaction set is one bit vector per shard, indexed by shard-local
-   state index.  Global reads go through owner/local. *)
-type set = Bitvec.t array
-
-type env = {
-  sp : Shard.t;
-  n : int;
-  k : int;
-  owner : int array;
-  local : int array;
-  labels : Bitset.t array;
-  blocking : Bitvec.t; (* global ids *)
-  sizes : int array;
-  memo : (Ctl.t, Segment.slot) Hashtbl.t;
-  mutable next_id : int;
-}
-
-let create sp =
-  {
-    sp;
-    n = Shard.num_states sp;
-    k = Shard.shards sp;
-    owner = Shard.owner sp;
-    local = Shard.local sp;
-    labels = Shard.labels sp;
-    blocking = Shard.blocking sp;
-    sizes = Shard.sizes sp;
-    memo = Hashtbl.create 8;
-    next_id = 0;
+(* The sharded backend: sets are global bit vectors, the structure is read
+   one shard view at a time, and converged sets are banked in the product's
+   segment manager so that under a budget they spill alongside the CSR
+   segments. *)
+module Backend = struct
+  type t = {
+    sp : Shard.t;
+    n : int;
+    k : int;
+    owner : int array;
+    local : int array;
+    sizes : int array;
+    blocking : Bitvec.t;
   }
 
-let sget env (v : set) g = Bitvec.unsafe_get v.(env.owner.(g)) (env.local.(g))
+  type slot = Mechaml_util.Segment.slot
 
-let sset env (v : set) g = Bitvec.unsafe_set v.(env.owner.(g)) (env.local.(g))
+  let create sp =
+    {
+      sp;
+      n = Shard.num_states sp;
+      k = Shard.shards sp;
+      owner = Shard.owner sp;
+      local = Shard.local sp;
+      sizes = Shard.sizes sp;
+      blocking = Shard.blocking sp;
+    }
 
-let fresh env : set = Array.init env.k (fun i -> Bitvec.create env.sizes.(i))
+  let num_states t = t.n
 
-let full env : set = Array.init env.k (fun i -> Bitvec.create_full env.sizes.(i))
+  let initial t = Shard.initial t.sp
 
-let blocking env g = Bitvec.unsafe_get env.blocking g
+  let prop t p =
+    Eval.prop_of_labels ~where:"the sharded product" (Shard.props t.sp) (Shard.labels t.sp) p
 
-(* converged sets live in the product's segment manager, sharing its budget *)
-let store env v =
-  let payload = Array.to_list (Array.mapi (fun i b -> (string_of_int i, Segment.Bits b)) v) in
-  let id = env.next_id in
-  env.next_id <- id + 1;
-  Metrics.incr m_sets;
-  Segment.add (Shard.manager env.sp) ~name:(Printf.sprintf "sat%d" id) payload
+  let blocking t = t.blocking
 
-let fetch env slot : set =
-  let payload = Segment.get (Shard.manager env.sp) slot in
-  Array.init env.k (fun i ->
-      match List.assoc_opt (string_of_int i) payload with
-      | Some (Segment.Bits b) -> b
-      | _ -> raise (Segment.Spill_error "sat segment field missing"))
+  let agg t ~forall x =
+    let out = Bitvec.create t.n in
+    for kk = 0 to t.k - 1 do
+      let { Shard.members; row; dst; _ } = Shard.view t.sp kk in
+      Array.iteri
+        (fun m g -> if Eval.quantify ~forall ~row ~dst x m then Bitvec.unsafe_set out g)
+        members
+    done;
+    out
 
-(* -- shard-batched worklists ------------------------------------------------
+  (* -- shard-batched worklists ----------------------------------------------
 
-   One local-index stack per shard; [push] routes a global id to its owning
-   shard's stack.  A fixpoint drains shard stacks in rounds: each round
-   visits every shard with pending work once (its view resident for the
-   whole batch), buffering cross-shard pushes for a later round.  Each
-   state is pushed at most once per fixpoint, so the stacks are plain
-   arrays sized per shard. *)
+     One local-index stack per shard; [push_from kk g] routes a global id to
+     its owning shard's stack, counting it as a boundary push when that
+     shard is not [kk], the one being drained.  A fixpoint drains the shard
+     stacks in rounds: each round visits every shard with pending work once
+     (its view resident for the whole batch).  Each state is pushed at most
+     once per fixpoint, so the stacks are plain arrays sized per shard. *)
 
-let with_stacks env f =
-  let stacks = Array.init env.k (fun i -> Array.make (max env.sizes.(i) 1) 0) in
-  let sps = Array.make env.k 0 in
-  let boundary = ref 0 in
-  let push_from kk g =
-    let o = env.owner.(g) in
-    if o <> kk then incr boundary;
-    stacks.(o).(sps.(o)) <- env.local.(g);
-    sps.(o) <- sps.(o) + 1
-  in
-  let rounds = ref 0 in
-  (* [drain kk] empties shard kk's stack with its view resident *)
-  let run drain =
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      let t0 = if Trace.is_enabled () then Some (Trace.now_us ()) else None in
-      let drained = ref 0 in
-      for kk = 0 to env.k - 1 do
-        if sps.(kk) > 0 then begin
-          progress := true;
-          drained := !drained + sps.(kk);
-          drain kk
-        end
-      done;
-      if !progress then begin
-        incr rounds;
-        match t0 with
-        | Some start_us ->
-          Trace.complete ~name:"mc.shard.round" ~start_us
-            ~args:[ ("round", Trace.Int !rounds); ("drained", Trace.Int !drained) ]
-            ()
-        | None -> ()
-      end
-    done
-  in
-  let out = f ~stacks ~sps ~push_from ~run in
-  Metrics.add m_rounds !rounds;
-  Metrics.add m_boundary !boundary;
-  out
-
-(* Least fixpoint for EF: backward closure from the target set. *)
-let backward_closure env (target : set) =
-  let out = Array.map Bitvec.copy target in
-  with_stacks env (fun ~stacks ~sps ~push_from ~run ->
-      for kk = 0 to env.k - 1 do
-        Bitvec.iter_true
-          (fun m ->
-            stacks.(kk).(sps.(kk)) <- m;
-            sps.(kk) <- sps.(kk) + 1)
-          out.(kk)
-      done;
-      run (fun kk ->
-          let v = Shard.view env.sp kk in
-          let stack = stacks.(kk) in
-          while sps.(kk) > 0 do
-            sps.(kk) <- sps.(kk) - 1;
-            let m = stack.(sps.(kk)) in
-            for e = v.Shard.prow.(m) to v.Shard.prow.(m + 1) - 1 do
-              let p = v.Shard.psrc.(e) in
-              if not (sget env out p) then begin
-                sset env out p;
-                push_from kk p
-              end
+  let with_stacks t f =
+    let stacks = Array.init t.k (fun i -> Array.make (max t.sizes.(i) 1) 0) in
+    let sps = Array.make t.k 0 in
+    let boundary = ref 0 in
+    let seed g =
+      let o = t.owner.(g) in
+      stacks.(o).(sps.(o)) <- t.local.(g);
+      sps.(o) <- sps.(o) + 1
+    in
+    let push_from kk g =
+      if t.owner.(g) <> kk then incr boundary;
+      seed g
+    in
+    let rounds = ref 0 in
+    (* [visit kk view m] processes local state [m] of shard [kk] *)
+    let run visit =
+      let progress = ref true in
+      while !progress do
+        progress := false;
+        let t0 = if Trace.is_enabled () then Some (Trace.now_us ()) else None in
+        let drained = ref 0 in
+        for kk = 0 to t.k - 1 do
+          if sps.(kk) > 0 then begin
+            progress := true;
+            drained := !drained + sps.(kk);
+            let v = Shard.view t.sp kk in
+            let stack = stacks.(kk) in
+            while sps.(kk) > 0 do
+              sps.(kk) <- sps.(kk) - 1;
+              visit kk v stack.(sps.(kk))
             done
-          done);
-      out)
-
-(* Least fixpoint for E(f U g): backward closure from g through f-states. *)
-let eu_fixpoint env (fset : set) (gset : set) =
-  let out = Array.map Bitvec.copy gset in
-  with_stacks env (fun ~stacks ~sps ~push_from ~run ->
-      for kk = 0 to env.k - 1 do
-        Bitvec.iter_true
-          (fun m ->
-            stacks.(kk).(sps.(kk)) <- m;
-            sps.(kk) <- sps.(kk) + 1)
-          out.(kk)
-      done;
-      run (fun kk ->
-          let v = Shard.view env.sp kk in
-          let stack = stacks.(kk) in
-          while sps.(kk) > 0 do
-            sps.(kk) <- sps.(kk) - 1;
-            let m = stack.(sps.(kk)) in
-            for e = v.Shard.prow.(m) to v.Shard.prow.(m + 1) - 1 do
-              let p = v.Shard.psrc.(e) in
-              if (not (sget env out p)) && sget env fset p then begin
-                sset env out p;
-                push_from kk p
-              end
-            done
-          done);
-      out)
-
-(* Greatest fixpoint for EG f: remove f-states whose successors all left the
-   set, cascading removals through predecessor counts — same count cascade
-   as {!Sat.eg_fixpoint}, drained shard by shard. *)
-let eg_fixpoint env (fset : set) =
-  let out = Array.map Bitvec.copy fset in
-  let cnt = Array.make (max env.n 1) 0 in
-  with_stacks env (fun ~stacks ~sps ~push_from:_ ~run ->
-      (* seed: successor counts per member, with the shard's view resident *)
-      for kk = 0 to env.k - 1 do
-        let v = Shard.view env.sp kk in
-        for m = 0 to env.sizes.(kk) - 1 do
-          if Bitvec.unsafe_get out.(kk) m then begin
-            let g = v.Shard.members.(m) in
-            let c = ref 0 in
-            for e = v.Shard.row.(m) to v.Shard.row.(m + 1) - 1 do
-              if sget env out v.Shard.dst.(e) then incr c
-            done;
-            cnt.(g) <- !c;
-            if !c = 0 && not (blocking env g) then begin
-              stacks.(kk).(sps.(kk)) <- m;
-              sps.(kk) <- sps.(kk) + 1
-            end
           end
-        done
-      done;
-      run (fun kk ->
-          let v = Shard.view env.sp kk in
-          let stack = stacks.(kk) in
-          while sps.(kk) > 0 do
-            sps.(kk) <- sps.(kk) - 1;
-            let m = stack.(sps.(kk)) in
-            if Bitvec.unsafe_get out.(kk) m then begin
-              Bitvec.unsafe_clear out.(kk) m;
+        done;
+        if !progress then begin
+          incr rounds;
+          match t0 with
+          | Some start_us ->
+            Trace.complete ~name:"mc.shard.round" ~start_us
+              ~args:[ ("round", Trace.Int !rounds); ("drained", Trace.Int !drained) ]
+              ()
+          | None -> ()
+        end
+      done
+    in
+    f ~seed ~push_from ~run;
+    Metrics.add m_rounds !rounds;
+    Metrics.add m_boundary !boundary
+
+  (* EF / E(f U g): backward closure from the initial set through
+     [guard]-states. *)
+  let closure t out guard =
+    with_stacks t (fun ~seed ~push_from ~run ->
+        Bitvec.iter_true seed out;
+        run (fun kk v m ->
+            for e = v.Shard.prow.(m) to v.Shard.prow.(m + 1) - 1 do
+              let p = v.Shard.psrc.(e) in
+              if (not (Bitvec.unsafe_get out p)) && Bitvec.unsafe_get guard p then begin
+                Bitvec.unsafe_set out p;
+                push_from kk p
+              end
+            done))
+
+  (* EG: remove members whose successors all left the set, cascading
+     removals through predecessor counts. *)
+  let eg t out =
+    let cnt = Array.make (max t.n 1) 0 in
+    with_stacks t (fun ~seed ~push_from ~run ->
+        for kk = 0 to t.k - 1 do
+          let v = Shard.view t.sp kk in
+          Array.iteri
+            (fun m g ->
+              if Bitvec.unsafe_get out g then begin
+                let c = ref 0 in
+                for e = v.Shard.row.(m) to v.Shard.row.(m + 1) - 1 do
+                  if Bitvec.unsafe_get out v.Shard.dst.(e) then incr c
+                done;
+                cnt.(g) <- !c;
+                if !c = 0 && not (Bitvec.unsafe_get t.blocking g) then seed g
+              end)
+            v.Shard.members
+        done;
+        run (fun kk v m ->
+            let g = v.Shard.members.(m) in
+            if Bitvec.unsafe_get out g then begin
+              Bitvec.unsafe_clear out g;
               for e = v.Shard.prow.(m) to v.Shard.prow.(m + 1) - 1 do
                 let p = v.Shard.psrc.(e) in
-                if sget env out p then begin
+                if Bitvec.unsafe_get out p then begin
                   cnt.(p) <- cnt.(p) - 1;
-                  if cnt.(p) = 0 then begin
-                    let o = env.owner.(p) in
-                    stacks.(o).(sps.(o)) <- env.local.(p);
-                    sps.(o) <- sps.(o) + 1
-                  end
+                  if cnt.(p) = 0 then push_from kk p
                 end
               done
-            end
-          done);
-      out)
+            end))
 
-(* Least fixpoint for A(f U g): bad-successor counts with a candidate
-   cascade — {!Sat.au_fixpoint} over shard batches. *)
-let au_fixpoint env (fset : set) (gset : set) =
-  let out = Array.map Bitvec.copy gset in
-  let bad = Array.make (max env.n 1) 0 in
-  let candidate g =
-    (not (sget env out g))
-    && sget env fset g
-    && (not (blocking env g))
-    && bad.(g) = 0
-  in
-  with_stacks env (fun ~stacks ~sps ~push_from ~run ->
-      for kk = 0 to env.k - 1 do
-        let v = Shard.view env.sp kk in
-        for m = 0 to env.sizes.(kk) - 1 do
-          let g = v.Shard.members.(m) in
-          let c = ref 0 in
-          for e = v.Shard.row.(m) to v.Shard.row.(m + 1) - 1 do
-            if not (sget env out v.Shard.dst.(e)) then incr c
-          done;
-          bad.(g) <- !c
-        done
-      done;
-      for kk = 0 to env.k - 1 do
-        let v = Shard.view env.sp kk in
-        for m = 0 to env.sizes.(kk) - 1 do
-          let g = v.Shard.members.(m) in
+  (* A(f U g): bad-successor counts with a candidate cascade. *)
+  let au t out guard =
+    let bad = Array.make (max t.n 1) 0 in
+    let candidate g =
+      (not (Bitvec.unsafe_get out g))
+      && Bitvec.unsafe_get guard g
+      && (not (Bitvec.unsafe_get t.blocking g))
+      && bad.(g) = 0
+    in
+    with_stacks t (fun ~seed ~push_from ~run ->
+        for kk = 0 to t.k - 1 do
+          let v = Shard.view t.sp kk in
+          Array.iteri
+            (fun m g ->
+              let c = ref 0 in
+              for e = v.Shard.row.(m) to v.Shard.row.(m + 1) - 1 do
+                if not (Bitvec.unsafe_get out v.Shard.dst.(e)) then incr c
+              done;
+              bad.(g) <- !c)
+            v.Shard.members
+        done;
+        for g = 0 to t.n - 1 do
           if candidate g then begin
-            Bitvec.unsafe_set out.(kk) m;
-            stacks.(kk).(sps.(kk)) <- m;
-            sps.(kk) <- sps.(kk) + 1
+            Bitvec.unsafe_set out g;
+            seed g
           end
-        done
-      done;
-      run (fun kk ->
-          let v = Shard.view env.sp kk in
-          let stack = stacks.(kk) in
-          while sps.(kk) > 0 do
-            sps.(kk) <- sps.(kk) - 1;
-            let m = stack.(sps.(kk)) in
+        done;
+        run (fun kk v m ->
             for e = v.Shard.prow.(m) to v.Shard.prow.(m + 1) - 1 do
               let p = v.Shard.psrc.(e) in
               bad.(p) <- bad.(p) - 1;
               if candidate p then begin
-                sset env out p;
+                Bitvec.unsafe_set out p;
                 push_from kk p
               end
-            done
-          done);
-      out)
+            done))
 
-(* -- bounded operators: per-shard dynamic programming ----------------------- *)
+  let fixpoint t (kind : Eval.fix) ~init ~guard =
+    let out = Bitvec.copy init in
+    let guard = match guard with Some f -> f | None -> Bitvec.create_full t.n in
+    (match kind with Ef | Eu -> closure t out guard | Au -> au t out guard | Eg -> eg t out);
+    out
 
-let for_all_succ env (v : Shard.view) (next : set) m =
-  let hi = v.Shard.row.(m + 1) in
-  let e = ref v.Shard.row.(m) and ok = ref true in
-  while !ok && !e < hi do
-    if not (sget env next v.Shard.dst.(!e)) then ok := false;
-    incr e
-  done;
-  !ok
+  let bank t v =
+    Metrics.incr m_sets;
+    Eval.bank_in (Shard.manager t.sp) v
 
-let exists_succ env (v : Shard.view) (next : set) m =
-  let hi = v.Shard.row.(m + 1) in
-  let e = ref v.Shard.row.(m) and found = ref false in
-  while (not !found) && !e < hi do
-    if sget env next v.Shard.dst.(!e) then found := true;
-    incr e
-  done;
-  !found
+  let fetch t slot = Eval.fetch_from (Shard.manager t.sp) slot
+end
 
-(* [step k next] computes H_k from H_{k+1}; each sweep visits the shards in
-   order with the view resident. *)
-let bounded_dp env ~hi ~step =
-  let next = ref (step (hi + 1) (fresh env)) in
-  for k = hi downto 0 do
-    next := step k !next
-  done;
-  !next
+include Eval.Make (Backend)
 
-let sweep env f : set =
-  Array.init env.k (fun kk ->
-      let v = Shard.view env.sp kk in
-      Bitvec.init env.sizes.(kk) (fun m -> f kk v m))
-
-let af_bounded env { Ctl.lo; hi } (fset : set) =
-  bounded_dp env ~hi ~step:(fun k next ->
-      if k = hi + 1 then fresh env
-      else
-        sweep env (fun kk v m ->
-            let g = v.Shard.members.(m) in
-            (k >= lo && Bitvec.unsafe_get fset.(kk) m)
-            || ((not (blocking env g)) && for_all_succ env v next m)))
-
-let ef_bounded env { Ctl.lo; hi } (fset : set) =
-  bounded_dp env ~hi ~step:(fun k next ->
-      if k = hi + 1 then fresh env
-      else
-        sweep env (fun kk v m ->
-            (k >= lo && Bitvec.unsafe_get fset.(kk) m) || exists_succ env v next m))
-
-let ag_bounded env { Ctl.lo; hi } (fset : set) =
-  bounded_dp env ~hi ~step:(fun k next ->
-      if k = hi + 1 then full env
-      else
-        sweep env (fun kk v m ->
-            let g = v.Shard.members.(m) in
-            (k < lo || Bitvec.unsafe_get fset.(kk) m)
-            && (k >= hi || blocking env g || for_all_succ env v next m)))
-
-let eg_bounded env { Ctl.lo; hi } (fset : set) =
-  bounded_dp env ~hi ~step:(fun k next ->
-      if k = hi + 1 then full env
-      else
-        sweep env (fun kk v m ->
-            let g = v.Shard.members.(m) in
-            (k < lo || Bitvec.unsafe_get fset.(kk) m)
-            && (k >= hi || blocking env g || exists_succ env v next m)))
-
-let au_bounded env { Ctl.lo; hi } (fset : set) (gset : set) =
-  bounded_dp env ~hi ~step:(fun k next ->
-      if k = hi + 1 then fresh env
-      else
-        sweep env (fun kk v m ->
-            let g = v.Shard.members.(m) in
-            (k >= lo && Bitvec.unsafe_get gset.(kk) m)
-            || (k < hi
-               && Bitvec.unsafe_get fset.(kk) m
-               && (not (blocking env g))
-               && for_all_succ env v next m)))
-
-let eu_bounded env { Ctl.lo; hi } (fset : set) (gset : set) =
-  bounded_dp env ~hi ~step:(fun k next ->
-      if k = hi + 1 then fresh env
-      else
-        sweep env (fun kk v m ->
-            (k >= lo && Bitvec.unsafe_get gset.(kk) m)
-            || (k < hi && Bitvec.unsafe_get fset.(kk) m && exists_succ env v next m)))
-
-let lognot_set _env (v : set) = Array.map Bitvec.lognot v
-
-let rec sat_vec env (f : Ctl.t) : set =
-  match Hashtbl.find_opt env.memo f with
-  | Some slot -> fetch env slot
-  | None ->
-    let v = compute env f in
-    Hashtbl.replace env.memo f (store env v);
-    v
-
-and compute env (f : Ctl.t) : set =
-  match f with
-  | True -> full env
-  | False -> fresh env
-  | Prop p -> (
-    match Universe.index_opt (Shard.props env.sp) p with
-    | None -> invalid_arg (Printf.sprintf "Mc.Shardsat: proposition %S not in the product" p)
-    | Some i ->
-      let v = fresh env in
-      for g = 0 to env.n - 1 do
-        if Bitset.mem i env.labels.(g) then sset env v g
-      done;
-      v)
-  | Deadlock ->
-    let v = fresh env in
-    Bitvec.iter_true (fun g -> sset env v g) env.blocking;
-    v
-  | Not g -> lognot_set env (sat_vec env g)
-  | And (a, b) -> Array.map2 Bitvec.logand (sat_vec env a) (sat_vec env b)
-  | Or (a, b) -> Array.map2 Bitvec.logor (sat_vec env a) (sat_vec env b)
-  | Implies (a, b) -> Array.map2 Bitvec.logimplies (sat_vec env a) (sat_vec env b)
-  | Ax g ->
-    let sg = sat_vec env g in
-    sweep env (fun _ v m -> for_all_succ env v sg m)
-  | Ex g ->
-    let sg = sat_vec env g in
-    sweep env (fun _ v m -> exists_succ env v sg m)
-  | Ef (None, g) -> backward_closure env (sat_vec env g)
-  | Ef (Some b, g) -> ef_bounded env b (sat_vec env g)
-  | Af (None, g) -> au_fixpoint env (full env) (sat_vec env g)
-  | Af (Some b, g) -> af_bounded env b (sat_vec env g)
-  | Ag (None, g) ->
-    (* AG f = ¬EF¬f, exactly as {!Sat.compute} *)
-    lognot_set env (backward_closure env (sat_vec env (Ctl.Not g)))
-  | Ag (Some b, g) -> ag_bounded env b (sat_vec env g)
-  | Eg (None, g) -> eg_fixpoint env (sat_vec env g)
-  | Eg (Some b, g) -> eg_bounded env b (sat_vec env g)
-  | Au (None, a, b) -> au_fixpoint env (sat_vec env a) (sat_vec env b)
-  | Au (Some bd, a, b) -> au_bounded env bd (sat_vec env a) (sat_vec env b)
-  | Eu (None, a, b) -> eu_fixpoint env (sat_vec env a) (sat_vec env b)
-  | Eu (Some bd, a, b) -> eu_bounded env bd (sat_vec env a) (sat_vec env b)
-
-let holds_initially env f =
-  let v = sat_vec env f in
-  List.for_all
-    (fun g -> Bitvec.get v.(env.owner.(g)) (env.local.(g)))
-    (Shard.initial env.sp)
-
-let failing_initial env f =
-  let v = sat_vec env f in
-  List.find_opt
-    (fun g -> not (Bitvec.get v.(env.owner.(g)) (env.local.(g))))
-    (Shard.initial env.sp)
+let create sp = create (Backend.create sp)

@@ -1,21 +1,21 @@
-(** Global CTL satisfaction over a sharded product ({!Mechaml_ts.Shard}).
+(** Global CTL satisfaction over a sharded product ({!Mechaml_ts.Shard}):
+    the {!Eval} evaluator over an in-process sharded backend.
 
-    Mirrors {!Sat} exactly — same fixpoint algorithms, same bounded dynamic
-    programs — but every satisfaction set is partitioned into per-shard bit
-    vectors and every worklist is shard-local: a fixpoint runs batched
-    rounds over the shards, exchanging boundary frontiers (pushes whose
-    owning shard differs from the one being drained) until the global
-    fixpoint is reached.  All the unbounded fixpoints are confluent, so the
+    Satisfaction sets are global bit vectors; the structure is read one
+    shard view at a time.  Every unbounded fixpoint runs shard-local
+    worklists in batched rounds, exchanging boundary frontiers (pushes
+    whose owning shard differs from the one being drained) until the
+    global fixpoint is reached.  The fixpoints are confluent, so the
     shard-batched processing order converges to bit-for-bit the same sets
-    as {!Sat}'s single worklist, for any shard count.
+    as {!Sat}, for any shard count.
 
-    Converged sets are registered in the product's {!Mechaml_ts.Shard.manager},
-    so under a memory budget cold sat sets spill to disk alongside the CSR
-    segments and reload on demand.
+    Converged sets are banked in the product's
+    {!Mechaml_ts.Shard.manager}, so under a memory budget cold sat sets
+    spill to disk alongside the CSR segments and reload on demand.
 
-    Warm-starting is deliberately absent: the sharded path recomputes cold
-    (the fixpoints are confluent, so results are identical), keeping the
-    byte-equivalence argument against the single-shard path one-sided. *)
+    The evaluator's warm-start seeding needs an [old_of]/[dirty] map
+    between consecutive products, which only the materialized pipeline
+    builds, so this interface offers cold environments only. *)
 
 module Ctl = Mechaml_logic.Ctl
 module Shard = Mechaml_ts.Shard
@@ -25,6 +25,12 @@ type env
 val create : Shard.t -> env
 (** An environment over an explored sharded product.  The product must stay
     open (not {!Mechaml_ts.Shard.close}d) while the env is in use. *)
+
+val sat_vec : env -> Ctl.t -> Mechaml_util.Bitvec.t
+(** The global satisfaction set, bit-identical to {!Sat.sat_vec} on the
+    materialized product.  Callers must not mutate the result.  Raises
+    {!Mechaml_util.Segment.Spill_error} if a spilled segment cannot be read
+    back. *)
 
 val holds_initially : env -> Ctl.t -> bool
 (** Whether every initial product state satisfies the formula — identical

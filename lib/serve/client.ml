@@ -1,6 +1,7 @@
 module Context = Mechaml_obs.Context
 module Json = Mechaml_obs.Json
 module Campaign = Mechaml_engine.Campaign
+module Http = Mechaml_wire.Http
 
 type endpoint = {
   host : string;

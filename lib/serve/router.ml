@@ -6,6 +6,7 @@ module Trace = Mechaml_obs.Trace
 module Log = Mechaml_obs.Log
 module Cache = Mechaml_engine.Cache
 module Campaign = Mechaml_engine.Campaign
+module Http = Mechaml_wire.Http
 
 let m_requests =
   Metrics.counter "serve_requests_total" ~help:"HTTP requests handled by the daemon."

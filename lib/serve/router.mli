@@ -38,7 +38,8 @@ type ctx = {
   started_at : float;
 }
 
-val handle : ctx -> Http.conn -> Http.request -> unit
+val handle : ctx -> Mechaml_wire.Http.conn -> Mechaml_wire.Http.request -> unit
 (** Serve one request and write the full response.  Raises only on
-    connection-level I/O failures ([Unix_error], {!Http.Closed}) — protocol
-    errors are answered with 4xx/5xx. *)
+    connection-level I/O failures ([Unix_error],
+    {!Mechaml_wire.Http.Closed}) — protocol errors are answered with
+    4xx/5xx. *)

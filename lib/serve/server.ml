@@ -4,6 +4,7 @@ module Json = Mechaml_obs.Json
 module Log = Mechaml_obs.Log
 module Metrics = Mechaml_obs.Metrics
 module Cache = Mechaml_engine.Cache
+module Http = Mechaml_wire.Http
 
 let m_connections =
   Metrics.counter "serve_connections_total" ~help:"TCP connections accepted."

@@ -1,6 +1,7 @@
 module Bitset = Mechaml_util.Bitset
 module Bitvec = Mechaml_util.Bitvec
 module Segment = Mechaml_util.Segment
+module Ivec = Mechaml_util.Ivec
 module Trace = Mechaml_obs.Trace
 module Metrics = Mechaml_obs.Metrics
 
@@ -86,37 +87,6 @@ let mix key =
   let h = h * 0x3F58476D1CE4E5B9 in
   let h = h lxor (h lsr 27) in
   h land max_int
-
-(* -- growable int arrays ---------------------------------------------------- *)
-
-module Ivec = struct
-  type t = { mutable a : int array; mutable n : int }
-
-  let create () = { a = Array.make 16 0; n = 0 }
-
-  let push v x =
-    if v.n = Array.length v.a then begin
-      let b = Array.make (2 * v.n) 0 in
-      Array.blit v.a 0 b 0 v.n;
-      v.a <- b
-    end;
-    v.a.(v.n) <- x;
-    v.n <- v.n + 1
-
-  let get v i = Array.unsafe_get v.a i
-
-  let length v = v.n
-
-  let to_array v = Array.sub v.a 0 v.n
-
-  let clear v = v.n <- 0
-
-  let reset v =
-    v.a <- Array.make 16 0;
-    v.n <- 0
-
-  let capacity_bytes v = 8 * Array.length v.a
-end
 
 (* -- round-synchronized worker crew ----------------------------------------
 

@@ -29,52 +29,6 @@ let context seed =
   Families.random_context ~seed ~states:(6 + (seed mod 7)) ~legacy_inputs:inputs
     ~legacy_outputs:outputs
 
-(* same formula mix as test_shard: every fixpoint and bounded DP *)
-let formulas =
-  let d = Ctl.Deadlock in
-  let nd = Ctl.Not d in
-  [
-    Ctl.deadlock_free;
-    Ctl.Ef (None, d);
-    Ctl.Af (None, d);
-    Ctl.Ag (None, nd);
-    Ctl.Eg (None, nd);
-    Ctl.Au (None, nd, d);
-    Ctl.Eu (None, nd, d);
-    Ctl.Ax nd;
-    Ctl.Ex d;
-    Ctl.Ef (Some { Ctl.lo = 1; hi = 4 }, d);
-    Ctl.Ag (Some { Ctl.lo = 0; hi = 5 }, nd);
-    Ctl.Au (Some { Ctl.lo = 0; hi = 3 }, nd, d);
-    Ctl.Implies (Ctl.Ex nd, Ctl.Ef (None, d));
-  ]
-
-(* the bench's coprime mesh, test-sized: w*h reachable states, cyclic (no
-   deadlock) — real pressure for the fixpoints and the spill machinery,
-   which the tiny machine x context products above cannot provide *)
-let mesh_pair ~w ~h =
-  let left =
-    let b = Automaton.Builder.create ~name:"meshL" ~inputs:[] ~outputs:[ "q"; "r" ] () in
-    let st i = Printf.sprintf "l%d" i in
-    for i = 0 to w - 1 do
-      Automaton.Builder.add_trans b ~src:(st i) ~outputs:[ "q" ] ~dst:(st ((i + 1) mod w)) ();
-      Automaton.Builder.add_trans b ~src:(st i) ~outputs:[ "r" ] ~dst:(st 0) ()
-    done;
-    Automaton.Builder.set_initial b [ st 0 ];
-    Automaton.Builder.build b
-  in
-  let right =
-    let b = Automaton.Builder.create ~name:"meshR" ~inputs:[ "q"; "r" ] ~outputs:[] () in
-    let st j = Printf.sprintf "r%d" j in
-    for j = 0 to h - 1 do
-      Automaton.Builder.add_trans b ~src:(st j) ~inputs:[ "q" ] ~dst:(st ((j + 1) mod h)) ();
-      Automaton.Builder.add_trans b ~src:(st j) ~inputs:[ "r" ] ~dst:(st 0) ()
-    done;
-    Automaton.Builder.set_initial b [ st 0 ];
-    Automaton.Builder.build b
-  in
-  (left, right)
-
 let sock_path =
   let c = ref 0 in
   fun () ->
@@ -125,15 +79,19 @@ let check_structure product dp =
       Alcotest.failf "blocking mismatch at state %d" s
   done
 
-let check_verdicts product dp =
+(* full satisfaction sets, not just the initial-state verdicts *)
+let check_verdicts ?(formulas = structural_formulas) product dp =
   let env = Sat.create product.Compose.auto in
   let senv = Distsat.create dp in
   List.iter
     (fun f ->
+      let name = Fmt.to_to_string Ctl.pp f in
+      if not (Bitvec.equal (Sat.sat_vec env f) (Distsat.sat_vec senv f)) then
+        Alcotest.failf "sat set mismatch on %s" name;
       if Sat.holds_initially env f <> Distsat.holds_initially senv f then
-        Alcotest.failf "verdict mismatch on %s" (Fmt.to_to_string Ctl.pp f);
+        Alcotest.failf "verdict mismatch on %s" name;
       if Sat.failing_initial env f <> Distsat.failing_initial senv f then
-        Alcotest.failf "failing-initial mismatch on %s" (Fmt.to_to_string Ctl.pp f))
+        Alcotest.failf "failing-initial mismatch on %s" name)
     formulas
 
 let scenario ?pair ~seed ~shards ~workers ?mem_budget ?spill_dir ?chaos_die_after
@@ -154,7 +112,9 @@ let scenario ?pair ~seed ~shards ~workers ?mem_budget ?spill_dir ?chaos_die_afte
         ~finally:(fun () -> Distshard.close dp)
         (fun () ->
           check_structure product dp;
-          check_verdicts product dp;
+          check_verdicts
+            ~formulas:(if pair = None then structural_formulas else mesh_formulas)
+            product dp;
           if Distshard.restarts dp < expect_restarts then
             Alcotest.failf "expected >= %d worker restart(s), saw %d" expect_restarts
               (Distshard.restarts dp)))

@@ -95,6 +95,13 @@ let neutrality_tests =
           (Report.canonical (Lazy.force scratch_sequential));
         check_string "incremental off, jobs:4" reference
           (Report.canonical (Lazy.force scratch_parallel)));
+    test "incremental-debug re-checks every warm stage cold and agrees" (fun () ->
+        (* every seeded fixpoint, delta closure and reused product is
+           recomputed from scratch and compared bit for bit; a divergence
+           raises inside the job instead of changing a verdict *)
+        check_string "incremental debug, jobs:1" (read_file golden_file)
+          (Report.canonical
+             (Campaign.run ~jobs:1 ~incremental_debug:true (Campaign.bundled ()))));
   ]
 
 (* Structural automaton identity — the incremental contract is not just

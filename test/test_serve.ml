@@ -10,7 +10,7 @@ module Store = Mechaml_serve.Store
 module Quarantine = Mechaml_serve.Quarantine
 module Chaosproxy = Mechaml_serve.Chaosproxy
 module Wire = Mechaml_serve.Wire
-module Http = Mechaml_serve.Http
+module Http = Mechaml_wire.Http
 module Json = Mechaml_obs.Json
 module Context = Mechaml_obs.Context
 module Flight = Mechaml_obs.Flight

@@ -24,27 +24,6 @@ let context seed =
   Families.random_context ~seed ~states:(6 + (seed mod 7)) ~legacy_inputs:inputs
     ~legacy_outputs:outputs
 
-(* formulas over no propositions — deadlock and path structure only — so they
-   apply to any product; the mix covers every fixpoint and bounded DP *)
-let formulas =
-  let d = Ctl.Deadlock in
-  let nd = Ctl.Not d in
-  [
-    Ctl.deadlock_free;
-    Ctl.Ef (None, d);
-    Ctl.Af (None, d);
-    Ctl.Ag (None, nd);
-    Ctl.Eg (None, nd);
-    Ctl.Au (None, nd, d);
-    Ctl.Eu (None, nd, d);
-    Ctl.Ax nd;
-    Ctl.Ex d;
-    Ctl.Ef (Some { Ctl.lo = 1; hi = 4 }, d);
-    Ctl.Ag (Some { Ctl.lo = 0; hi = 5 }, nd);
-    Ctl.Au (Some { Ctl.lo = 0; hi = 3 }, nd, d);
-    Ctl.Implies (Ctl.Ex nd, Ctl.Ef (None, d));
-  ]
-
 (* the sharded structure must reproduce the materialized product exactly:
    same numbering (checked through labels and initial ids), same adjacency
    lists in the same order, same blocking set *)
@@ -76,26 +55,37 @@ let check_structure product sp =
       Alcotest.failf "blocking mismatch at state %d" s
   done
 
-let check_verdicts product sp =
+(* full satisfaction sets, not just the initial-state verdicts *)
+let check_verdicts ?(formulas = structural_formulas) product sp =
   let env = Sat.create product.Compose.auto in
   let senv = Shardsat.create sp in
   List.iter
     (fun f ->
+      let name = Fmt.to_to_string Ctl.pp f in
+      if not (Bitvec.equal (Sat.sat_vec env f) (Shardsat.sat_vec senv f)) then
+        Alcotest.failf "sat set mismatch on %s" name;
       if Sat.holds_initially env f <> Shardsat.holds_initially senv f then
-        Alcotest.failf "verdict mismatch on %s" (Fmt.to_to_string Ctl.pp f);
+        Alcotest.failf "verdict mismatch on %s" name;
       if Sat.failing_initial env f <> Shardsat.failing_initial senv f then
-        Alcotest.failf "failing-initial mismatch on %s" (Fmt.to_to_string Ctl.pp f))
+        Alcotest.failf "failing-initial mismatch on %s" name)
     formulas
 
-let scenario ~seed ~config () =
-  let left = machine seed and right = context (seed + 17) in
+(* [on_explored] runs right after the build, before any check *)
+let scenario ?pair ?(on_explored = ignore) ~seed ~config () =
+  let left, right =
+    match pair with Some p -> p | None -> (machine seed, context (seed + 17))
+  in
+  let formulas = if pair = None then structural_formulas else mesh_formulas in
   let product = Compose.parallel left right in
   let sp = Shard.explore ~config left right in
   Fun.protect
     ~finally:(fun () -> Shard.close sp)
     (fun () ->
+      on_explored sp;
       check_structure product sp;
-      check_verdicts product sp)
+      check_verdicts ~formulas product sp)
+
+let mesh = mesh_pair ~w:23 ~h:16
 
 let equivalence_tests =
   List.concat_map
@@ -109,14 +99,25 @@ let equivalence_tests =
           ])
         [ 1; 2; 3; 4; 5 ])
     [ 1; 2; 8 ]
+  @ List.map
+      (fun shards ->
+        test
+          (Printf.sprintf "mesh 23x16, %d shard(s)" shards)
+          (scenario ~pair:mesh ~seed:0 ~config:(Shard.config ~shards ())))
+      [ 1; 2; 8 ]
 
 let spill_tests =
   [
     test "tiny budget forces spills without changing anything" (fun () ->
         let before = Segment.total_spills () in
-        (* a 1 KiB budget is far below the live size of any product here *)
-        scenario ~seed:3 ~config:(Shard.config ~shards:4 ~mem_budget:1024 ()) ();
-        check_bool "spills engaged" true (Segment.total_spills () > before));
+        (* a 1 KiB budget is far below the mesh's CSR segments, so the build
+           itself must spill; the checks then run against spilled segments
+           and spilled sat sets *)
+        scenario ~pair:mesh ~seed:0
+          ~on_explored:(fun _ ->
+            check_bool "spills engaged" true (Segment.total_spills () > before))
+          ~config:(Shard.config ~shards:4 ~mem_budget:1024 ())
+          ());
     test "spill directory is removed on close" (fun () ->
         let dir = Filename.temp_file "mechashard-test" "" in
         Sys.remove dir;
@@ -172,7 +173,7 @@ let spill_tests =
               (Sys.readdir sub);
             let senv = Shardsat.create sp in
             match
-              List.iter (fun f -> ignore (Shardsat.holds_initially senv f)) formulas
+              List.iter (fun f -> ignore (Shardsat.holds_initially senv f)) structural_formulas
             with
             | exception Segment.Spill_error _ -> ()
             | () ->
