@@ -1,5 +1,5 @@
 # Tier-1 gate: build, tests, and a campaign smoke run.
-.PHONY: all build test smoke check faults-smoke kill-resume obs-smoke serve-smoke serve-chaos shard-smoke dist-smoke bench bench-check bench-speedup bench-speedup-pr5 bench-speedup-pr9 bench-speedup-pr10 clean
+.PHONY: all build test smoke check faults-smoke kill-resume obs-smoke serve-smoke serve-chaos shard-smoke dist-smoke perf-smoke bench bench-check bench-speedup bench-speedup-pr5 bench-speedup-pr9 bench-speedup-pr10 clean
 
 all: build
 
@@ -77,6 +77,17 @@ shard-smoke: build
 # worker mid-campaign recovered invisibly, clean teardown.
 dist-smoke: build
 	bash scripts/dist_smoke.sh
+
+# Paper-loop memo smoke: a short traced synth run of the job benchmark.  Its
+# output checks abort the run unless the memoized canonical report equals a
+# memo:false reference, per-job cache counters repeat across rounds and the
+# traced replica agrees with Campaign.run_spec; the Chrome trace it writes
+# must then validate.
+PERF_OUT = $(or $(CARGO_TARGET_DIR),.bench_build)/perfbench-out
+
+perf-smoke: build
+	python3 perfbench/run.py --workload synth --seed 1 --seconds 3 --trace 1
+	dune exec bench/bench_check.exe -- validate-trace $(PERF_OUT)/trace-synth.json
 
 bench:
 	dune exec bench/main.exe

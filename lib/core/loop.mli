@@ -154,7 +154,11 @@ val run :
     full input plus a [compute] thunk performing the actual work, and must
     return exactly what [compute] would (e.g. a memoized copy from an
     earlier, structurally identical call — {!Mechaml_engine.Cache} does
-    this across campaign jobs).  The default hooks just run [compute].
+    this across campaign jobs).  Every [on_check] call follows the
+    [on_closure] call of the same iteration and checks context ∥ that
+    closure, so a hook may name the product by the closure it saw (under
+    [sharding] no product exists yet and [product] is the closure).  The
+    default hooks just run [compute].
 
     [observe] replaces the raw test-execution step (by default
     [Observation.observe] against [legacy]); {!Mechaml_legacy.Supervisor}'s

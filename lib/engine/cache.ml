@@ -181,9 +181,12 @@ let hit_rate s =
    before unmarshalling anything), then one marshalled tuple of both tables'
    entries in LRU→MRU order.  [save] goes through a temp file + atomic rename
    — the same crash-safety discipline as [Knowledge_io.save_atomic] — so a
-   daemon killed mid-snapshot leaves the previous snapshot intact. *)
+   daemon killed mid-snapshot leaves the previous snapshot intact.  The
+   header's version changes whenever the key scheme does: version 2 keys
+   checks by context digest and closure key instead of by product, and a
+   version-1 file would only restore entries no lookup can reach. *)
 
-let snapshot_header = "mechaml-cache 1"
+let snapshot_header = "mechaml-cache 2"
 
 (* Under the lock: entries ordered LRU-first, so replaying them through
    [store] reproduces the recency order exactly. *)

@@ -4,11 +4,19 @@
     closure of a learned model ({!Mechaml_core.Chaos.closure}) and the
     model-checking outcome on a product automaton
     ({!Mechaml_mc.Checker.check_conjunction}) — are deterministic functions
-    of their full structural input.  A cache keyed by a structural digest of
+    of their full structural input.  A cache keyed by a digest that names
     that input can therefore only ever return exactly what the computation
     would have produced: sharing one cache across jobs, iterations or worker
     domains never changes a verdict, only the time (and the hit counters)
     taken to reach it.
+
+    {!Campaign} keys a closure by the {!digest} of (family, legacy-side
+    propositions, learned model), and a check by the {!digest} of
+    (strategy, formulas, {!Mechaml_ts.Automaton.digest} of the context,
+    closure key of the same iteration).  The product is a function of the
+    context and the closure, so it is never digested itself; and because
+    verdicts are byte-identical across the materialized, sharded and
+    distributed tiers, all tiers share check entries.
 
     Entries repeat across campaign jobs whenever two jobs share a context and
     iterate through the same learned models — e.g. the same scenario swept
@@ -37,8 +45,10 @@ val create : ?capacity:int -> unit -> t
 
 val digest : 'a -> string
 (** Structural digest (MD5 of the marshalled value) used as cache key.  The
-    value must be marshallable — plain data, no closures; all automata,
-    incomplete models and formulas qualify. *)
+    value must be marshallable — plain data, no closures; incomplete models,
+    formulas and digests qualify.  An {!Mechaml_ts.Automaton.t} is better
+    named by {!Mechaml_ts.Automaton.digest}: marshalling it also covers its
+    lazily derived index, so its bytes change once the index is forced. *)
 
 val closure : t -> key:string -> (unit -> Mechaml_ts.Automaton.t) -> Mechaml_ts.Automaton.t * bool
 (** [closure t ~key compute] returns the cached closure for [key], or runs
@@ -87,5 +97,6 @@ val load : t -> path:string -> (int, string) result
     the number of entries restored.  A capacity-bounded cache keeps only the
     most recent [capacity] entries per table.  Entries already present in
     [t] win over snapshot entries under the same key.  [Error] on a missing,
-    foreign or corrupt file — never raises, the cache is usable either
-    way. *)
+    foreign or corrupt file, or one written under another key scheme (the
+    header carries a version, now [mechaml-cache 2]) — never raises, the
+    cache is usable either way. *)

@@ -111,35 +111,40 @@ let run_spec_unobserved ?cache ?(incremental = true) ?(incremental_debug = false
       (fun p -> not (Universe.mem spec.context.Automaton.props p))
       (Ctl.props spec.property)
   in
+  (* A check's product is [Compose.parallel context closure] on every tier
+     ([Compose.Inc] and the sharded explorers are byte-identical to it), and
+     the closure is named by the key [on_closure] computed in the same
+     iteration — so the check key carries the context digest and that
+     closure key instead of digesting the product.  Verdicts are
+     byte-identical across tiers, so the tiers share entries. *)
+  let closure_key = ref None in
   let on_closure ~model ~compute =
     guard_deadline ();
     match cache with
     | None -> compute ()
     | Some c ->
       let key = Cache.digest ("closure", spec.family, legacy_props, model) in
+      closure_key := Some key;
       let v, hit = Cache.closure c ~key compute in
       if hit then incr closure_hits else incr closure_misses;
       v
   in
-  let on_check ~product ~formulas ~compute =
+  let on_check ~product:_ ~formulas ~compute =
     guard_deadline ();
-    match cache with
-    | None -> compute ()
-    | Some c ->
-      (* In sharded mode no product automaton exists at check time — the
-         loop hands the closure instead, so the key must also carry the
-         context (the product is a function of both) and a distinct tag
-         keeping sharded and materialized entries disjoint. *)
+    match (cache, !closure_key) with
+    | Some c, Some closure ->
       let key =
-        match sharding with
-        | None -> Cache.digest ("check", strategy_string spec.strategy, formulas, product)
-        | Some _ ->
-          Cache.digest
-            ("check-sharded", strategy_string spec.strategy, formulas, spec.context, product)
+        Cache.digest
+          ( "check",
+            strategy_string spec.strategy,
+            formulas,
+            Automaton.digest spec.context,
+            closure )
       in
       let v, hit = Cache.check c ~key compute in
       if hit then incr check_hits else incr check_misses;
       v
+    | _ -> compute ()
   in
   (* One box per job: fault-injection wrappers keep mutable counters, so the
      instance must be job-local (verdicts independent of sibling scheduling)

@@ -129,8 +129,9 @@ val run_spec :
     from scratch and fails on divergence.  [sharding] selects the loop's
     partitioned, out-of-core check pipeline ({!Mechaml_core.Loop.run});
     verdicts and canonical reports are byte-identical to the default path,
-    and memo entries for sharded checks are keyed apart from materialized
-    ones. *)
+    so sharded and materialized checks share memo entries: a check is keyed
+    by the context's {!Mechaml_ts.Automaton.digest} and the closure key of
+    the same iteration, never by the product. *)
 
 val run :
   ?jobs:int -> ?cache:Cache.t -> ?memo:bool -> ?incremental:bool ->

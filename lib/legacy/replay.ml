@@ -6,11 +6,15 @@ type recording = {
 
 let record ~box ~inputs =
   let outcome = Monitor.run ~box ~instrumentation:Monitor.Minimal ~inputs in
-  let executed =
-    (* Only the periods that actually executed are part of the recording;
-       a refused period contributes no events. *)
-    List.filteri (fun i _ -> i < List.length outcome.Monitor.outputs) inputs
+  (* Only the periods that actually executed are part of the recording; a
+     refused period contributes no events.  One output list per executed
+     period, so the executed prefix is taken in one walk over both lists. *)
+  let rec prefix acc ins outs =
+    match (ins, outs) with
+    | i :: ins', _ :: outs' -> prefix (i :: acc) ins' outs'
+    | _ -> List.rev acc
   in
+  let executed = prefix [] inputs outcome.Monitor.outputs in
   { inputs = executed; minimal_events = outcome.Monitor.events; blocked = outcome.Monitor.blocked }
 
 let replay ~box recording =

@@ -36,6 +36,7 @@ type csr = {
 type index = {
   name_cell : (string, int) Hashtbl.t option Atomic.t; (* state name -> first index *)
   csr_cell : csr option Atomic.t;
+  digest_cell : string option Atomic.t; (* content digest, see [digest] *)
 }
 
 type t = {
@@ -261,7 +262,9 @@ let patch_csr ~old_csr ~n ~trans ~dirty ~old_of ~dst_map =
   { row; f_input; f_output; f_dst; f_inter; adj_inter; inter_tbl; inter_io }
 
 let make_with_tbl ~name_tbl ~name ~inputs ~outputs ~props ~state_names ~labels ~trans ~initial =
-  let index = { name_cell = Atomic.make name_tbl; csr_cell = Atomic.make None } in
+  let index =
+    { name_cell = Atomic.make name_tbl; csr_cell = Atomic.make None; digest_cell = Atomic.make None }
+  in
   { name; inputs; outputs; props; state_names; labels; trans; initial; index }
 
 let make ~dup_ok ~name ~inputs ~outputs ~props ~state_names ~labels ~trans ~initial =
@@ -292,6 +295,26 @@ let csr m =
     in
     ignore (Atomic.compare_and_set m.index.csr_cell None (Some c));
     (match Atomic.get m.index.csr_cell with Some c -> c | None -> assert false)
+
+(* Content only, never the index cells (forcing them must not change the
+   digest), and without sharing so physically different but structurally
+   equal automata — e.g. [Compose.parallel] and [Compose.Inc.parallel]
+   results — marshal to the same bytes. *)
+let digest m =
+  match Atomic.get m.index.digest_cell with
+  | Some d -> d
+  | None ->
+    let content =
+      ( m.name,
+        (Universe.to_list m.inputs, Universe.to_list m.outputs, Universe.to_list m.props),
+        m.state_names,
+        m.labels,
+        m.trans,
+        m.initial )
+    in
+    let d = Digest.to_hex (Digest.string (Marshal.to_string content [ Marshal.No_sharing ])) in
+    ignore (Atomic.compare_and_set m.index.digest_cell None (Some d));
+    d
 
 let num_transitions m = (csr m).row.(num_states m)
 
@@ -379,10 +402,15 @@ let composable a b = Universe.disjoint a.inputs b.inputs && Universe.disjoint a.
 let orthogonal a b =
   composable a b && Universe.disjoint a.inputs b.outputs && Universe.disjoint a.outputs b.inputs
 
-let rename m name = { m with name }
+(* The record copies below change content the digest covers but keep the
+   transition relation, so they share the derived index halves and get a
+   fresh digest cell. *)
+let redigested m = { m.index with digest_cell = Atomic.make None }
+
+let rename m name = { m with name; index = redigested m }
 
 let relabel m ~props f =
-  { m with props; labels = Array.init (num_states m) f }
+  { m with props; labels = Array.init (num_states m) f; index = redigested m }
 
 let dedup_trans ts =
   let seen = Hashtbl.create 16 in
@@ -413,13 +441,14 @@ let map_states m ~f =
   let state_names = Array.init (num_states m) f in
   (* transitions are untouched: the CSR carries over and the name lookup
      table is rederived on demand from the new names *)
-  { m with state_names; index = { name_cell = Atomic.make None; csr_cell = m.index.csr_cell } }
+  { m with state_names; index = { (redigested m) with name_cell = Atomic.make None } }
 
 let map_signals m ~inputs ~outputs =
   {
     m with
     inputs = Universe.of_list (List.map inputs (Universe.to_list m.inputs));
     outputs = Universe.of_list (List.map outputs (Universe.to_list m.outputs));
+    index = redigested m;
   }
 
 let of_packed ?(assume_unique_names = false) ~name ~inputs ~outputs ~props ~state_names ~labels
@@ -474,7 +503,9 @@ let patch ~old ~name ~props ~state_names ~labels ~trans ~initial ~dirty ~old_of 
           ts)
     trans;
   let c = patch_csr ~old_csr:(csr old) ~n ~trans ~dirty ~old_of ~dst_map in
-  let index = { name_cell = Atomic.make None; csr_cell = Atomic.make (Some c) } in
+  let index =
+    { name_cell = Atomic.make None; csr_cell = Atomic.make (Some c); digest_cell = Atomic.make None }
+  in
   {
     name;
     inputs = old.inputs;

@@ -40,6 +40,15 @@ val num_states : t -> int
 
 val num_transitions : t -> int
 
+val digest : t -> string
+(** Hex MD5 of the automaton's content: name, the names of its three
+    universes, state names, labels, adjacency lists and initial states.
+    The derived {!index} is excluded, so forcing it (through {!Csr} or a
+    model checker) never changes the digest, and physical sharing is
+    ignored, so structurally equal automata digest equally however they
+    were built.  Computed once per value and memoized (safe to race across
+    domains); the campaign memo cache keys checks by it. *)
+
 val state_name : t -> state -> string
 
 val state_index : t -> string -> state

@@ -117,4 +117,57 @@ let unit_tests =
         check_bool "mentions busy" true (contains s "busy"));
   ]
 
-let () = Alcotest.run "automaton" [ ("unit", unit_tests) ]
+(* [Automaton.digest] names an automaton by content alone: the campaign memo
+   keys checks by it, so it must be canonical — blind to the lazily derived
+   index and to how the value was built, and sensitive to every label and
+   transition. *)
+let digest_tests =
+  let ring () =
+    Mechaml_scenarios.Families.random_machine ~seed:3 ~states:6 ~inputs:[ "i0"; "i1" ]
+      ~outputs:[ "o0" ]
+  in
+  [
+    test "digest is equal before and after the index is forced" (fun () ->
+        let fresh = ring () and forced = ring () in
+        let before = Automaton.digest fresh in
+        ignore (Automaton.Csr.row forced);
+        ignore (Automaton.state_index_opt forced "nope");
+        ignore (Mechaml_mc.Sat.create forced);
+        check_string "fresh vs forced" before (Automaton.digest forced);
+        (* marshalling the whole value, by contrast, sees the forced index *)
+        check_bool "index changed the marshalled bytes" true
+          (Mechaml_engine.Cache.digest fresh <> Mechaml_engine.Cache.digest forced));
+    test "digest changes with one label, one transition, the name" (fun () ->
+        let m = simple () in
+        let d = Automaton.digest m in
+        let relabelled =
+          Automaton.relabel m ~props:m.Automaton.props (fun s ->
+              if s = 1 then Universe.set_of_names m.Automaton.props [ "p.idle" ]
+              else m.Automaton.labels.(s))
+        in
+        check_bool "label" true (d <> Automaton.digest relabelled);
+        let retargeted =
+          automaton ~inputs:[ "go"; "stop" ] ~outputs:[ "ok" ]
+            ~states:[ ("idle", [ "p.idle" ]); ("busy", [ "p.busy" ]) ]
+            ~trans:[ ("idle", [ "go" ], [ "ok" ], "busy"); ("busy", [ "stop" ], [], "busy") ]
+            ~initial:[ "idle" ] ()
+        in
+        check_bool "transition" true (d <> Automaton.digest retargeted);
+        let relabelled_io =
+          automaton ~inputs:[ "go"; "stop" ] ~outputs:[ "ok" ]
+            ~states:[ ("idle", [ "p.idle" ]); ("busy", [ "p.busy" ]) ]
+            ~trans:[ ("idle", [ "go" ], [], "busy"); ("busy", [ "stop" ], [], "idle") ]
+            ~initial:[ "idle" ] ()
+        in
+        check_bool "interaction" true (d <> Automaton.digest relabelled_io);
+        check_bool "name" true (d <> Automaton.digest (Automaton.rename m "other"));
+        check_bool "state names" true
+          (d <> Automaton.digest (Automaton.map_states m ~f:(fun s -> "S" ^ string_of_int s)));
+        check_bool "signals" true
+          (d
+          <> Automaton.digest
+               (Automaton.map_signals m ~inputs:(fun s -> s ^ "'") ~outputs:Fun.id));
+        check_string "rebuilt" d (Automaton.digest (simple ())));
+  ]
+
+let () = Alcotest.run "automaton" [ ("unit", unit_tests @ digest_tests) ]

@@ -295,11 +295,25 @@ let cache_tests =
             | Ok _ -> Alcotest.fail "foreign file loaded");
             (* correct header, garbage payload *)
             let oc = open_out_bin path in
-            output_string oc "mechaml-cache 1\ngarbage payload";
+            output_string oc "mechaml-cache 2\ngarbage payload";
+            close_out oc;
+            (match Cache.load c ~path with
+            | Error _ -> check_int "cache unharmed" 0 (Cache.stats c).Cache.entries
+            | Ok _ -> Alcotest.fail "corrupt payload loaded");
+            (* a version-1 snapshot holds product-digest check keys that no
+               current key can reach: refused on its header alone *)
+            let donor = Cache.create () in
+            ignore (Cache.closure donor ~key:"k" (fun () -> tiny_auto "k"));
+            Cache.save donor ~path;
+            let raw = In_channel.with_open_bin path In_channel.input_all in
+            let nl = String.index raw '\n' in
+            let oc = open_out_bin path in
+            output_string oc "mechaml-cache 1";
+            output_string oc (String.sub raw nl (String.length raw - nl));
             close_out oc;
             match Cache.load c ~path with
-            | Error _ -> check_int "cache unharmed" 0 (Cache.stats c).Cache.entries
-            | Ok _ -> Alcotest.fail "corrupt payload loaded"));
+            | Error _ -> check_int "old snapshot not restored" 0 (Cache.stats c).Cache.entries
+            | Ok _ -> Alcotest.fail "version-1 snapshot loaded"));
     test "existing entries win over snapshot entries under the same key" (fun () ->
         let donor = Cache.create () in
         ignore (Cache.closure donor ~key:"shared" (fun () -> tiny_auto "from_snapshot"));

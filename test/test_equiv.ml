@@ -187,10 +187,65 @@ let loop_equivalence_prop seed =
     QCheck.Test.fail_reportf "iteration records differ (seed %d)" seed;
   true
 
+(* The campaign memo keys a check by the context digest and the closure key,
+   never by the product: sound only while [Compose.Inc.parallel] builds the
+   very automaton [Compose.parallel] would.  Drive the loop's sequence —
+   closure update, incremental product with its stable right keys — and
+   compare content digests. *)
+let inc_product_digest_prop seed =
+  let module Compose = Mechaml_ts.Compose in
+  let rng = Prng.create ~seed in
+  let pool = [| "s0"; "s1"; "s2"; "s3" |] in
+  let subset l = List.filter (fun _ -> Prng.bool rng) l in
+  let context =
+    automaton ~name:"ctx" ~inputs:[ "x" ] ~outputs:[ "a"; "b" ]
+      ~trans:
+        [
+          ("c0", [], [ "a" ], "c1");
+          ("c0", [ "x" ], [], "c0");
+          ("c1", [ "x" ], [ "b" ], "c0");
+          ("c1", [], [], "c2");
+          ("c2", [], [ "a"; "b" ], "c0");
+        ]
+      ~initial:[ "c0" ] ()
+  in
+  let m =
+    ref (Incomplete.create ~name:"q" ~inputs:[ "a"; "b" ] ~outputs:[ "x" ] ~initial_state:"s0")
+  in
+  let inc = Chaos.inc_closure ~label_of:(fun _ -> []) ~extra_props:[] !m in
+  let pinc = Compose.Inc.create context in
+  for _ = 1 to 10 do
+    (try
+       let src = pool.(Prng.int rng (Array.length pool)) in
+       let inputs = subset [ "a"; "b" ] in
+       if Prng.bool rng then
+         let dst = pool.(Prng.int rng (Array.length pool)) in
+         m :=
+           Incomplete.add_transition !m ~src
+             (Incomplete.interaction ~inputs ~outputs:(subset [ "x" ]))
+             ~dst
+       else m := Incomplete.add_refusal !m ~state:src ~inputs
+     with Invalid_argument _ -> ());
+    Chaos.update inc !m;
+    let closure = Chaos.auto inc in
+    let n = Automaton.num_states closure in
+    let p, _ =
+      Compose.Inc.parallel pinc ~right:closure ~dirty:(Chaos.dirty_states inc)
+        ~stable_key:(fun r -> if r >= n - 2 then r - n else r)
+        ~resolve:(fun k -> if k < 0 then n + k else k)
+    in
+    let fresh = Compose.parallel context closure in
+    if Automaton.digest p.Compose.auto <> Automaton.digest fresh.Compose.auto then
+      QCheck.Test.fail_reportf "incremental product digest diverged (seed %d)" seed
+  done;
+  true
+
 let property_tests =
   [
     qcheck ~count:40 "Chaos.update chain is structurally a fresh closure"
       QCheck.small_nat chaos_update_chain_prop;
+    qcheck ~count:40 "Compose.Inc.parallel digests like Compose.parallel"
+      QCheck.small_nat inc_product_digest_prop;
     qcheck ~count:15 "incremental Loop.run matches scratch Loop.run"
       QCheck.small_nat loop_equivalence_prop;
   ]
@@ -261,6 +316,25 @@ let sharding_tests =
             (8, 4, None);
             (1, 4, Some 1024);
           ]);
+    test "a cache warmed materialized answers the sharded run's checks" (fun () ->
+        (* check keys name the product by its operands, not by the tier
+           that builds it, so a materialized run's entries serve a sharded
+           rerun of the same matrix — every check a hit, same bytes *)
+        let module Cache = Mechaml_engine.Cache in
+        let cache = Cache.create () in
+        let reference =
+          Report.canonical (Campaign.run ~jobs:1 ~cache (Campaign.bundled ~tiny:true ()))
+        in
+        let before = Cache.stats cache in
+        let sharded =
+          Campaign.run ~jobs:1 ~cache
+            ~sharding:(Shard.config ~shards:2 ())
+            (Campaign.bundled ~tiny:true ())
+        in
+        let after = Cache.stats cache in
+        check_string "sharded canonical = materialized" reference (Report.canonical sharded);
+        check_bool "check hits" true (after.Cache.check_hits > before.Cache.check_hits);
+        check_int "no check recomputed" before.Cache.check_misses after.Cache.check_misses);
     test "a budgeted campaign actually spills" (fun () ->
         let before = Segment.total_spills () in
         ignore

@@ -135,4 +135,83 @@ let unit_tests =
         | None -> Alcotest.fail "wait refuses silence");
   ]
 
-let () = Alcotest.run "legacy" [ ("unit", unit_tests) ]
+(* -- replay over random partial machines -------------------------------------
+
+   A random input-deterministic machine over inputs {a, b} where each state
+   answers only some of the input sets, driven by random input sequences that
+   may also offer the never-accepted {a, b}: the recording must keep exactly
+   the periods the machine executed, and stop at the first one it refused. *)
+
+let replay_case =
+  let open QCheck.Gen in
+  let sets = [ []; [ "a" ]; [ "b" ] ] in
+  let gen =
+    int_range 1 4 >>= fun n ->
+    let state i = Printf.sprintf "s%d" i in
+    let row i =
+      flatten_l
+        (List.map
+           (fun ins ->
+             bool >>= fun answered ->
+             int_bound (n - 1) >>= fun dst ->
+             bool >|= fun emit ->
+             if answered then [ (state i, ins, (if emit then [ "x" ] else []), state dst) ]
+             else [])
+           sets)
+      >|= List.concat
+    in
+    flatten_l (List.init n row) >>= fun trans ->
+    list_size (int_bound 30) (oneofl ([ "a"; "b" ] :: sets)) >|= fun inputs ->
+    (n, List.concat trans, inputs)
+  in
+  QCheck.make gen ~print:(fun (n, trans, inputs) ->
+      Printf.sprintf "%d states, %d transitions, inputs %s" n (List.length trans)
+        (String.concat " " (List.map (fun i -> "{" ^ String.concat "," i ^ "}") inputs)))
+
+let replay_prefix_prop (n, trans, inputs) =
+  let m =
+    automaton ~name:"partial" ~inputs:[ "a"; "b" ] ~outputs:[ "x" ]
+      ~states:(List.init n (fun i -> (Printf.sprintf "s%d" i, [])))
+      ~trans ~initial:[ "s0" ] ()
+  in
+  let box = Blackbox.of_automaton ~port:"p" m in
+  (* reference semantics, straight off the transition list *)
+  let rec expect state executed = function
+    | [] -> (List.rev executed, None)
+    | ins :: rest -> (
+      match List.find_opt (fun (src, i, _, _) -> src = state && i = ins) trans with
+      | Some (_, _, _, dst) -> expect dst (ins :: executed) rest
+      | None -> (List.rev executed, Some ins))
+  in
+  let executed, blocked = expect "s0" [] inputs in
+  let recording, outcome = Replay.observe_full ~box ~inputs in
+  recording.Replay.inputs = executed
+  && List.length recording.Replay.inputs = List.length outcome.Monitor.outputs
+  && recording.Replay.blocked = blocked
+  && Observation.length (Observation.observe ~box ~inputs) = List.length executed
+
+(* Recording is linear in the run: a long observation of a random complete
+   machine stays far below the time a per-period rescan of the outputs
+   would take (seconds at this length). *)
+let long_observation () =
+  let inputs = [ "i0"; "i1"; "i2" ] in
+  let m =
+    Mechaml_scenarios.Families.random_machine ~seed:7 ~states:6 ~inputs ~outputs:[ "o0"; "o1" ]
+  in
+  let rng = Random.State.make [| 7 |] in
+  let choices = [| []; [ "i0" ]; [ "i1" ]; [ "i2" ] |] in
+  let steps = 100_000 in
+  let run = List.init steps (fun _ -> choices.(Random.State.int rng 4)) in
+  let t0 = Unix.gettimeofday () in
+  let o = Observation.observe ~box:(Blackbox.of_automaton ~port:"p" m) ~inputs:run in
+  let dt = Unix.gettimeofday () -. t0 in
+  check_int "every period executed" steps (Observation.length o);
+  if dt > 5. then Alcotest.failf "100k-step observation took %.2f s (bound 5 s)" dt
+
+let replay_tests =
+  [
+    qcheck ~count:300 "record keeps exactly the executed prefix" replay_case replay_prefix_prop;
+    test "a 100k-step observation is linear" long_observation;
+  ]
+
+let () = Alcotest.run "legacy" [ ("unit", unit_tests @ replay_tests) ]
