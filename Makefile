@@ -1,5 +1,5 @@
 # Tier-1 gate: build, tests, and a campaign smoke run.
-.PHONY: all build test smoke check faults-smoke kill-resume obs-smoke serve-smoke serve-chaos shard-smoke dist-smoke perf-smoke bench bench-check bench-speedup bench-speedup-pr5 bench-speedup-pr9 bench-speedup-pr10 clean
+.PHONY: all build test smoke check faults-smoke kill-resume obs-smoke serve-smoke serve-chaos shard-smoke dist-smoke perf-smoke bench bench-check clean
 
 all: build
 
@@ -95,55 +95,14 @@ bench:
 # Bench regression check: rerun the machine-readable benchmarks and compare
 # against the committed baseline with 25% slack.  Only slowdowns beyond the
 # slack fail; speedups and new benchmarks are informational (CI runs this
-# non-blocking — shared runners are too noisy for a hard gate).
+# non-blocking — shared runners are too noisy for a hard gate).  The run
+# covers every group, so the hard assertions inside groups (t18_sharded's
+# shards:1 overhead and spill engagement, t19_dist's verdict identity and
+# coordinator residency) run here too.
 bench-check: build
 	dune exec bench/main.exe -- --json _build/BENCH_run.json
 	dune exec bench/bench_check.exe -- compare bench/BENCH_baseline.json \
 	  _build/BENCH_run.json --slack 0.25
-
-# Perf trajectory (report-only, never fails): speedup factors of the current
-# tree against the committed pre-PR-4 engine snapshot.  Reuses bench-check's
-# fresh run when present so CI pays for one bench sweep, not two.
-bench-speedup: build
-	test -f _build/BENCH_run.json || \
-	  dune exec bench/main.exe -- --json _build/BENCH_run.json
-	dune exec bench/bench_check.exe -- speedup bench/BENCH_pre_pr4.json \
-	  _build/BENCH_run.json
-
-# Incremental re-verification trajectory (report-only, never fails): speedup
-# factors of the current tree against the snapshot taken just before the
-# incremental engine landed.  Groups new since that snapshot (e.g.
-# t14_loop_incremental itself) are skipped with a warning rather than
-# aggregated.  Reuses bench-check's fresh run when present.
-bench-speedup-pr5: build
-	test -f _build/BENCH_run.json || \
-	  dune exec bench/main.exe -- --json _build/BENCH_run.json
-	dune exec bench/bench_check.exe -- speedup bench/BENCH_pre_pr5.json \
-	  _build/BENCH_run.json
-
-# Sharded-exploration trajectory (report-only, never fails): speedup factors
-# against the snapshot taken just before the sharded engine landed.  The
-# hard guarantees (shards:1 overhead <= 1.05x, worker scaling on multi-core
-# machines, spill engagement) are asserted inside the t18_sharded group
-# itself, which this target always re-runs.
-bench-speedup-pr9: build
-	dune exec bench/main.exe -- t18_sharded --json _build/BENCH_t18.json
-	test -f _build/BENCH_run.json || \
-	  dune exec bench/main.exe -- --json _build/BENCH_run.json
-	dune exec bench/bench_check.exe -- speedup bench/BENCH_pre_pr9.json \
-	  _build/BENCH_run.json
-
-# Distributed-sharding trajectory (report-only, never fails): speedup factors
-# against the snapshot taken just before the cross-process tier landed.  The
-# hard guarantees (distributed verdict identity, coordinator residency under
-# the budget, fork-worker scaling on multi-core machines) are asserted inside
-# the t19_dist group itself, which this target always re-runs.
-bench-speedup-pr10: build
-	dune exec bench/main.exe -- t19_dist --json _build/BENCH_t19.json
-	test -f _build/BENCH_run.json || \
-	  dune exec bench/main.exe -- --json _build/BENCH_run.json
-	dune exec bench/bench_check.exe -- speedup bench/BENCH_pre_pr10.json \
-	  _build/BENCH_run.json
 
 clean:
 	dune clean

@@ -6,14 +6,6 @@
        new and vanished benchmarks are reported but never fail the check,
        so the baseline only needs refreshing when benchmarks are added.
 
-     bench_check speedup BASE NEW
-       Report-only perf trajectory: per-benchmark speedup factors of NEW
-       over BASE and the geometric-mean speedup per group.  Groups present
-       in only one snapshot are skipped with a warning (they used to reach
-       the zero-row geometric mean and print NaN).  Never fails (exit 0
-       whatever the numbers) — CI prints it next to the blocking compare so
-       a perf PR's claims are auditable from the logs alone.
-
      bench_check validate-trace FILE
        FILE must parse as JSON and be a top-level array of trace_event
        objects, each with a string "name"/"ph" and a numeric "ts" — the
@@ -78,33 +70,6 @@ let compare_cmd base_path new_path slack =
   Printf.printf "ok: %d benchmarks within %.0f%% of %s\n" (List.length fresh)
     (100. *. slack) base_path
 
-(* -- speedup -------------------------------------------------------------- *)
-
-let speedup_cmd base_path new_path =
-  let base = benchmarks base_path (parse_file base_path) in
-  let fresh = benchmarks new_path (parse_file new_path) in
-  let r = Bench_check_lib.speedup ~base ~fresh in
-  List.iter
-    (fun (row : Bench_check_lib.row) ->
-      Printf.printf "x%-6.2f  %s/%s: %s -> %s\n" row.factor row.group row.name
-        (human_ns row.was) (human_ns row.now))
-    r.Bench_check_lib.rows;
-  List.iter
-    (fun (group, reason) -> Printf.printf "warning  %s skipped: %s\n" group reason)
-    r.Bench_check_lib.skipped;
-  match r.Bench_check_lib.overall with
-  | None -> print_endline "speedup: no benchmark appears in both files"
-  | Some overall ->
-    print_newline ();
-    List.iter
-      (fun (g : Bench_check_lib.group_speedup) ->
-        Printf.printf "group x%-6.2f  %s (%d benchmark%s, geometric mean)\n" g.g_geomean
-          g.g_group g.g_benchmarks
-          (if g.g_benchmarks = 1 then "" else "s"))
-      r.Bench_check_lib.groups;
-    Printf.printf "overall x%.2f (%d benchmarks, geometric mean) vs %s\n"
-      overall.Bench_check_lib.g_geomean overall.Bench_check_lib.g_benchmarks base_path
-
 (* -- validate-trace ------------------------------------------------------- *)
 
 let validate_trace path =
@@ -163,7 +128,6 @@ let validate_metrics path =
 let usage () =
   prerr_endline
     "usage: bench_check compare BASE NEW [--slack FRACTION]\n\
-    \       bench_check speedup BASE NEW\n\
     \       bench_check validate-trace FILE\n\
     \       bench_check validate-metrics FILE";
   exit 2
@@ -181,7 +145,6 @@ let () =
       | _ -> usage ()
     in
     compare_cmd base fresh slack
-  | [ _; "speedup"; base; fresh ] -> speedup_cmd base fresh
   | [ _; "validate-trace"; path ] -> validate_trace path
   | [ _; "validate-metrics"; path ] -> validate_metrics path
   | _ -> usage ()

@@ -1,8 +1,6 @@
-(* The testable core of bench_check: parsing bench --json snapshots and the
-   speedup aggregation.  The executable keeps only IO and exit codes, so the
-   aggregation edge cases — above all a group present in one snapshot only,
-   which used to fall through to the geometric mean with no rows and print
-   NaN — are pinned by test/test_bench_check.ml. *)
+(* The testable core of bench_check: parsing bench --json snapshots.  The
+   executable keeps only IO and exit codes; the parser's edge cases are
+   pinned by test/test_bench_check.ml. *)
 
 module Json = Mechaml_obs.Json
 
@@ -31,81 +29,3 @@ let human_ns ns =
   else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
   else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
   else Printf.sprintf "%.0f ns" ns
-
-(* -- speedup aggregation -------------------------------------------------- *)
-
-type row = { group : string; name : string; was : float; now : float; factor : float }
-
-type group_speedup = { g_group : string; g_geomean : float; g_benchmarks : int }
-
-type report = {
-  rows : row list;  (** benchmarks shared by both snapshots, base order *)
-  groups : group_speedup list;  (** geometric means, base order *)
-  overall : group_speedup option;  (** [None] when no benchmark is shared *)
-  skipped : (string * string) list;
-      (** (group, reason) for groups contributing no speedup row: present in
-          one snapshot only, or sharing no benchmark name with the other *)
-}
-
-let groups_of rows =
-  List.fold_left
-    (fun acc ((g, _), _) -> if List.mem g acc then acc else g :: acc)
-    [] rows
-  |> List.rev
-
-let speedup ~base ~fresh =
-  let rows =
-    List.filter_map
-      (fun ((group, name), was) ->
-        match List.assoc_opt (group, name) fresh with
-        | Some now when was > 0. && now > 0. ->
-          Some { group; name; was; now; factor = was /. now }
-        | _ -> None)
-      base
-  in
-  (* Geometric mean per group, in base insertion order. *)
-  let covered = groups_of (List.map (fun r -> ((r.group, r.name), r.factor)) rows) in
-  let groups =
-    List.map
-      (fun g ->
-        let factors =
-          List.filter_map (fun r -> if r.group = g then Some r.factor else None) rows
-        in
-        let n = List.length factors in
-        {
-          g_group = g;
-          g_geomean = exp (List.fold_left (fun a s -> a +. log s) 0. factors /. float_of_int n);
-          g_benchmarks = n;
-        })
-      covered
-  in
-  let overall =
-    match rows with
-    | [] -> None
-    | _ ->
-      let n = List.length rows in
-      Some
-        {
-          g_group = "";
-          g_geomean =
-            exp (List.fold_left (fun a r -> a +. log r.factor) 0. rows /. float_of_int n);
-          g_benchmarks = n;
-        }
-  in
-  (* A group with no speedup row would divide by a zero count — report it
-     instead of aggregating it. *)
-  let base_groups = groups_of base and fresh_groups = groups_of fresh in
-  let skipped =
-    List.filter_map
-      (fun g ->
-        if List.mem g covered then None
-        else if not (List.mem g fresh_groups) then
-          Some (g, "only in the baseline snapshot")
-        else Some (g, "no comparable benchmark in both snapshots"))
-      base_groups
-    @ List.filter_map
-        (fun g ->
-          if List.mem g base_groups then None else Some (g, "only in the new snapshot"))
-        fresh_groups
-  in
-  { rows; groups; overall; skipped }

@@ -1,5 +1,5 @@
-(** The testable core of [bench_check]: bench [--json] snapshot parsing and
-    the speedup aggregation (the executable keeps only IO and exit codes). *)
+(** The testable core of [bench_check]: bench [--json] snapshot parsing
+    (the executable keeps only IO and exit codes). *)
 
 val benchmarks :
   Mechaml_obs.Json.t -> (((string * string) * float) list, string) result
@@ -9,30 +9,3 @@ val benchmarks :
 
 val human_ns : float -> string
 (** "812 ns", "3.41 us", "36.92 ms", "1.20 s". *)
-
-type row = { group : string; name : string; was : float; now : float; factor : float }
-
-type group_speedup = {
-  g_group : string;
-  g_geomean : float;
-  g_benchmarks : int;  (** speedup rows backing the mean — always > 0 *)
-}
-
-type report = {
-  rows : row list;  (** benchmarks shared by both snapshots, base order *)
-  groups : group_speedup list;  (** per-group geometric means, base order *)
-  overall : group_speedup option;  (** [None] when no benchmark is shared *)
-  skipped : (string * string) list;
-      (** (group, reason) for groups contributing no speedup row: present in
-          one snapshot only, or sharing no comparable benchmark with the
-          other.  Reported so they are skipped loudly instead of reaching a
-          zero-row geometric mean (formerly a NaN line). *)
-}
-
-val speedup :
-  base:((string * string) * float) list ->
-  fresh:((string * string) * float) list ->
-  report
-(** Pure aggregation of two snapshots' rows; never divides by zero and never
-    produces NaN factors (rows with a non-positive time on either side are
-    treated as incomparable). *)

@@ -85,9 +85,10 @@ let dist_workers_t =
   let doc =
     "Run the sharded build and the model-checking fixpoints on $(docv) local worker \
      $(i,processes) (spawned as $(b,mechaverify shard-worker)) instead of in-process \
-     domains.  Shard segments live in the workers; the coordinator keeps only the \
-     interning tables, banked edge generations and the merge.  Verdicts and canonical \
-     reports are byte-identical for every worker count.  Implies sharded exploration."
+     domains.  Workers expand each BFS level's frontiers and hold their shards' \
+     segments for the checks; the coordinator interns, merges and finalizes the \
+     product itself.  Verdicts and canonical reports are byte-identical for every \
+     worker count.  Implies sharded exploration."
   in
   Arg.(value & opt int 0 & info [ "dist-workers" ] ~docv:"N" ~doc)
 
@@ -102,8 +103,8 @@ let dist_connect_t =
 let dist_deadline_t =
   let doc =
     "Per-round worker reply deadline in seconds (default 120).  A worker silent for \
-     longer is declared dead; its shards are re-dispatched and rebuilt from the \
-     coordinator's banked segment generation."
+     longer is declared dead and replaced; its request is sent again, or after the \
+     build its shards are reinstalled from the coordinator's finished segments."
   in
   Arg.(value & opt float 120. & info [ "dist-deadline" ] ~docv:"SEC" ~doc)
 

@@ -2,10 +2,12 @@
    fixpoints run on the worker fleet through {!Distshard.agg} /
    {!Distshard.fixpoint}; satisfaction sets are global bit vectors on the
    coordinator, banked in its segment manager so they share its residency
-   budget with the banked CSR generations. *)
+   budget with the product's CSR segments. *)
 
 module Ctl = Mechaml_logic.Ctl
 module Eval = Mechaml_mc.Eval
+
+module Shard = Mechaml_ts.Shard
 
 module Backend = struct
   type t = Distshard.t
@@ -14,13 +16,13 @@ module Backend = struct
 
   let num_states = Distshard.num_states
 
-  let initial = Distshard.initial
+  let initial d = Shard.initial (Distshard.shard d)
 
   let prop d p =
-    Eval.prop_of_labels ~where:"the distributed product" (Distshard.props d)
-      (Distshard.labels d) p
+    let sp = Distshard.shard d in
+    Eval.prop_of_labels ~where:"the distributed product" (Shard.props sp) (Shard.labels sp) p
 
-  let blocking = Distshard.blocking
+  let blocking d = Shard.blocking (Distshard.shard d)
 
   let agg = Distshard.agg
 

@@ -1,33 +1,35 @@
 (** Cross-process sharded product exploration: the coordinator.
 
-    Drives the same level-synchronized BFS as {!Mechaml_ts.Shard}, but with
-    expansion and segment residency on a fleet of worker processes
-    ({!Distworker}) reached over {!Mechaml_wire.Shardwire}.  The coordinator
-    keeps the per-shard interning tables and performs the serial
-    discovery-order merge itself, so state numbering, labels, degrees,
-    adjacency order — and therefore every verdict derived from them — are
-    byte-identical to {!Mechaml_ts.Compose.parallel} and to the in-process
-    sharded path, for any worker count.
+    {!Mechaml_ts.Shard.explore} with a fleet transport: each BFS level's
+    frontier expansion runs on worker processes ({!Distworker}) reached
+    over {!Mechaml_wire.Shardwire}, while interning, the serial
+    discovery-order merge and the forward/predecessor CSR finalization stay
+    in [Shard] on the coordinator.  The product is therefore the in-process
+    one — state numbering, labels, degrees, adjacency order, and every
+    verdict derived from them are byte-identical to
+    {!Mechaml_ts.Compose.parallel} and to the in-process sharded path, for
+    any worker count.  After the build each worker receives its shards'
+    finished segments and runs the shard-local part of the global fixpoints.
+    Coordinator and workers must run the same build of the program.
 
-    Fault tolerance: the coordinator banks every shipped edge generation
-    (and, after the build, every forward/predecessor segment) in its own
-    {!Mechaml_util.Segment} manager.  A worker that crashes or misses the
-    per-round deadline is replaced — respawned in place under [Fork],
-    or its shards are re-dispatched to a surviving peer under [Connect] —
-    and rebuilt from the banked generation; the build then continues with
-    identical results.  The coordinator's resident memory stays bounded by
-    the configured budget (plus O(states) metadata, as everywhere else). *)
+    Fault tolerance: a build request carries everything the worker needs
+    (the frontier keys), and every reply is verified before the merge.  A
+    worker that crashes, misses the per-round deadline, or answers data
+    that does not verify is replaced — respawned in place under [Fork], or
+    its shards are re-dispatched to a surviving peer under [Connect] — and
+    sent the same request again.  After the build a replacement is
+    reinstalled from the coordinator's finished segments.  The
+    coordinator's resident memory stays bounded by the configured budget
+    (plus O(states) metadata, as in the in-process explorer). *)
 
-module Bitset = Mechaml_util.Bitset
 module Bitvec = Mechaml_util.Bitvec
 module Segment = Mechaml_util.Segment
 module Shard = Mechaml_ts.Shard
-module Universe = Mechaml_ts.Universe
 module Automaton = Mechaml_ts.Automaton
 
 exception Dist_error of string
-(** Unrecoverable fleet failure: no workers left, restart budget exhausted,
-    or a worker answered data that does not verify against the protocol. *)
+(** Unrecoverable fleet failure: no workers left, or the restart budget
+    exhausted (by crashes, deadlines or replies that do not verify). *)
 
 type t
 
@@ -42,46 +44,17 @@ val explore :
     one).  [chaos_die_after (w, r)] is a test hook: worker [w] simulates a
     crash after [r] build rounds, exercising mid-build recovery. *)
 
-(** {1 Structure accessors — mirror {!Mechaml_ts.Shard}} *)
+val shard : t -> Shard.t
+(** The product itself — read its structure through {!Mechaml_ts.Shard}.
+    Valid until {!close}. *)
 
 val num_states : t -> int
 
 val num_transitions : t -> int
 
-val initial : t -> int list
-
-val shards : t -> int
-
-val sizes : t -> int array
-
-val owner : t -> int array
-
-val local : t -> int array
-
-val labels : t -> Bitset.t array
-
-val props : t -> Universe.t
-
-val blocking : t -> Bitvec.t
-
-type view = Shard.view = {
-  members : int array;
-  row : int array;
-  dst : int array;
-  prow : int array;
-  psrc : int array;
-}
-
-val view : t -> int -> view
-(** The shard's banked segment generation (coordinator-side copy). *)
-
 val manager : t -> Segment.t
-(** The coordinator's residency manager; {!Distsat} banks its converged
-    sets here so they share the budget. *)
-
-val spills : t -> int
-
-val reloads : t -> int
+(** The coordinator's residency manager ([Shard.manager (shard t)]);
+    {!Distsat} banks its converged sets here so they share the budget. *)
 
 val restarts : t -> int
 (** Workers declared dead and replaced over this product's lifetime. *)

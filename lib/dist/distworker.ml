@@ -1,10 +1,12 @@
 (* The worker half of the distributed shard tier: a [mechaverify
-   shard-worker] process (or an in-process domain in tests) that owns a
-   subset of shards.  It holds the heavy, O(edges) data — join expansion
-   buffers, forward and predecessor CSR segments under its own memory
-   budget — while the coordinator ({!Distshard}) keeps the discovery-order
-   interning and every verdict-bearing decision.  All state is per-session,
-   so one worker serves any number of concurrent coordinators. *)
+   shard-worker] process (or an in-process domain in tests).  During a
+   product build it is a stateless frontier expander: an [expand] request
+   carries shards' frontier keys and gets back joint-move counts and
+   successor keys, computed from the session's operand automata alone.
+   After the build it holds the forward and predecessor CSR segments of the
+   shards it owns, under its own memory budget, and runs the shard-local
+   part of the global fixpoints.  All state is per-session, so one worker
+   serves any number of concurrent coordinators. *)
 
 module Bitvec = Mechaml_util.Bitvec
 module Segment = Mechaml_util.Segment
@@ -12,22 +14,13 @@ module Ivec = Mechaml_util.Ivec
 module Json = Mechaml_obs.Json
 module Automaton = Mechaml_ts.Automaton
 module Compose = Mechaml_ts.Compose
-module Shard = Mechaml_ts.Shard
 module Http = Mechaml_wire.Http
 module Wire = Mechaml_wire.Shardwire
 
 exception Die
-(* test chaos hook: simulate a crash mid-round (see [die_after] below) *)
+(* test chaos hook: simulate a crash mid-build (see [die_after] below) *)
 
 (* -- per-session state ------------------------------------------------------ *)
-
-type shard_state = {
-  mem : Ivec.t;  (* member gids, ascending *)
-  keys : Ivec.t;  (* packed pair key per member *)
-  cnts : Ivec.t;  (* joint-move count per expanded member; length = expansion cursor *)
-  edges : Ivec.t;  (* dst gids for expanded members, in merge order *)
-  mutable echunks : (string * int) list;  (* spilled edge chunks, newest first *)
-}
 
 type fix_kind = Ef | Eu | Eg | Au
 
@@ -41,115 +34,29 @@ type fix_state = {
 }
 
 type sess = {
-  sid : string;
-  left : Automaton.t;
-  right : Automaton.t;
   nr : int;
+  pairs : int;  (* |L| * |R|: the packed pair key space *)
   shards : int;
   mgr : Segment.t;
+  join :
+    (Automaton.state * Automaton.state) -> (Automaton.trans -> Automaton.trans -> unit) -> int;
   owned : bool array;
-  joins :
-    ((Automaton.state * Automaton.state) -> (Automaton.trans -> Automaton.trans -> unit) -> int)
-    option
-    array;
-  ss : shard_state array;
   fwd : Segment.slot option array;
   pred : Segment.slot option array;
   g2l : (int, int) Hashtbl.t array;  (* gid -> local, per owned shard *)
-  budget : int option;
-  mutable owner_g : int array;  (* global owner map, from the scatter phase *)
+  mutable owner_g : int array;  (* global owner map, from the ctx op *)
   mutable local_g : int array;
   mutable fix : fix_state option;
   mutable rounds : int;
-  mutable uniq : int;  (* uniquifies segment names across adopt cycles *)
+  mutable uniq : int;  (* uniquifies segment names across re-installs *)
   die_after : int option;
 }
-
-let fresh_shard_state () =
-  {
-    mem = Ivec.create ();
-    keys = Ivec.create ();
-    cnts = Ivec.create ();
-    edges = Ivec.create ();
-    echunks = [];
-  }
-
-let join s k =
-  match s.joins.(k) with
-  | Some j -> j
-  | None ->
-    let j = Compose.joint_iter s.left s.right in
-    s.joins.(k) <- Some j;
-    j
-
-(* Edge buffers spill to session scratch at half the budget, exactly like
-   the in-process construction. *)
-let flush_edges s =
-  match s.budget with
-  | None -> ()
-  | Some budget ->
-    let total =
-      Array.fold_left (fun acc st -> acc + Ivec.capacity_bytes st.edges) 0 s.ss
-    in
-    if total > budget / 2 then
-      Array.iteri
-        (fun k st ->
-          if Ivec.length st.edges > 0 then begin
-            let path = Segment.scratch_path s.mgr ~name:(Printf.sprintf "edges%d" k) in
-            Segment.save ~path [ ("e", Segment.Ints (Ivec.to_array st.edges)) ];
-            st.echunks <- (path, Ivec.length st.edges) :: st.echunks;
-            Ivec.reset st.edges
-          end)
-        s.ss
 
 let ints_field data name = Wire.ints data name
 
 let field_opt data name = Wire.ints_opt data name
 
-(* -- build phase ------------------------------------------------------------ *)
-
-(* Apply one round's inputs for shard [k]: the edge delta for members merged
-   last round, then the freshly interned members. *)
-let apply_shard_inputs s k data =
-  let st = s.ss.(k) in
-  (match field_opt data (Printf.sprintf "e%d" k) with
-  | Some e -> Ivec.append st.edges e
-  | None -> ());
-  (match
-     (field_opt data (Printf.sprintf "mg%d" k), field_opt data (Printf.sprintf "mk%d" k))
-   with
-  | Some mg, Some mk ->
-    if Array.length mg <> Array.length mk then raise (Wire.Wire_error "worker: ragged member batch");
-    Array.iter (fun g -> Ivec.push st.mem g) mg;
-    Array.iter (fun key -> Ivec.push st.keys key) mk
-  | None, None -> ()
-  | _ -> raise (Wire.Wire_error "worker: member gids without keys"))
-
-(* Expand every not-yet-expanded member of shard [k]; returns the counts and
-   flattened successor keys in member order (the coordinator's merge
-   consumes them in exactly this order). *)
-let expand_shard s k =
-  let st = s.ss.(k) in
-  let stop = Ivec.length st.mem in
-  let start = Ivec.length st.cnts in
-  if start >= stop then None
-  else begin
-    let out = Ivec.create () in
-    let cs = Array.make (stop - start) 0 in
-    let j = join s k in
-    for m = start to stop - 1 do
-      let key = Ivec.get st.keys m in
-      let c =
-        j
-          (key / s.nr, key mod s.nr)
-          (fun (tr : Automaton.trans) (tr' : Automaton.trans) ->
-            Ivec.push out ((tr.Automaton.dst * s.nr) + tr'.Automaton.dst))
-      in
-      cs.(m - start) <- c;
-      Ivec.push st.cnts c
-    done;
-    Some (cs, Ivec.to_array out)
-  end
+(* -- build phase: stateless frontier expansion ------------------------------ *)
 
 (* test/smoke hook: slow build rounds down so an external harness has a
    window to kill a worker mid-build *)
@@ -159,84 +66,49 @@ let throttle_s =
     | Some v -> ( match int_of_string_opt v with Some ms when ms > 0 -> float_of_int ms /. 1000. | _ -> 0.)
     | None -> 0.)
 
-let round s data =
+(* Expand every frontier in the request: field [f<k>] holds shard [k]'s
+   frontier as packed pair keys; the reply's [c<k>] is the joint-move count
+   per frontier state and [s<k>] the successor keys, both in frontier order
+   (the coordinator's merge consumes them in exactly this order).  The
+   answer depends on the session's automata and the request only, so a
+   replacement worker answers a resent request identically. *)
+let expand s data =
   s.rounds <- s.rounds + 1;
   (match s.die_after with
   | Some r when s.rounds > r -> raise Die
   | _ -> ());
   (let t = Lazy.force throttle_s in
    if t > 0. then Unix.sleepf t);
-  for k = 0 to s.shards - 1 do
-    if s.owned.(k) then apply_shard_inputs s k data
-  done;
-  flush_edges s;
-  let out = ref [] in
-  for k = s.shards - 1 downto 0 do
-    if s.owned.(k) then
-      match expand_shard s k with
-      | Some (cs, keys) ->
-        out :=
-          (Printf.sprintf "c%d" k, Segment.Ints cs)
-          :: (Printf.sprintf "s%d" k, Segment.Ints keys)
-          :: !out
-      | None -> ()
-  done;
-  !out
-
-(* Finalize the forward CSR for every owned shard: row from the recorded
-   joint-move counts, dst from the spilled chunks plus the live tail. *)
-let finish s data =
-  for k = 0 to s.shards - 1 do
-    (* skip shards already finalized: a repeated (empty) finish after an
-       adopt cycle must not rebuild or double-apply anything *)
-    if s.owned.(k) && s.fwd.(k) = None then begin
-      apply_shard_inputs s k data;
-      let st = s.ss.(k) in
-      let size = Ivec.length st.mem in
-      if Ivec.length st.cnts <> size then
-        raise (Wire.Wire_error "worker: finish with unexpanded members");
-      let row = Array.make (size + 1) 0 in
-      for m = 0 to size - 1 do
-        row.(m + 1) <- row.(m) + Ivec.get st.cnts m
-      done;
-      let dst = Array.make (max row.(size) 1) 0 in
-      let cursor = ref 0 in
-      List.iter
-        (fun (path, len) ->
-          (match Segment.load ~path with
-          | Ok payload -> (
-            match List.assoc_opt "e" payload with
-            | Some (Segment.Ints a) -> Array.blit a 0 dst !cursor len
-            | _ -> raise (Segment.Spill_error "worker edge chunk missing field"))
-          | Error m -> raise (Segment.Spill_error m));
-          (try Sys.remove path with Sys_error _ -> ());
-          cursor := !cursor + len)
-        (List.rev st.echunks);
-      Array.blit st.edges.Ivec.a 0 dst !cursor (Ivec.length st.edges);
-      if !cursor + Ivec.length st.edges <> row.(size) then
-        raise (Wire.Wire_error "worker: edge delta total does not match joint-move counts");
-      st.echunks <- [];
-      Ivec.reset st.edges;
-      let members = Ivec.to_array st.mem in
-      let tbl = Hashtbl.create (max 16 size) in
-      Array.iteri (fun m g -> Hashtbl.replace tbl g m) members;
-      s.g2l.(k) <- tbl;
-      s.uniq <- s.uniq + 1;
-      s.fwd.(k) <-
-        Some
-          (Segment.add s.mgr
-             ~name:(Printf.sprintf "fwd%d_%d" k s.uniq)
-             [
-               ("members", Segment.Ints members);
-               ("row", Segment.Ints row);
-               ("dst", Segment.Ints dst);
-             ])
-    end
-  done
+  List.concat_map
+    (fun (name, _) ->
+      let k =
+        match
+          if String.length name > 1 && name.[0] = 'f' then
+            int_of_string_opt (String.sub name 1 (String.length name - 1))
+          else None
+        with
+        | Some k when k >= 0 && k < s.shards -> k
+        | _ -> raise (Wire.Wire_error (Printf.sprintf "worker: bad expand field %S" name))
+      in
+      let succ = Ivec.create () in
+      let counts =
+        Array.map
+          (fun key ->
+            if key < 0 || key >= s.pairs then
+              raise (Wire.Wire_error "worker: frontier key out of range");
+            s.join (key / s.nr, key mod s.nr) (fun (tr : Automaton.trans) (tr' : Automaton.trans) ->
+                Ivec.push succ ((tr.Automaton.dst * s.nr) + tr'.Automaton.dst)))
+          (ints_field data name)
+      in
+      [
+        (Printf.sprintf "c%d" k, Segment.Ints counts);
+        (Printf.sprintf "s%d" k, Segment.Ints (Ivec.to_array succ));
+      ])
+    data
 
 let fwd_view s k =
   match s.fwd.(k) with
-  | None -> raise (Wire.Wire_error "worker: shard not finalized")
+  | None -> raise (Wire.Wire_error "worker: shard not installed")
   | Some slot ->
     let p = Segment.get s.mgr slot in
     (ints_field p "members", ints_field p "row", ints_field p "dst")
@@ -248,119 +120,13 @@ let pred_view s k =
     let p = Segment.get s.mgr slot in
     (ints_field p "prow", ints_field p "psrc")
 
-(* Scatter: for every owned source shard, route each edge to its
-   destination's owning shard as a (local dst, src gid) pair — one field per
-   (source shard, destination shard), so the coordinator can deliver batches
-   in global source-shard order. *)
-let scatter s data =
-  s.owner_g <- ints_field data "owner";
-  s.local_g <- ints_field data "local";
-  let out = ref [] in
-  for k = s.shards - 1 downto 0 do
-    if s.owned.(k) then begin
-      let members, row, dst = fwd_view s k in
-      let buckets = Array.init s.shards (fun _ -> Ivec.create ()) in
-      Array.iteri
-        (fun m src ->
-          for e = row.(m) to row.(m + 1) - 1 do
-            let d = dst.(e) in
-            let kk = s.owner_g.(d) in
-            Ivec.push buckets.(kk) s.local_g.(d);
-            Ivec.push buckets.(kk) src
-          done)
-        members;
-      for kk = s.shards - 1 downto 0 do
-        if Ivec.length buckets.(kk) > 0 then
-          out :=
-            (Printf.sprintf "p%d_%d" k kk, Segment.Ints (Ivec.to_array buckets.(kk)))
-            :: !out
-      done
-    end
-  done;
-  !out
+(* -- install: the coordinator's finished segments --------------------------- *)
 
-(* Build the predecessor CSR for one owned shard from the routed pairs
-   (already concatenated in source-shard order by the coordinator), then
-   ship the complete segment back — the coordinator's banked copy is the
-   recovery generation. *)
-let pred s k data =
-  let members, row, dst = fwd_view s k in
-  match s.pred.(k) with
-  | Some slot ->
-    (* already built (repeated request after a mid-phase recovery
-       elsewhere): re-ship the existing segment *)
-    let p = Segment.get s.mgr slot in
-    [
-      ("members", Segment.Ints members);
-      ("row", Segment.Ints row);
-      ("dst", Segment.Ints dst);
-      ("prow", Segment.Ints (ints_field p "prow"));
-      ("psrc", Segment.Ints (ints_field p "psrc"));
-    ]
-  | None ->
-  let pairs = ints_field data "pairs" in
-  let size = Array.length members in
-  let pcnt = Array.make (max size 1) 0 in
-  let i = ref 0 in
-  let np = Array.length pairs in
-  if np mod 2 <> 0 then raise (Wire.Wire_error "worker: ragged scatter pairs");
-  while !i < np do
-    pcnt.(pairs.(!i)) <- pcnt.(pairs.(!i)) + 1;
-    i := !i + 2
-  done;
-  let prow = Array.make (size + 1) 0 in
-  for m = 0 to size - 1 do
-    prow.(m + 1) <- prow.(m) + pcnt.(m)
-  done;
-  let psrc = Array.make (max prow.(size) 1) 0 in
-  let cursor = Array.copy prow in
-  i := 0;
-  while !i < np do
-    let ld = pairs.(!i) and src = pairs.(!i + 1) in
-    psrc.(cursor.(ld)) <- src;
-    cursor.(ld) <- cursor.(ld) + 1;
-    i := !i + 2
-  done;
-  s.uniq <- s.uniq + 1;
-  s.pred.(k) <-
-    Some
-      (Segment.add s.mgr
-         ~name:(Printf.sprintf "pred%d_%d" k s.uniq)
-         [ ("prow", Segment.Ints prow); ("psrc", Segment.Ints psrc) ]);
-  [
-    ("members", Segment.Ints members);
-    ("row", Segment.Ints row);
-    ("dst", Segment.Ints dst);
-    ("prow", Segment.Ints prow);
-    ("psrc", Segment.Ints psrc);
-  ]
-
-(* -- recovery: adopt shards re-dispatched by the coordinator ---------------- *)
-
-(* Mid-build adoption: the coordinator replays the shard's entire merged
-   truth (members, per-member counts, edge history); expansion resumes at
-   the first unmerged member.  Deterministic join enumeration makes the
-   rebuilt state byte-identical to the lost worker's. *)
-let adopt s ks expanded data =
-  List.iter2
-    (fun k exp_k ->
-      s.owned.(k) <- true;
-      let st = fresh_shard_state () in
-      s.ss.(k) <- st;
-      Ivec.append st.mem (ints_field data (Printf.sprintf "mg%d" k));
-      Ivec.append st.keys (ints_field data (Printf.sprintf "mk%d" k));
-      let deg = ints_field data (Printf.sprintf "deg%d" k) in
-      if Array.length deg <> exp_k then raise (Wire.Wire_error "worker: adopt degree mismatch");
-      Ivec.append st.cnts deg;
-      Ivec.append st.edges (ints_field data (Printf.sprintf "e%d" k));
-      s.fwd.(k) <- None;
-      s.pred.(k) <- None)
-    ks expanded;
-  flush_edges s
-
-(* Post-build adoption: the coordinator re-ships the banked, digest-checked
-   segment generation. *)
+(* Take ownership of shard [k] with the coordinator's finished, digest-checked
+   forward and predecessor segments (after the build, and again on a
+   replacement worker). *)
 let adopt_seg s k data =
+  if k < 0 || k >= s.shards then raise (Wire.Wire_error "worker: adopted shard out of range");
   s.owned.(k) <- true;
   let members = ints_field data "members" in
   s.uniq <- s.uniq + 1;
@@ -712,30 +478,21 @@ let handle_msg t (m : Wire.msg) : Wire.msg =
       | None -> raise (Wire.Wire_error "worker: open without right automaton")
     in
     let budget = Wire.jint_opt meta "budget" in
-    let owned = Array.make shards false in
-    List.iter
-      (fun k ->
-        if k < 0 || k >= shards then raise (Wire.Wire_error "worker: owned shard out of range");
-        owned.(k) <- true)
-      (Wire.jints meta "owned");
     (match Hashtbl.find_opt t.sessions sid with
     | Some old -> Segment.close old.mgr
     | None -> ());
+    let nr = Automaton.num_states right in
     let s =
       {
-        sid;
-        left;
-        right;
-        nr = Automaton.num_states right;
+        nr;
+        pairs = Automaton.num_states left * nr;
         shards;
         mgr = Segment.create ?budget ~name:(Printf.sprintf "distw-%d" (Unix.getpid ())) ();
-        owned;
-        joins = Array.make shards None;
-        ss = Array.init shards (fun _ -> fresh_shard_state ());
+        join = Compose.joint_iter left right;
+        owned = Array.make shards false;
         fwd = Array.make shards None;
         pred = Array.make shards None;
         g2l = Array.init shards (fun _ -> Hashtbl.create 16);
-        budget;
         owner_g = [||];
         local_g = [||];
         fix = None;
@@ -746,18 +503,7 @@ let handle_msg t (m : Wire.msg) : Wire.msg =
     in
     Hashtbl.replace t.sessions sid s;
     ok []
-  | "round" -> ok (round (session ()) data)
-  | "finish" ->
-    finish (session ()) data;
-    ok []
-  | "scatter" -> ok (scatter (session ()) data)
-  | "pred" ->
-    let s = session () in
-    ok (pred s (Wire.jint meta "shard") data)
-  | "adopt" ->
-    let s = session () in
-    adopt s (Wire.jints meta "shards") (Wire.jints meta "expanded") data;
-    ok []
+  | "expand" -> ok (expand (session ()) data)
   | "ctx" ->
     let s = session () in
     s.owner_g <- ints_field data "owner";

@@ -1,12 +1,19 @@
 (** The worker half of the distributed shard tier.
 
-    A worker owns a subset of shards for each open session: it expands
-    frontiers with {!Mechaml_ts.Compose.joint_iter}, holds the per-shard
-    forward and predecessor CSR segments under its own {!Segment} budget,
-    and runs the shard-local part of the global fixpoints.  The coordinator
-    ({!Distshard}) keeps all discovery-order interning and verdict-bearing
-    state, so a worker can die at any point and be replaced from the
-    coordinator's banked generation.
+    During a product build a worker is a stateless frontier expander: an
+    [expand] request carries shards' frontiers as packed pair keys and is
+    answered with joint-move counts and successor keys, computed with
+    {!Mechaml_ts.Compose.joint_iter} from the session's operand automata
+    alone — so a lost worker's request can be resent to any replacement.
+    Interning, the merge and the CSR finalization stay on the coordinator
+    ({!Distshard}).  After the build the worker is installed with its
+    shards' finished forward and predecessor segments (held under its own
+    {!Mechaml_util.Segment} budget) and runs the shard-local part of the global
+    fixpoints.
+
+    The ops are [ping], [open], [expand], [ctx], [adopt_seg], [agg],
+    [fix_init], [fix_round], [fix_done], [close] and [shutdown].  The
+    coordinator must run the same build of the program.
 
     One worker process serves any number of sessions (keyed by [sid]), so a
     pre-started fleet ([--dist-connect]) is shared infrastructure: closing a

@@ -177,7 +177,58 @@ let ints payload name =
   | Some (Segment.Ints a) -> a
   | _ -> raise (Segment.Spill_error ("shard segment field missing: " ^ name))
 
-let explore ?(config = config ()) (left : Automaton.t) (right : Automaton.t) =
+type expand = int array array -> (int array * int array) array
+
+(* The default transport: expansion in this process, one join closure per
+   shard.  The join memoizes per-interaction keys and per-right-state buckets
+   in plain hash tables, so sharing one across worker domains would race — a
+   private closure per shard keeps every mutable structure single-owner.
+   Returns the transport and the function that stops its crew. *)
+let local_expand config left right =
+  let shards = config.shards in
+  let nr = Automaton.num_states right in
+  let joins = Array.init shards (fun _ -> Compose.joint_iter left right) in
+  let succ = Array.init shards (fun _ -> Ivec.create ()) in
+  let out = Array.make shards ([||], [||]) in
+  let workers =
+    if shards = 1 then 1
+    else
+      min shards
+        (match config.workers with
+        | Some w -> w
+        | None -> Domain.recommended_domain_count ())
+  in
+  let crew = if workers > 1 then Some (Crew.create workers) else None in
+  let expand_shard frontier k =
+    let keys = succ.(k) and join = joins.(k) in
+    Ivec.clear keys;
+    let counts =
+      Array.map
+        (fun key ->
+          join (key / nr, key mod nr) (fun (tr : Automaton.trans) (tr' : Automaton.trans) ->
+              Ivec.push keys ((tr.dst * nr) + tr'.dst)))
+        frontier.(k)
+    in
+    out.(k) <- (counts, Ivec.to_array keys)
+  in
+  let expand frontier =
+    (match crew with
+    | Some c ->
+      Crew.round c (fun w ->
+          let k = ref w in
+          while !k < shards do
+            expand_shard frontier !k;
+            k := !k + workers
+          done)
+    | None ->
+      for k = 0 to shards - 1 do
+        expand_shard frontier k
+      done);
+    out
+  in
+  (expand, fun () -> Option.iter Crew.stop crew)
+
+let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automaton.t) =
   if not (Automaton.composable left right) then
     invalid_arg
       (Printf.sprintf "Shard.explore: %s and %s are not composable" left.Automaton.name
@@ -201,9 +252,7 @@ let explore ?(config = config ()) (left : Automaton.t) (right : Automaton.t) =
     (* per-shard interning and construction state *)
     let tbl = Array.init shards (fun _ -> Hashtbl.create 256) in
     let members = Array.init shards (fun _ -> Ivec.create ()) in
-    let mcur = Array.make shards 0 in
-    let out_keys = Array.init shards (fun _ -> Ivec.create ()) in
-    let out_cnt = Array.init shards (fun _ -> Ivec.create ()) in
+    let frontier = Array.init shards (fun _ -> Ivec.create ()) in
     let deg = Array.init shards (fun _ -> Ivec.create ()) in
     let edges = Array.init shards (fun _ -> Ivec.create ()) in
     let echunks = Array.make shards [] in
@@ -211,8 +260,6 @@ let explore ?(config = config ()) (left : Automaton.t) (right : Automaton.t) =
     let owner = Ivec.create () in
     let local = Ivec.create () in
     let labs = Ivec.create () in
-    let pl = Ivec.create () in
-    let pr = Ivec.create () in
     let intern s s' =
       let key = (s * nr) + s' in
       let k = shard_of key in
@@ -224,12 +271,11 @@ let explore ?(config = config ()) (left : Automaton.t) (right : Automaton.t) =
         Ivec.push owner k;
         Ivec.push local (Ivec.length members.(k));
         Ivec.push members.(k) id;
+        Ivec.push frontier.(k) key;
         Ivec.push labs
           (Bitset.to_int
              (Bitset.union (Automaton.label left s)
                 (Bitset.shift lp_size (Automaton.label right s'))));
-        Ivec.push pl s;
-        Ivec.push pr s';
         id
     in
     let initial =
@@ -237,37 +283,10 @@ let explore ?(config = config ()) (left : Automaton.t) (right : Automaton.t) =
         (fun q -> List.map (fun q' -> intern q q') right.Automaton.initial)
         left.Automaton.initial
     in
-    (* One join closure per shard: the join memoizes per-interaction keys and
-       per-right-state buckets in plain hash tables, so sharing one across
-       worker domains would race — a private closure per shard keeps every
-       mutable structure single-owner. *)
-    let joins = Array.init shards (fun _ -> Compose.joint_iter left right) in
-    let workers =
-      if shards = 1 then 1
-      else
-        min shards
-          (match config.workers with
-          | Some w -> w
-          | None -> Domain.recommended_domain_count ())
-    in
-    let crew = if workers > 1 then Some (Crew.create workers) else None in
-    let expand_shard hi k =
-      let mem = members.(k) and keys = out_keys.(k) and cnts = out_cnt.(k) in
-      let join = joins.(k) in
-      let cur = ref mcur.(k) in
-      let stop = Ivec.length mem in
-      while !cur < stop && Ivec.get mem !cur < hi do
-        let gid = Ivec.get mem !cur in
-        let c =
-          join
-            (Ivec.get pl gid, Ivec.get pr gid)
-            (fun (tr : Automaton.trans) (tr' : Automaton.trans) ->
-              Ivec.push keys ((tr.dst * nr) + tr'.dst))
-        in
-        Ivec.push cnts c;
-        incr cur
-      done;
-      mcur.(k) <- !cur
+    let expand, stop_expand =
+      match expand with
+      | Some f -> (f, ignore)
+      | None -> local_expand config left right
     in
     (* Edge buffers are flushed to scratch chunk files once they pass half
        the budget: construction keeps the same watermark discipline as the
@@ -295,47 +314,38 @@ let explore ?(config = config ()) (left : Automaton.t) (right : Automaton.t) =
             edges
     in
     let round = ref 0 in
-    let key_cursor = Array.make shards 0 in
-    let cnt_cursor = Array.make shards 0 in
-    Fun.protect
-      ~finally:(fun () -> match crew with Some c -> Crew.stop c | None -> ())
-      (fun () ->
+    Fun.protect ~finally:stop_expand (fun () ->
         let lo = ref 0 in
         while !lo < Ivec.length owner do
           let hi = Ivec.length owner in
           let t0 = if Trace.is_enabled () then Some (Trace.now_us ()) else None in
-          (* expand: shard-local frontiers, one worker per shard group *)
-          (match crew with
-          | Some c ->
-            Crew.round c (fun w ->
-                let k = ref w in
-                while !k < shards do
-                  expand_shard hi !k;
-                  k := !k + workers
-                done)
-          | None ->
-            for k = 0 to shards - 1 do
-              expand_shard hi k
-            done);
+          (* expand: each shard's frontier, in discovery order *)
+          let level =
+            Array.map
+              (fun f ->
+                let a = Ivec.to_array f in
+                Ivec.clear f;
+                a)
+              frontier
+          in
+          let out = expand level in
           (* merge: serial, in global id order — the boundary exchange.  The
              numbering this hands out is exactly the single-queue BFS order,
-             whatever the shard count or worker scheduling. *)
+             whatever the shard count, transport or scheduling. *)
+          let ccur = Array.make shards 0 and kcur = Array.make shards 0 in
           for gid = !lo to hi - 1 do
             let k = Ivec.get owner gid in
-            let c = Ivec.get out_cnt.(k) cnt_cursor.(k) in
-            cnt_cursor.(k) <- cnt_cursor.(k) + 1;
+            let counts, keys = out.(k) in
+            let c = counts.(ccur.(k)) in
+            ccur.(k) <- ccur.(k) + 1;
             Ivec.push deg.(k) c;
-            let base = key_cursor.(k) in
-            for j = 0 to c - 1 do
-              let key = Ivec.get out_keys.(k) (base + j) in
+            let base = kcur.(k) in
+            for j = base to base + c - 1 do
+              let key = keys.(j) in
               Ivec.push edges.(k) (intern (key / nr) (key mod nr))
             done;
-            key_cursor.(k) <- base + c
+            kcur.(k) <- base + c
           done;
-          Array.iter Ivec.clear out_keys;
-          Array.iter Ivec.clear out_cnt;
-          Array.fill key_cursor 0 shards 0;
-          Array.fill cnt_cursor 0 shards 0;
           flush_edges ();
           incr round;
           (match t0 with

@@ -1,14 +1,21 @@
-(** Sharded, out-of-core product exploration.
+(** Sharded, out-of-core product exploration — the one product explorer
+    behind every out-of-core tier.
 
     {!Compose.parallel} materializes the whole product as one automaton —
     one interning table, one adjacency array, one domain's RAM.  [Shard]
     partitions the same BFS by a hash of the packed pair key: one interning
     table and one CSR segment per shard, shard-local frontiers expanded per
-    BFS level (on worker domains when available), and a boundary-exchange
-    merge that hands out state numbers in {e global discovery order} — so
-    state numbering, labels, adjacency order, and therefore every verdict
-    derived from them are byte-identical to the single-shard construction
-    for any shard count.
+    BFS level, and a boundary-exchange merge that hands out state numbers in
+    {e global discovery order} — so state numbering, labels, adjacency
+    order, and therefore every verdict derived from them are byte-identical
+    to the single-shard construction for any shard count.
+
+    Where a level's expansion runs is the caller's choice of {!expand}
+    transport: by default on this process's worker domains, or — through
+    [Mechaml_dist.Distshard] — on a fleet of worker processes.  Interning,
+    the merge, spill accounting and the forward/predecessor CSR
+    finalization always run here, so every transport builds the identical
+    product.
 
     Under a memory budget the per-shard segments live in a {!Segment}
     manager: cold shards spill to disk and reload on demand, bounding
@@ -81,10 +88,22 @@ type view = {
   psrc : int array;
 }
 
-val explore : ?config:config -> Automaton.t -> Automaton.t -> t
+type expand = int array array -> (int array * int array) array
+(** A level's expansion transport.  Called once per BFS level with each
+    shard's frontier as packed pair keys ([l * num_states right + r], in
+    discovery order); answers, per shard, the joint-move count of every
+    frontier state and the flattened successor keys, both in frontier order
+    and in {!Compose.joint_iter}'s enumeration order.  The answer is read
+    before the next call, so a transport may reuse its buffers.  The
+    explorer trusts the answer: a transport fed by untrusted peers must
+    validate it first. *)
+
+val explore : ?config:config -> ?expand:expand -> Automaton.t -> Automaton.t -> t
 (** [explore left right] builds the sharded product of the two operands.
     Same preconditions as {!Compose.parallel} (composability, disjoint
-    proposition universes); raises [Invalid_argument] otherwise. *)
+    proposition universes); raises [Invalid_argument] otherwise.  Without
+    [expand], levels are expanded in process: inline, or on a crew of
+    [config.workers] domains ([config.distribution] is ignored here). *)
 
 val num_states : t -> int
 
@@ -130,13 +149,9 @@ val reloads : t -> int
 val close : t -> unit
 (** Remove every spill file.  Idempotent. *)
 
-val mix : int -> int
-(** The partition hash over packed pair keys — exposed so the distributed
-    coordinator places states on exactly the same shards. *)
-
-(** The persistent, round-synchronized domain crew behind [explore]'s
-    parallel expansion — reused by the distributed coordinator to overlap
-    its per-worker round trips. *)
+(** The persistent, round-synchronized domain crew behind the default
+    transport's parallel expansion — reused by the distributed coordinator to
+    overlap its per-worker round trips. *)
 module Crew : sig
   type t
 

@@ -1,13 +1,9 @@
-(* The bench_check speedup aggregation: per-benchmark factors, geometric
-   means, and — the regression this suite pins — groups present in only one
-   snapshot, which used to reach the zero-row geometric mean and print NaN
-   and now come back as skipped warnings instead. *)
+(* The bench_check snapshot parser: rows of a bench --json file, null
+   estimates dropped, non-bench files rejected. *)
 
 module Lib = Bench_check_lib
 module Json = Mechaml_obs.Json
 open Helpers
-
-let check_float = Alcotest.(check (float 1e-9))
 
 let row g n v = ((g, n), v)
 
@@ -46,64 +42,6 @@ let unit_tests =
         | Error m -> Alcotest.fail m);
     test "benchmarks rejects a non-bench file" (fun () ->
         check_bool "error" true (Result.is_error (Lib.benchmarks (Json.Obj []))));
-    test "shared rows get factors and a geometric mean" (fun () ->
-        let base = [ row "g" "a" 100.; row "g" "b" 400. ] in
-        let fresh = [ row "g" "a" 50.; row "g" "b" 100. ] in
-        let r = Lib.speedup ~base ~fresh in
-        Alcotest.(check int) "rows" 2 (List.length r.Lib.rows);
-        check_float "first factor" 2. (List.hd r.Lib.rows).Lib.factor;
-        (match r.Lib.groups with
-        | [ g ] ->
-          check_string "group" "g" g.Lib.g_group;
-          (* geomean of 2x and 4x *)
-          check_float "geomean" (sqrt 8.) g.Lib.g_geomean
-        | _ -> Alcotest.fail "expected one group");
-        check_bool "nothing skipped" true (r.Lib.skipped = []));
-    test "a group in the baseline only is skipped with a warning, not NaN" (fun () ->
-        let base = [ row "shared" "a" 100.; row "old" "x" 10. ] in
-        let fresh = [ row "shared" "a" 100. ] in
-        let r = Lib.speedup ~base ~fresh in
-        Alcotest.(check (list (pair string string)))
-          "skipped"
-          [ ("old", "only in the baseline snapshot") ]
-          r.Lib.skipped;
-        Alcotest.(check (list string))
-          "aggregated groups" [ "shared" ]
-          (List.map (fun g -> g.Lib.g_group) r.Lib.groups);
-        match r.Lib.overall with
-        | Some o ->
-          check_bool "overall finite" true (Float.is_finite o.Lib.g_geomean);
-          Alcotest.(check int) "overall rows" 1 o.Lib.g_benchmarks
-        | None -> Alcotest.fail "expected an overall mean");
-    test "a group in the new snapshot only is skipped with a warning" (fun () ->
-        let base = [ row "shared" "a" 100. ] in
-        let fresh = [ row "shared" "a" 80.; row "t14_loop_incremental" "loop" 10. ] in
-        let r = Lib.speedup ~base ~fresh in
-        Alcotest.(check (list (pair string string)))
-          "skipped"
-          [ ("t14_loop_incremental", "only in the new snapshot") ]
-          r.Lib.skipped);
-    test "a group sharing no benchmark name is skipped too" (fun () ->
-        let base = [ row "g" "renamed_away" 10.; row "h" "a" 10. ] in
-        let fresh = [ row "g" "renamed_to" 10.; row "h" "a" 10. ] in
-        let r = Lib.speedup ~base ~fresh in
-        Alcotest.(check (list (pair string string)))
-          "skipped"
-          [ ("g", "no comparable benchmark in both snapshots") ]
-          r.Lib.skipped);
-    test "disjoint snapshots yield no overall mean" (fun () ->
-        let r = Lib.speedup ~base:[ row "a" "x" 1. ] ~fresh:[ row "b" "y" 1. ] in
-        check_bool "no overall" true (r.Lib.overall = None);
-        check_bool "no rows" true (r.Lib.rows = []);
-        Alcotest.(check int) "both skipped" 2 (List.length r.Lib.skipped));
-    test "non-positive times are incomparable, never NaN" (fun () ->
-        let base = [ row "g" "a" 0.; row "g" "b" 100. ] in
-        let fresh = [ row "g" "a" 50.; row "g" "b" 50. ] in
-        let r = Lib.speedup ~base ~fresh in
-        Alcotest.(check int) "only the positive pair" 1 (List.length r.Lib.rows);
-        List.iter
-          (fun (x : Lib.row) -> check_bool "finite" true (Float.is_finite x.Lib.factor))
-          r.Lib.rows);
     test "snapshot round trip through the parser" (fun () ->
         let rows = [ row "g" "a" 12.5; row "g" "b" 1e6 ] in
         match Lib.benchmarks (snapshot rows) with

@@ -1,15 +1,17 @@
 (* Distributed sharding equivalence: a worker-process fleet (here: in-process
    [Distworker] instances behind real sockets, i.e. [Connect] mode with the
-   full wire stack) must reproduce the materialized Compose/Sat pipeline —
-   numbering, labels, adjacency order, blocking set and every verdict —
-   byte-identically for every worker count, and keep doing so when a worker
-   crashes mid-build or after the build. *)
+   full wire stack) must reproduce the materialized Compose/Sat pipeline and
+   the in-process sharded explorer — numbering, labels, adjacency order,
+   blocking set and every verdict — byte-identically for every worker count,
+   and keep doing so when a worker crashes mid-build or after the build,
+   answers an expansion that does not verify, or never comes up. *)
 
 module Automaton = Mechaml_ts.Automaton
 module Compose = Mechaml_ts.Compose
 module Shard = Mechaml_ts.Shard
 module Sat = Mechaml_mc.Sat
 module Ctl = Mechaml_logic.Ctl
+module Bitset = Mechaml_util.Bitset
 module Bitvec = Mechaml_util.Bitvec
 module Segment = Mechaml_util.Segment
 module Families = Mechaml_scenarios.Families
@@ -17,6 +19,8 @@ module Distshard = Mechaml_dist.Distshard
 module Distsat = Mechaml_dist.Distsat
 module Distworker = Mechaml_dist.Distworker
 module Wire = Mechaml_wire.Shardwire
+module Http = Mechaml_wire.Http
+module Json = Mechaml_obs.Json
 open Helpers
 
 let inputs = [ "a"; "b" ]
@@ -54,28 +58,29 @@ let dist_config ?mem_budget ?spill_dir ~shards addrs =
 let check_structure product dp =
   let auto = product.Compose.auto in
   let n = Automaton.num_states auto in
+  let sp = Distshard.shard dp in
   check_int "states" n (Distshard.num_states dp);
   check_int "transitions" (Automaton.num_transitions auto) (Distshard.num_transitions dp);
-  Alcotest.(check (list int)) "initial" auto.Automaton.initial (Distshard.initial dp);
-  let labels = Distshard.labels dp in
+  Alcotest.(check (list int)) "initial" auto.Automaton.initial (Shard.initial sp);
+  let labels = Shard.labels sp in
   for s = 0 to n - 1 do
     if not (Mechaml_util.Bitset.equal (Automaton.label auto s) labels.(s)) then
       Alcotest.failf "label mismatch at state %d" s
   done;
   let row = Automaton.Csr.row auto and dst = Automaton.Csr.dst auto in
-  let owner = Distshard.owner dp and local = Distshard.local dp in
+  let owner = Shard.owner sp and local = Shard.local sp in
   for s = 0 to n - 1 do
-    let v = Distshard.view dp owner.(s) in
+    let v = Shard.view sp owner.(s) in
     let m = local.(s) in
-    check_int "member" s v.Distshard.members.(m);
+    check_int "member" s v.Shard.members.(m);
     let deg = row.(s + 1) - row.(s) in
-    if v.Distshard.row.(m + 1) - v.Distshard.row.(m) <> deg then
+    if v.Shard.row.(m + 1) - v.Shard.row.(m) <> deg then
       Alcotest.failf "degree mismatch at state %d" s;
     for e = 0 to deg - 1 do
-      if v.Distshard.dst.(v.Distshard.row.(m) + e) <> dst.(row.(s) + e) then
+      if v.Shard.dst.(v.Shard.row.(m) + e) <> dst.(row.(s) + e) then
         Alcotest.failf "adjacency mismatch at state %d edge %d" s e
     done;
-    if Bitvec.get (Distshard.blocking dp) s <> (row.(s + 1) = row.(s)) then
+    if Bitvec.get (Shard.blocking sp) s <> (row.(s + 1) = row.(s)) then
       Alcotest.failf "blocking mismatch at state %d" s
   done
 
@@ -155,10 +160,141 @@ let recovery_tests =
               (fun () ->
                 check_structure product dp;
                 (* kill one worker between the build and the checks: the
-                   survivor must adopt its banked segments mid-operator *)
+                   survivor must be installed with its shards mid-operator *)
                 Distworker.stop (List.hd handles);
                 check_verdicts product dp;
                 check_bool "a restart was recorded" true (Distshard.restarts dp >= 1))));
+  ]
+
+(* A fake worker speaking the wire protocol: every op succeeds, and every
+   expansion answers well-formed counts whose successor keys are all
+   [pairs] — one past the product's pair space. *)
+let with_fake_worker ~pairs f =
+  let addr = Wire.Unix_sock (sock_path ()) in
+  let fd = Wire.listen addr in
+  let stop = Atomic.make false in
+  let answer (m : Wire.msg) =
+    let data =
+      if Wire.jstr m.Wire.meta "op" <> "expand" then []
+      else
+        List.concat_map
+          (fun (name, _) ->
+            let k = String.sub name 1 (String.length name - 1) in
+            let n = Array.length (Wire.ints m.Wire.data name) in
+            [
+              ("c" ^ k, Segment.Ints (Array.make n 1));
+              ("s" ^ k, Segment.Ints (Array.make n pairs));
+            ])
+          m.Wire.data
+    in
+    Wire.msg ~data (Json.Obj [ ("ok", Json.Bool true) ])
+  in
+  let serve () =
+    while not (Atomic.get stop) do
+      match Unix.select [ fd ] [] [] 0.05 with
+      | [], _, _ -> ()
+      | _ ->
+        let conn = Http.conn (fst (Unix.accept fd)) in
+        (try
+           let req = Http.read_request ~max_body:max_int conn in
+           Http.respond conn ~status:200 (Wire.encode (answer (Wire.decode req.Http.body)))
+         with _ -> ());
+        Http.close conn
+    done;
+    Unix.close fd
+  in
+  let d = Domain.spawn serve in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join d;
+      match addr with
+      | Wire.Unix_sock p -> ( try Sys.remove p with Sys_error _ -> ())
+      | Wire.Tcp _ -> ())
+    (fun () -> f (Wire.addr_to_string addr))
+
+let fault_tests =
+  let left = machine 1 and right = context 18 in
+  let pairs = Automaton.num_states left * Automaton.num_states right in
+  [
+    test "a lone worker answering out-of-range keys fails the build with Dist_error"
+      (fun () ->
+        with_fake_worker ~pairs (fun fake ->
+            match Distshard.explore ~config:(dist_config ~shards:2 [ fake ]) left right with
+            | dp ->
+              Distshard.close dp;
+              Alcotest.fail "the build merged an out-of-range successor key"
+            | exception Distshard.Dist_error _ -> ()));
+    test "a worker answering out-of-range keys is replaced, product identical" (fun () ->
+        with_fake_worker ~pairs (fun fake ->
+            with_fleet 1 (fun _ addrs ->
+                let product = Compose.parallel left right in
+                let dp =
+                  Distshard.explore ~config:(dist_config ~shards:4 (fake :: addrs)) left right
+                in
+                Fun.protect
+                  ~finally:(fun () -> Distshard.close dp)
+                  (fun () ->
+                    check_structure product dp;
+                    check_verdicts product dp;
+                    check_bool "the fake worker was replaced" true (Distshard.restarts dp >= 1)))));
+    test "a forked worker that exits before its first ping fails fast with Dist_error"
+      (fun () ->
+        let saved = Option.value (Sys.getenv_opt "MECHAVERIFY_BIN") ~default:"" in
+        Unix.putenv "MECHAVERIFY_BIN" "/bin/false";
+        Fun.protect
+          ~finally:(fun () -> Unix.putenv "MECHAVERIFY_BIN" saved)
+          (fun () ->
+            let config =
+              Shard.config ~shards:2 ~distribution:(Shard.distribution (Shard.Fork 1)) ()
+            in
+            let t0 = Unix.gettimeofday () in
+            (match Distshard.explore ~config left right with
+            | dp ->
+              Distshard.close dp;
+              Alcotest.fail "a fleet of /bin/false came up"
+            | exception Distshard.Dist_error _ -> ());
+            let dt = Unix.gettimeofday () -. t0 in
+            if dt >= 5. then Alcotest.failf "Dist_error only after %.1f s" dt));
+  ]
+
+(* Every field of two sharded products, compared exactly. *)
+let same_product a b =
+  Shard.num_states a = Shard.num_states b
+  && Shard.num_transitions a = Shard.num_transitions b
+  && Shard.initial a = Shard.initial b
+  && Shard.owner a = Shard.owner b
+  && Shard.local a = Shard.local b
+  && Shard.sizes a = Shard.sizes b
+  && Array.for_all2 Bitset.equal (Shard.labels a) (Shard.labels b)
+  && Bitvec.equal (Shard.blocking a) (Shard.blocking b)
+  && List.for_all (fun k -> Shard.view a k = Shard.view b k) (List.init (Shard.shards a) Fun.id)
+
+let transport_tests =
+  [
+    qcheck ~count:20 "the fleet's product equals the in-process one, field by field"
+      QCheck.(
+        quad (int_range 1 40) (oneofl [ 1; 3; 8 ]) (oneofl [ 1; 2 ]) (option (int_range 0 3)))
+      (fun (seed, shards, workers, die) ->
+        let left = machine seed and right = context (seed + 17) in
+        (* a crash needs a survivor to take the shards over *)
+        let chaos_die_after =
+          if workers = 2 && shards > 1 then Option.map (fun r -> (0, r)) die else None
+        in
+        with_fleet workers (fun _ addrs ->
+            let dp =
+              Distshard.explore ~config:(dist_config ~shards addrs) ?chaos_die_after left right
+            in
+            Fun.protect
+              ~finally:(fun () -> Distshard.close dp)
+              (fun () ->
+                List.for_all
+                  (fun w ->
+                    let sp = Shard.explore ~config:(Shard.config ~shards ~workers:w ()) left right in
+                    Fun.protect
+                      ~finally:(fun () -> Shard.close sp)
+                      (fun () -> same_product (Distshard.shard dp) sp))
+                  [ 1; 2 ])));
   ]
 
 let spill_tests =
@@ -183,5 +319,7 @@ let () =
     [
       ("equivalence", equivalence_tests);
       ("recovery", recovery_tests);
+      ("faults", fault_tests);
+      ("cross-transport", transport_tests);
       ("spill", spill_tests);
     ]
