@@ -320,6 +320,6 @@ let () =
       ("equivalence", equivalence_tests);
       ("recovery", recovery_tests);
       ("faults", fault_tests);
-      ("cross-transport", transport_tests);
+      ("transport", transport_tests);
       ("spill", spill_tests);
     ]
