@@ -2,6 +2,7 @@ module Bitset = Mechaml_util.Bitset
 module Bitvec = Mechaml_util.Bitvec
 module Segment = Mechaml_util.Segment
 module Ivec = Mechaml_util.Ivec
+module Itbl = Mechaml_util.Itbl
 module Trace = Mechaml_obs.Trace
 module Metrics = Mechaml_obs.Metrics
 
@@ -20,6 +21,10 @@ let m_spill_bytes =
 let m_build_rounds =
   Metrics.counter "mc_shard_build_rounds_total"
     ~help:"Level-synchronized BFS rounds across sharded product constructions."
+
+let m_crew_levels =
+  Metrics.counter "mc_shard_crew_levels_total"
+    ~help:"BFS levels of in-process sharded builds expanded on a worker-domain crew."
 
 type dist_mode =
   | Fork of int
@@ -76,17 +81,6 @@ type t = {
   fwd_slots : Segment.slot array; (* members / row / dst per shard *)
   pred_slots : Segment.slot array; (* prow / psrc per shard *)
 }
-
-(* The partition function: a 64-bit mix of the packed pair key, so that
-   structured state spaces (pair keys are [l * n_r + r]) spread evenly over
-   any shard count.  Pure arithmetic — the partition is identical across
-   runs, worker counts, and budgets. *)
-let mix key =
-  let h = key * 0x1E3779B97F4A7C15 in
-  let h = h lxor (h lsr 31) in
-  let h = h * 0x3F58476D1CE4E5B9 in
-  let h = h lxor (h lsr 27) in
-  h land max_int
 
 (* -- round-synchronized worker crew ----------------------------------------
 
@@ -179,54 +173,123 @@ let ints payload name =
 
 type expand = int array array -> (int array * int array) array
 
-(* The default transport: expansion in this process, one join closure per
-   shard.  The join memoizes per-interaction keys and per-right-state buckets
-   in plain hash tables, so sharing one across worker domains would race — a
-   private closure per shard keeps every mutable structure single-owner.
-   Returns the transport and the function that stops its crew. *)
+(* The adaptive transport's fan-out threshold, in seconds: a level goes to
+   the crew only when its predicted inline expansion time (the build's
+   inline seconds per frontier key so far, times the level's keys) exceeds
+   it.  A crew costs time whatever the level: spawning its domains and a
+   cold first round (about 7 ms more than inline for a 4.5k-key level on a
+   2-vCPU host), a wake-up per round, and — while it lives — a cross-domain
+   barrier on every minor collection of the serial merge.  Even warm, two
+   domains expanded a 480k-state torus at 0.8 us per key against 1 us
+   inline on that host, so only levels of ten milliseconds or more have
+   enough work to share.  Every [wide_sharded] torus (widest level about 3k
+   keys) and every mesh (one state per level) stays inline. *)
+let crew_min_level_s = 0.010
+
+(* The default transport: expansion in this process, inline or on a crew.
+   The join memoizes per-interaction keys and per-right-state buckets in
+   plain hash tables, so sharing one across worker domains would race — crew
+   member [w] owns join [w] and expands exactly the shards [k] with
+   [k mod size = w]; inline expansion uses join 0 for every shard.
+   With [config.workers = Some w] every level fans out to a crew of
+   [min shards w] domains; by default levels run inline and timed, and a
+   level fans out only past [crew_min_level_s], on a crew spawned on first
+   use and stopped for good after a round that was not cheaper per key than
+   inline.  Returns the transport, whether its last level ran on the crew,
+   and the function that stops the crew. *)
 let local_expand config left right =
   let shards = config.shards in
   let nr = Automaton.num_states right in
-  let joins = Array.init shards (fun _ -> Compose.joint_iter left right) in
+  let size =
+    min shards
+      (match config.workers with
+      | Some w -> w
+      | None -> Domain.recommended_domain_count ())
+  in
+  let joins = Array.init size (fun _ -> Compose.joint_iter left right) in
   let succ = Array.init shards (fun _ -> Ivec.create ()) in
   let out = Array.make shards ([||], [||]) in
-  let workers =
-    if shards = 1 then 1
-    else
-      min shards
-        (match config.workers with
-        | Some w -> w
-        | None -> Domain.recommended_domain_count ())
+  let expand_shard join frontier k =
+    if Array.length frontier.(k) = 0 then out.(k) <- ([||], [||])
+    else begin
+      let keys = succ.(k) in
+      Ivec.clear keys;
+      let counts =
+        Array.map
+          (fun key ->
+            join (key / nr, key mod nr) (fun (tr : Automaton.trans) (tr' : Automaton.trans) ->
+                Ivec.push keys ((tr.dst * nr) + tr'.dst)))
+          frontier.(k)
+      in
+      out.(k) <- (counts, Ivec.to_array keys)
+    end
   in
-  let crew = if workers > 1 then Some (Crew.create workers) else None in
-  let expand_shard frontier k =
-    let keys = succ.(k) and join = joins.(k) in
-    Ivec.clear keys;
-    let counts =
-      Array.map
-        (fun key ->
-          join (key / nr, key mod nr) (fun (tr : Automaton.trans) (tr' : Automaton.trans) ->
-              Ivec.push keys ((tr.dst * nr) + tr'.dst)))
-        frontier.(k)
-    in
-    out.(k) <- (counts, Ivec.to_array keys)
+  let inline frontier =
+    for k = 0 to shards - 1 do
+      expand_shard joins.(0) frontier k
+    done
   in
+  let fan_out c frontier =
+    Crew.round c (fun w ->
+        let k = ref w in
+        while !k < shards do
+          expand_shard joins.(w) frontier !k;
+          k := !k + size
+        done);
+    Metrics.incr m_crew_levels
+  in
+  let forced = config.workers <> None in
+  let crew = ref (if forced && size > 1 then Some (Crew.create size) else None) in
+  let adaptive = ref ((not forced) && size > 1) in
+  let inline_s = ref 0. and inline_keys = ref 0 in
+  let crewed = ref false in
   let expand frontier =
-    (match crew with
-    | Some c ->
-      Crew.round c (fun w ->
-          let k = ref w in
-          while !k < shards do
-            expand_shard frontier !k;
-            k := !k + workers
-          done)
-    | None ->
-      for k = 0 to shards - 1 do
-        expand_shard frontier k
-      done);
+    let keys = Array.fold_left (fun acc f -> acc + Array.length f) 0 frontier in
+    let per_key_inline () = !inline_s /. float_of_int !inline_keys in
+    (if forced then
+       match !crew with
+       | Some c ->
+         fan_out c frontier;
+         crewed := true
+       | None -> inline frontier
+     else if
+       !adaptive && !inline_keys > 0
+       && per_key_inline () *. float_of_int keys > crew_min_level_s
+     then begin
+       let c =
+         match !crew with
+         | Some c -> c
+         | None ->
+           let c = Crew.create size in
+           crew := Some c;
+           c
+       in
+       let t0 = Unix.gettimeofday () in
+       fan_out c frontier;
+       crewed := true;
+       if (Unix.gettimeofday () -. t0) /. float_of_int keys >= per_key_inline () then begin
+         crew := None;
+         adaptive := false;
+         Crew.stop c
+       end
+     end
+     else begin
+       let t0 = Unix.gettimeofday () in
+       inline frontier;
+       crewed := false;
+       inline_s := !inline_s +. (Unix.gettimeofday () -. t0);
+       inline_keys := !inline_keys + keys
+     end);
     out
   in
-  (expand, fun () -> Option.iter Crew.stop crew)
+  (expand, (fun () -> !crewed), fun () -> Option.iter Crew.stop !crew)
+
+(* A predecessor pair packs the local destination above the global source
+   id, each in as many bits as the state count needs, so the product is
+   capped at [max_states]: both halves then fit one 63-bit word.  (Its
+   resident per-state metadata alone would pass 100 GB first.)  Narrow
+   pairs also keep the spilled scatter chunks small. *)
+let max_states = 1 lsl 31
 
 let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automaton.t) =
   if not (Automaton.composable left right) then
@@ -239,7 +302,11 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
   let props = Universe.union left.Automaton.props right.Automaton.props in
   let lp_size = Universe.size left.Automaton.props in
   let nr = Automaton.num_states right in
-  let shard_of key = if shards = 1 then 0 else mix key mod shards in
+  (* The partition: a 64-bit mix of the packed pair key, so structured
+     state spaces (pair keys are [l * nr + r]) spread evenly over any shard
+     count.  Pure arithmetic — identical across runs, transports and
+     budgets. *)
+  let shard_of key = if shards = 1 then 0 else Itbl.mix key mod shards in
   let mgr =
     Segment.create ?budget:config.mem_budget ?dir:config.spill_dir
       ~on_spill:(fun bytes ->
@@ -249,8 +316,8 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
       ~name:"shard" ()
   in
   try
-    (* per-shard interning and construction state *)
-    let tbl = Array.init shards (fun _ -> Hashtbl.create 256) in
+    (* one interning table over all shards; per-shard construction state *)
+    let tbl = Itbl.create 256 in
     let members = Array.init shards (fun _ -> Ivec.create ()) in
     let frontier = Array.init shards (fun _ -> Ivec.create ()) in
     let deg = Array.init shards (fun _ -> Ivec.create ()) in
@@ -260,60 +327,72 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
     let owner = Ivec.create () in
     let local = Ivec.create () in
     let labs = Ivec.create () in
-    let intern s s' =
-      let key = (s * nr) + s' in
-      let k = shard_of key in
-      match Hashtbl.find_opt tbl.(k) key with
-      | Some id -> id
-      | None ->
-        let id = Ivec.length owner in
-        Hashtbl.add tbl.(k) key id;
+    let intern key =
+      let fresh = Ivec.length owner in
+      let id = Itbl.find_or_add tbl key fresh in
+      if id = fresh then begin
+        if fresh = max_states then
+          invalid_arg "Shard.explore: the product exceeds 2^31 states";
+        let k = shard_of key in
         Ivec.push owner k;
         Ivec.push local (Ivec.length members.(k));
         Ivec.push members.(k) id;
         Ivec.push frontier.(k) key;
         Ivec.push labs
           (Bitset.to_int
-             (Bitset.union (Automaton.label left s)
-                (Bitset.shift lp_size (Automaton.label right s'))));
-        id
+             (Bitset.union
+                (Automaton.label left (key / nr))
+                (Bitset.shift lp_size (Automaton.label right (key mod nr)))))
+      end;
+      id
     in
     let initial =
       List.concat_map
-        (fun q -> List.map (fun q' -> intern q q') right.Automaton.initial)
+        (fun q -> List.map (fun q' -> intern ((q * nr) + q')) right.Automaton.initial)
         left.Automaton.initial
     in
-    let expand, stop_expand =
+    let expand, fanout, stop_expand =
       match expand with
-      | Some f -> (f, ignore)
-      | None -> local_expand config left right
+      | Some f -> (f, (fun () -> "fleet"), ignore)
+      | None ->
+        let f, crewed, stop = local_expand config left right in
+        (f, (fun () -> if crewed () then "crew" else "inline"), stop)
     in
-    (* Edge buffers are flushed to scratch chunk files once they pass half
-       the budget: construction keeps the same watermark discipline as the
-       finished segments. *)
-    let flush_edges () =
+    (* Edge and scatter buffers are flushed to scratch chunk files once they
+       pass half the budget: construction keeps the same watermark
+       discipline as the finished segments. *)
+    let flush ~what bufs chunks =
       match config.mem_budget with
       | None -> ()
       | Some budget ->
-        let total =
-          Array.fold_left (fun acc v -> acc + Ivec.capacity_bytes v) 0 edges
-        in
+        let total = Array.fold_left (fun acc v -> acc + Ivec.capacity_bytes v) 0 bufs in
         if total > budget / 2 then
           Array.iteri
             (fun k v ->
               if Ivec.length v > 0 then begin
-                let path =
-                  Segment.scratch_path mgr ~name:(Printf.sprintf "edges%d" k)
-                in
-                Segment.save ~path [ ("e", Segment.Ints (Ivec.to_array v)) ];
+                let path = Segment.scratch_path mgr ~name:(Printf.sprintf "%s%d" what k) in
+                Segment.save ~path [ (what, Segment.Ints (Ivec.to_array v)) ];
                 Metrics.incr m_spills;
                 Metrics.add m_spill_bytes (Ivec.capacity_bytes v);
-                echunks.(k) <- (path, Ivec.length v) :: echunks.(k);
+                chunks.(k) <- (path, Ivec.length v) :: chunks.(k);
                 Ivec.reset v
               end)
-            edges
+            bufs
+    in
+    (* [chunks] in the order written, each loaded, handed to [f] with its
+       length, and removed *)
+    let drain ~what chunks f =
+      List.iter
+        (fun (path, len) ->
+          (match Segment.load ~path with
+          | Ok payload -> f (ints payload what) len
+          | Error m -> raise (Segment.Spill_error m));
+          try Sys.remove path with Sys_error _ -> ())
+        (List.rev chunks)
     in
     let round = ref 0 in
+    (* per-shard read cursors into a level's answer *)
+    let ccur = Array.make shards 0 and kcur = Array.make shards 0 in
     Fun.protect ~finally:stop_expand (fun () ->
         let lo = ref 0 in
         while !lo < Ivec.length owner do
@@ -323,16 +402,20 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
           let level =
             Array.map
               (fun f ->
-                let a = Ivec.to_array f in
-                Ivec.clear f;
-                a)
+                if Ivec.length f = 0 then [||]
+                else begin
+                  let a = Ivec.to_array f in
+                  Ivec.clear f;
+                  a
+                end)
               frontier
           in
           let out = expand level in
           (* merge: serial, in global id order — the boundary exchange.  The
              numbering this hands out is exactly the single-queue BFS order,
              whatever the shard count, transport or scheduling. *)
-          let ccur = Array.make shards 0 and kcur = Array.make shards 0 in
+          Array.fill ccur 0 shards 0;
+          Array.fill kcur 0 shards 0;
           for gid = !lo to hi - 1 do
             let k = Ivec.get owner gid in
             let counts, keys = out.(k) in
@@ -341,139 +424,105 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
             Ivec.push deg.(k) c;
             let base = kcur.(k) in
             for j = base to base + c - 1 do
-              let key = keys.(j) in
-              Ivec.push edges.(k) (intern (key / nr) (key mod nr))
+              Ivec.push edges.(k) (intern keys.(j))
             done;
             kcur.(k) <- base + c
           done;
-          flush_edges ();
+          flush ~what:"e" edges echunks;
           incr round;
           (match t0 with
           | Some start_us ->
             Trace.complete ~name:"ts.shard.round" ~start_us
               ~args:
-                [ ("round", Trace.Int !round); ("frontier", Trace.Int (hi - !lo)) ]
+                [
+                  ("round", Trace.Int !round);
+                  ("frontier", Trace.Int (hi - !lo));
+                  ("fanout", Trace.Str (fanout ()));
+                ]
               ()
           | None -> ());
           lo := hi
         done);
     Metrics.add m_build_rounds !round;
+    Itbl.reset tbl;
     let n = Ivec.length owner in
     let owner = Ivec.to_array owner in
     let local = Ivec.to_array local in
     let labels = Array.init n (fun i -> Bitset.of_int_unsafe (Ivec.get labs i)) in
     let sizes = Array.map Ivec.length members in
-    (* finalize forward CSR segments and the global blocking set *)
+    (* Finalization in one pass over the forward CSR: while a shard's
+       [row]/[dst] are in hand, count each destination's predecessors (into
+       its shard's [prow], shifted by one) and scatter the (local
+       destination, source) pairs, one word each, to the destination's
+       shard — chunked to scratch files under the budget like the edges.
+       The forward segments are never read back during the build. *)
+    let pair_bits =
+      let b = ref 1 in
+      while 1 lsl !b < n do
+        incr b
+      done;
+      !b
+    in
     let blocking = Bitvec.create n in
     let transitions = ref 0 in
+    let prows = Array.map (fun size -> Array.make (size + 1) 0) sizes in
+    let scatter = Array.init shards (fun _ -> Ivec.create ()) in
+    let pchunks = Array.make shards [] in
     let fwd_slots =
       Array.init shards (fun k ->
           let size = sizes.(k) in
+          let mem = Ivec.to_array members.(k) in
+          Ivec.reset members.(k);
           let row = Array.make (size + 1) 0 in
           for m = 0 to size - 1 do
             let d = Ivec.get deg.(k) m in
             row.(m + 1) <- row.(m) + d;
-            if d = 0 then Bitvec.unsafe_set blocking (Ivec.get members.(k) m)
+            if d = 0 then Bitvec.unsafe_set blocking mem.(m)
           done;
           transitions := !transitions + row.(size);
           let dst = Array.make (max row.(size) 1) 0 in
           let cursor = ref 0 in
-          List.iter
-            (fun (path, len) ->
-              (match Segment.load ~path with
-              | Ok payload -> Array.blit (ints payload "e") 0 dst !cursor len
-              | Error m -> raise (Segment.Spill_error m));
-              (try Sys.remove path with Sys_error _ -> ());
-              cursor := !cursor + len)
-            (List.rev echunks.(k));
+          drain ~what:"e" echunks.(k) (fun chunk len ->
+              Array.blit chunk 0 dst !cursor len;
+              cursor := !cursor + len);
           Array.blit edges.(k).Ivec.a 0 dst !cursor (Ivec.length edges.(k));
           Ivec.reset edges.(k);
           Ivec.reset deg.(k);
           echunks.(k) <- [];
+          for m = 0 to size - 1 do
+            let src = mem.(m) in
+            for e = row.(m) to row.(m + 1) - 1 do
+              let d = dst.(e) in
+              let kk = owner.(d) and ld = local.(d) in
+              let prow = prows.(kk) in
+              prow.(ld + 1) <- prow.(ld + 1) + 1;
+              Ivec.push scatter.(kk) ((ld lsl pair_bits) lor src)
+            done
+          done;
+          flush ~what:"p" scatter pchunks;
           Segment.add mgr
             ~name:(Printf.sprintf "fwd%d" k)
-            [
-              ("members", Segment.Ints (Ivec.to_array members.(k)));
-              ("row", Segment.Ints row);
-              ("dst", Segment.Ints dst);
-            ])
+            [ ("members", Segment.Ints mem); ("row", Segment.Ints row); ("dst", Segment.Ints dst) ])
     in
-    Array.iter Ivec.reset members;
-    (* predecessor CSR: count per global state, then scatter per owning
-       shard — chunked to scratch files under the budget like the edges *)
-    let pcnt = Array.make (max n 1) 0 in
-    Array.iter
-      (fun slot ->
-        let dst = ints (Segment.get mgr slot) "dst" in
-        Array.iter (fun d -> pcnt.(d) <- pcnt.(d) + 1) dst)
-      fwd_slots;
-    let scatter = Array.init shards (fun _ -> Ivec.create ()) in
-    let pchunks = Array.make shards [] in
-    let flush_scatter () =
-      match config.mem_budget with
-      | None -> ()
-      | Some budget ->
-        let total =
-          Array.fold_left (fun acc v -> acc + Ivec.capacity_bytes v) 0 scatter
-        in
-        if total > budget / 2 then
-          Array.iteri
-            (fun k v ->
-              if Ivec.length v > 0 then begin
-                let path =
-                  Segment.scratch_path mgr ~name:(Printf.sprintf "scatter%d" k)
-                in
-                Segment.save ~path [ ("p", Segment.Ints (Ivec.to_array v)) ];
-                Metrics.incr m_spills;
-                Metrics.add m_spill_bytes (Ivec.capacity_bytes v);
-                pchunks.(k) <- (path, Ivec.length v) :: pchunks.(k);
-                Ivec.reset v
-              end)
-            scatter
-    in
-    Array.iter
-      (fun slot ->
-        let payload = Segment.get mgr slot in
-        let mem = ints payload "members" and row = ints payload "row" in
-        let dst = ints payload "dst" in
-        let size = Array.length mem in
-        for m = 0 to size - 1 do
-          let src = mem.(m) in
-          for e = row.(m) to row.(m + 1) - 1 do
-            let d = dst.(e) in
-            let kk = owner.(d) in
-            Ivec.push scatter.(kk) local.(d);
-            Ivec.push scatter.(kk) src
-          done
-        done;
-        flush_scatter ())
-      fwd_slots;
     let pred_slots =
       Array.init shards (fun k ->
-          let mem = ints (Segment.get mgr fwd_slots.(k)) "members" in
-          let size = Array.length mem in
-          let prow = Array.make (size + 1) 0 in
+          let size = sizes.(k) in
+          let prow = prows.(k) in
+          prows.(k) <- [||];
           for m = 0 to size - 1 do
-            prow.(m + 1) <- prow.(m) + pcnt.(mem.(m))
+            prow.(m + 1) <- prow.(m) + prow.(m + 1)
           done;
           let psrc = Array.make (max prow.(size) 1) 0 in
           let cursor = Array.copy prow in
           let fill pairs len =
-            let i = ref 0 in
-            while !i < len do
-              let ld = pairs.(!i) and src = pairs.(!i + 1) in
-              psrc.(cursor.(ld)) <- src;
-              cursor.(ld) <- cursor.(ld) + 1;
-              i := !i + 2
+            for i = 0 to len - 1 do
+              let p = pairs.(i) in
+              let ld = p lsr pair_bits in
+              psrc.(cursor.(ld)) <- p land ((1 lsl pair_bits) - 1);
+              cursor.(ld) <- cursor.(ld) + 1
             done
           in
-          List.iter
-            (fun (path, len) ->
-              (match Segment.load ~path with
-              | Ok payload -> fill (ints payload "p") len
-              | Error m -> raise (Segment.Spill_error m));
-              try Sys.remove path with Sys_error _ -> ())
-            (List.rev pchunks.(k));
+          drain ~what:"p" pchunks.(k) fill;
           fill scatter.(k).Ivec.a (Ivec.length scatter.(k));
           Ivec.reset scatter.(k);
           pchunks.(k) <- [];

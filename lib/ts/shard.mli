@@ -3,15 +3,16 @@
 
     {!Compose.parallel} materializes the whole product as one automaton —
     one interning table, one adjacency array, one domain's RAM.  [Shard]
-    partitions the same BFS by a hash of the packed pair key: one interning
-    table and one CSR segment per shard, shard-local frontiers expanded per
-    BFS level, and a boundary-exchange merge that hands out state numbers in
+    partitions the same BFS by a hash of the packed pair key: one CSR
+    segment per shard (the states are interned in one flat table), shard-local
+    frontiers expanded per BFS level, and a boundary-exchange merge that hands out state numbers in
     {e global discovery order} — so state numbering, labels, adjacency
     order, and therefore every verdict derived from them are byte-identical
     to the single-shard construction for any shard count.
 
     Where a level's expansion runs is the caller's choice of {!expand}
-    transport: by default on this process's worker domains, or — through
+    transport: by default in this process (inline, or on worker domains
+    when a level is wide enough to pay for them), or — through
     [Mechaml_dist.Distshard] — on a fleet of worker processes.  Interning,
     the merge, spill accounting and the forward/predecessor CSR
     finalization always run here, so every transport builds the identical
@@ -55,7 +56,13 @@ type config = {
   mem_budget : int option;  (** residency watermark in bytes; [None] = never spill *)
   spill_dir : string option;  (** parent directory for spill files *)
   workers : int option;
-      (** expansion worker domains; default [min shards (recommended_domain_count)] *)
+      (** [None] (the default) is adaptive: levels are expanded inline and
+          timed, and only a level whose predicted inline time is several
+          milliseconds long is offered to a crew of
+          [min shards (recommended_domain_count)] domains, which is dropped
+          for the rest of the build as soon as a round on it is not cheaper
+          per key than inline.  [Some w] forces every level onto a crew of
+          [min shards w] domains (inline when that is 1). *)
   distribution : distribution option;
       (** when set, the pipeline runs the build and the fixpoints on a
           worker-process fleet instead of in-process worker domains *)
@@ -69,7 +76,7 @@ val config :
   ?distribution:distribution ->
   unit ->
   config
-(** Defaults: [shards = 1], no budget, system temp dir, automatic workers,
+(** Defaults: [shards = 1], no budget, system temp dir, adaptive workers,
     no distribution.  Raises [Invalid_argument] on [shards < 1] or
     [workers < 1]. *)
 
@@ -101,9 +108,16 @@ type expand = int array array -> (int array * int array) array
 val explore : ?config:config -> ?expand:expand -> Automaton.t -> Automaton.t -> t
 (** [explore left right] builds the sharded product of the two operands.
     Same preconditions as {!Compose.parallel} (composability, disjoint
-    proposition universes); raises [Invalid_argument] otherwise.  Without
-    [expand], levels are expanded in process: inline, or on a crew of
-    [config.workers] domains ([config.distribution] is ignored here). *)
+    proposition universes); raises [Invalid_argument] otherwise, and when
+    the product exceeds 2{^31} states.  Without [expand], levels are
+    expanded in process ([config.distribution] is ignored here): by default
+    inline, fanning out to a domain crew only for levels wide enough to pay
+    for it, or on a crew of [config.workers] domains for every level when
+    [workers] is given.  The choice never changes the product: the merge is
+    serial in discovery order either way.  Each level's [ts.shard.round]
+    trace span says where it ran ([fanout]: [inline], [crew], or [fleet]
+    for a caller's [expand]), and [mc_shard_crew_levels_total] counts the
+    levels that ran on a crew. *)
 
 val num_states : t -> int
 
@@ -149,7 +163,7 @@ val reloads : t -> int
 val close : t -> unit
 (** Remove every spill file.  Idempotent. *)
 
-(** The persistent, round-synchronized domain crew behind the default
+(** The persistent, round-synchronized domain crew behind the in-process
     transport's parallel expansion — reused by the distributed coordinator to
     overlap its per-worker round trips. *)
 module Crew : sig

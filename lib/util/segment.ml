@@ -23,10 +23,15 @@ let payload_bytes p = List.fold_left (fun acc (_, f) -> acc + field_bytes f) 0 p
 
 let version = 1
 
-let to_string p =
+(* The header line and the body of a payload's frame. *)
+let frame p =
   let body = Marshal.to_string (p : payload) [] in
   let digest = Digest.to_hex (Digest.string body) in
-  Printf.sprintf "mechaseg %d %d %s\n%s" version (String.length body) digest body
+  (Printf.sprintf "mechaseg %d %d %s\n" version (String.length body) digest, body)
+
+let to_string p =
+  let header, body = frame p in
+  header ^ body
 
 (* [of_string] is the whole-buffer twin of [load]: the same header, length
    and digest checks, against an in-memory segment (a spill file slurped
@@ -41,24 +46,29 @@ let of_string ?(what = "segment") s =
       match (int_of_string_opt v, int_of_string_opt len) with
       | Some v, _ when v <> version ->
         Error (Printf.sprintf "%s: segment version %d, expected %d" what v version)
-      | Some _, Some len ->
-        if String.length s - nl - 1 < len then Error (what ^ ": truncated segment")
-        else
-          let body = String.sub s (nl + 1) len in
-          if Digest.to_hex (Digest.string body) <> digest then
-            Error (what ^ ": segment digest mismatch (corrupt payload)")
-          else (
-            try Ok (Marshal.from_string body 0 : payload)
-            with Failure m -> Error (Printf.sprintf "%s: %s" what m))
+      | Some _, Some len when len >= 0 ->
+        let ofs = nl + 1 in
+        if String.length s - ofs < len then Error (what ^ ": truncated segment")
+        else if Digest.to_hex (Digest.substring s ofs len) <> digest then
+          Error (what ^ ": segment digest mismatch (corrupt payload)")
+        else (
+          (* decoded in place: the marshalled value must lie inside the
+             declared body, not run on into trailing bytes *)
+          try
+            if Marshal.total_size (Bytes.unsafe_of_string s) ofs > len then
+              Error (what ^ ": marshalled body overruns the declared length")
+            else Ok (Marshal.from_string s ofs : payload)
+          with Failure m | Invalid_argument m -> Error (Printf.sprintf "%s: %s" what m))
       | _ -> Error (what ^ ": malformed segment header"))
     | _ -> Error (what ^ ": not a mechaseg segment"))
 
 let save ~path p =
-  let s = to_string p in
+  let header, body = frame p in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (try
-     output_string oc s;
+     output_string oc header;
+     output_string oc body;
      close_out oc
    with e ->
      close_out_noerr oc;

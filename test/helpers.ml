@@ -63,6 +63,50 @@ let mesh_pair ~w ~h =
   in
   (left, right)
 
+(* The bench's wide torus, test-sized: a four-dimensional torus of side [n]
+   (one output signal per axis) times an [h]-cycle that axis [a]'s signal
+   advances by [steps.(a)].  With [n] and every step coprime to [h], all
+   [n^4 * h] pairs are reachable and the BFS levels are wide: the shape where
+   a level-synchronized round has real work per shard.  n = 5, h = 3 gives
+   1875 states on 22 levels of up to 195 states. *)
+let torus_pair ~n ~h ~steps =
+  let module B = Automaton.Builder in
+  let axes = [ "x"; "y"; "z"; "w" ] in
+  let name c = String.concat "_" (List.map string_of_int (Array.to_list c)) in
+  let left =
+    let b = B.create ~name:"torus" ~inputs:[] ~outputs:axes ~props:[ "origin" ] () in
+    let c = Array.make 4 0 in
+    for idx = 0 to (n * n * n * n) - 1 do
+      let r = ref idx in
+      for a = 0 to 3 do
+        c.(a) <- !r mod n;
+        r := !r / n
+      done;
+      ignore (B.add_state b ~props:(if idx = 0 then [ "origin" ] else []) (name c));
+      List.iteri
+        (fun a s ->
+          let next = Array.copy c in
+          next.(a) <- (c.(a) + 1) mod n;
+          B.add_trans b ~src:(name c) ~outputs:[ s ] ~dst:(name next) ())
+        axes
+    done;
+    B.set_initial b [ name (Array.make 4 0) ];
+    B.build b
+  in
+  let right =
+    let b = B.create ~name:"cycle" ~inputs:axes ~outputs:[] ~props:[ "home" ] () in
+    let st k = Printf.sprintf "c%d" k in
+    for k = 0 to h - 1 do
+      ignore (B.add_state b ~props:(if k = 0 then [ "home" ] else []) (st k));
+      List.iteri
+        (fun a s -> B.add_trans b ~src:(st k) ~inputs:[ s ] ~dst:(st ((k + steps.(a)) mod h)) ())
+        axes
+    done;
+    B.set_initial b [ st 0 ];
+    B.build b
+  in
+  (left, right)
+
 (* Formulas over no propositions — deadlock and path structure only — so
    they apply to any product; the mix covers every unbounded fixpoint and
    every bounded dynamic program. *)

@@ -84,6 +84,24 @@ let codec_tests =
         | Ok _ -> Alcotest.fail "expected Error on missing file");
         Sys.remove path;
         Unix.rmdir dir);
+    test "a digest-true frame with a short marshalled body is an Error" (fun () ->
+        (* the digest only proves the sender's bytes arrived intact: a frame
+           whose body is not a whole marshalled value must still decode to
+           Error, not raise *)
+        let frame body =
+          Printf.sprintf "mechaseg 1 %d %s\n%s" (String.length body)
+            (Digest.to_hex (Digest.string body))
+            body
+        in
+        let good = Marshal.to_string ([ ("a", Segment.Ints [| 1; 2 |]) ] : Segment.payload) [] in
+        List.iter
+          (fun body ->
+            match Segment.of_string (frame body) with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.fail "expected Error on a short body"
+            | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e))
+          [ ""; "abc"; String.sub good 0 (String.length good - 3) ];
+        check_bool "the whole body decodes" true (Result.is_ok (Segment.of_string (frame good))));
   ]
 
 let manager_tests =

@@ -182,5 +182,81 @@ let spill_tests =
               check_verdicts (Compose.parallel left right) sp));
   ]
 
+(* -- view identity across transports and budgets ------------------------- *)
+
+(* Everything a sharded product exposes, every shard's view included. *)
+type snapshot = {
+  owner : int array;
+  local : int array;
+  labels : int array;
+  blocking : Bitvec.t;
+  views : Shard.view array;
+}
+
+let snapshot sp =
+  {
+    owner = Shard.owner sp;
+    local = Shard.local sp;
+    labels = Array.map Mechaml_util.Bitset.to_int (Shard.labels sp);
+    blocking = Bitvec.copy (Shard.blocking sp);
+    views = Array.init (Shard.shards sp) (Shard.view sp);
+  }
+
+let same_snapshot what a b =
+  let same name x y = if x <> y then Alcotest.failf "%s: %s differs" what name in
+  same "owner" a.owner b.owner;
+  same "local" a.local b.local;
+  same "labels" a.labels b.labels;
+  if not (Bitvec.equal a.blocking b.blocking) then Alcotest.failf "%s: blocking differs" what;
+  Array.iteri
+    (fun k (v : Shard.view) ->
+      let w = b.views.(k) in
+      same (Printf.sprintf "members of shard %d" k) v.Shard.members w.Shard.members;
+      same (Printf.sprintf "row of shard %d" k) v.Shard.row w.Shard.row;
+      same (Printf.sprintf "dst of shard %d" k) v.Shard.dst w.Shard.dst;
+      same (Printf.sprintf "prow of shard %d" k) v.Shard.prow w.Shard.prow;
+      same (Printf.sprintf "psrc of shard %d" k) v.Shard.psrc w.Shard.psrc)
+    a.views
+
+let torus = torus_pair ~n:5 ~h:3 ~steps:[| 1; 2; 1; 1 |]
+
+(* Per shard count, the adaptive default, forced inline ([~workers:1]) and a
+   forced two-domain crew ([~workers:2]), each with no budget and with one
+   so tight that every segment spills, must expose the same product as the
+   unbudgeted default — and that one must be [Compose.parallel]'s. *)
+let identity_tests =
+  List.concat_map
+    (fun (label, (left, right)) ->
+      let product = Compose.parallel left right in
+      List.map
+        (fun shards ->
+          test (Printf.sprintf "%s, %d shard(s): default, workers 1/2, budgets" label shards)
+            (fun () ->
+              let run ?workers ?mem_budget ?(on_explored = ignore) () =
+                let sp =
+                  Shard.explore ~config:(Shard.config ~shards ?workers ?mem_budget ()) left right
+                in
+                Fun.protect
+                  ~finally:(fun () -> Shard.close sp)
+                  (fun () ->
+                    on_explored sp;
+                    (snapshot sp, Shard.spills sp))
+              in
+              let reference, _ = run ~on_explored:(check_structure product) () in
+              List.iter
+                (fun (workers, wname) ->
+                  List.iter
+                    (fun (mem_budget, bname) ->
+                      let snap, spills = run ?workers ?mem_budget () in
+                      let what = Printf.sprintf "%s, %s" wname bname in
+                      same_snapshot what reference snap;
+                      if mem_budget <> None && spills = 0 then
+                        Alcotest.failf "%s: the tight budget never spilled" what)
+                    [ (None, "no budget"); (Some 1024, "1 KiB budget") ])
+                [ (None, "default"); (Some 1, "workers 1"); (Some 2, "workers 2") ]))
+        [ 1; 3; 8 ])
+    [ ("torus 5^4x3", torus); ("mesh 23x16", mesh) ]
+
 let () =
-  Alcotest.run "shard" [ ("equivalence", equivalence_tests); ("spill", spill_tests) ]
+  Alcotest.run "shard"
+    [ ("equivalence", equivalence_tests); ("spill", spill_tests); ("identity", identity_tests) ]
