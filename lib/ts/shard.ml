@@ -173,39 +173,21 @@ let ints payload name =
 
 type expand = int array array -> (int array * int array) array
 
-(* The adaptive transport's fan-out threshold, in seconds: a level goes to
-   the crew only when its predicted inline expansion time (the build's
-   inline seconds per frontier key so far, times the level's keys) exceeds
-   it.  A crew costs time whatever the level: spawning its domains and a
-   cold first round (about 7 ms more than inline for a 4.5k-key level on a
-   2-vCPU host), a wake-up per round, and — while it lives — a cross-domain
-   barrier on every minor collection of the serial merge.  Even warm, two
-   domains expanded a 480k-state torus at 0.8 us per key against 1 us
-   inline on that host, so only levels of ten milliseconds or more have
-   enough work to share.  Every [wide_sharded] torus (widest level about 3k
-   keys) and every mesh (one state per level) stays inline. *)
-let crew_min_level_s = 0.010
-
-(* The default transport: expansion in this process, inline or on a crew.
-   The join memoizes per-interaction keys and per-right-state buckets in
-   plain hash tables, so sharing one across worker domains would race — crew
-   member [w] owns join [w] and expands exactly the shards [k] with
-   [k mod size = w]; inline expansion uses join 0 for every shard.
-   With [config.workers = Some w] every level fans out to a crew of
-   [min shards w] domains; by default levels run inline and timed, and a
-   level fans out only past [crew_min_level_s], on a crew spawned on first
-   use and stopped for good after a round that was not cheaper per key than
-   inline.  Returns the transport, whether its last level ran on the crew,
-   and the function that stops the crew. *)
+(* The default transport: expansion in this process.  The join memoizes
+   per-interaction keys and per-right-state buckets in plain hash tables, so
+   sharing one across worker domains would race — crew member [w] owns join
+   [w] and expands exactly the shards [k] with [k mod size = w].  By default
+   every level runs inline on join 0: a crew pays for its spawn, a cold
+   first round, a wake-up per level and a cross-domain barrier on every
+   minor collection of the serial merge, which on the [wide_sharded] tori
+   (widest level about 3k keys) and on meshes (one state per level) costs
+   more than it shares.  [config.workers = Some w] fans every level out to
+   a crew of [min shards w] domains.  Returns the transport, where it runs
+   (the [fanout] trace arg), and the function that stops the crew. *)
 let local_expand config left right =
   let shards = config.shards in
   let nr = Automaton.num_states right in
-  let size =
-    min shards
-      (match config.workers with
-      | Some w -> w
-      | None -> Domain.recommended_domain_count ())
-  in
+  let size = match config.workers with Some w -> min shards w | None -> 1 in
   let joins = Array.init size (fun _ -> Compose.joint_iter left right) in
   let succ = Array.init shards (fun _ -> Ivec.create ()) in
   let out = Array.make shards ([||], [||]) in
@@ -224,71 +206,35 @@ let local_expand config left right =
       out.(k) <- (counts, Ivec.to_array keys)
     end
   in
-  let inline frontier =
-    for k = 0 to shards - 1 do
-      expand_shard joins.(0) frontier k
-    done
-  in
-  let fan_out c frontier =
-    Crew.round c (fun w ->
-        let k = ref w in
-        while !k < shards do
-          expand_shard joins.(w) frontier !k;
-          k := !k + size
-        done);
-    Metrics.incr m_crew_levels
-  in
-  let forced = config.workers <> None in
-  let crew = ref (if forced && size > 1 then Some (Crew.create size) else None) in
-  let adaptive = ref ((not forced) && size > 1) in
-  let inline_s = ref 0. and inline_keys = ref 0 in
-  let crewed = ref false in
-  let expand frontier =
-    let keys = Array.fold_left (fun acc f -> acc + Array.length f) 0 frontier in
-    let per_key_inline () = !inline_s /. float_of_int !inline_keys in
-    (if forced then
-       match !crew with
-       | Some c ->
-         fan_out c frontier;
-         crewed := true
-       | None -> inline frontier
-     else if
-       !adaptive && !inline_keys > 0
-       && per_key_inline () *. float_of_int keys > crew_min_level_s
-     then begin
-       let c =
-         match !crew with
-         | Some c -> c
-         | None ->
-           let c = Crew.create size in
-           crew := Some c;
-           c
-       in
-       let t0 = Unix.gettimeofday () in
-       fan_out c frontier;
-       crewed := true;
-       if (Unix.gettimeofday () -. t0) /. float_of_int keys >= per_key_inline () then begin
-         crew := None;
-         adaptive := false;
-         Crew.stop c
-       end
-     end
-     else begin
-       let t0 = Unix.gettimeofday () in
-       inline frontier;
-       crewed := false;
-       inline_s := !inline_s +. (Unix.gettimeofday () -. t0);
-       inline_keys := !inline_keys + keys
-     end);
-    out
-  in
-  (expand, (fun () -> !crewed), fun () -> Option.iter Crew.stop !crew)
+  if size = 1 then
+    ( (fun frontier ->
+        for k = 0 to shards - 1 do
+          expand_shard joins.(0) frontier k
+        done;
+        out),
+      "inline",
+      ignore )
+  else begin
+    let crew = Crew.create size in
+    ( (fun frontier ->
+        Crew.round crew (fun w ->
+            let k = ref w in
+            while !k < shards do
+              expand_shard joins.(w) frontier !k;
+              k := !k + size
+            done);
+        Metrics.incr m_crew_levels;
+        out),
+      "crew",
+      fun () -> Crew.stop crew )
+  end
 
 (* A predecessor pair packs the local destination above the global source
    id, each in as many bits as the state count needs, so the product is
    capped at [max_states]: both halves then fit one 63-bit word.  (Its
-   resident per-state metadata alone would pass 100 GB first.)  Narrow
-   pairs also keep the spilled scatter chunks small. *)
+   resident per-state metadata alone would pass 100 GB first.)  One word
+   per pair halves the scatter buffers, and with them the chunks spilled
+   under a budget. *)
 let max_states = 1 lsl 31
 
 let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automaton.t) =
@@ -353,10 +299,8 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
     in
     let expand, fanout, stop_expand =
       match expand with
-      | Some f -> (f, (fun () -> "fleet"), ignore)
-      | None ->
-        let f, crewed, stop = local_expand config left right in
-        (f, (fun () -> if crewed () then "crew" else "inline"), stop)
+      | Some f -> (f, "fleet", ignore)
+      | None -> local_expand config left right
     in
     (* Edge and scatter buffers are flushed to scratch chunk files once they
        pass half the budget: construction keeps the same watermark
@@ -437,7 +381,7 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
                 [
                   ("round", Trace.Int !round);
                   ("frontier", Trace.Int (hi - !lo));
-                  ("fanout", Trace.Str (fanout ()));
+                  ("fanout", Trace.Str fanout);
                 ]
               ()
           | None -> ());

@@ -56,13 +56,9 @@ type config = {
   mem_budget : int option;  (** residency watermark in bytes; [None] = never spill *)
   spill_dir : string option;  (** parent directory for spill files *)
   workers : int option;
-      (** [None] (the default) is adaptive: levels are expanded inline and
-          timed, and only a level whose predicted inline time is several
-          milliseconds long is offered to a crew of
-          [min shards (recommended_domain_count)] domains, which is dropped
-          for the rest of the build as soon as a round on it is not cheaper
-          per key than inline.  [Some w] forces every level onto a crew of
-          [min shards w] domains (inline when that is 1). *)
+      (** [None] (the default) expands every level inline in the calling
+          domain.  [Some w] fans every level out to a crew of
+          [min shards w] worker domains (inline when that is 1). *)
   distribution : distribution option;
       (** when set, the pipeline runs the build and the fixpoints on a
           worker-process fleet instead of in-process worker domains *)
@@ -76,7 +72,7 @@ val config :
   ?distribution:distribution ->
   unit ->
   config
-(** Defaults: [shards = 1], no budget, system temp dir, adaptive workers,
+(** Defaults: [shards = 1], no budget, system temp dir, inline expansion,
     no distribution.  Raises [Invalid_argument] on [shards < 1] or
     [workers < 1]. *)
 
@@ -110,14 +106,13 @@ val explore : ?config:config -> ?expand:expand -> Automaton.t -> Automaton.t -> 
     Same preconditions as {!Compose.parallel} (composability, disjoint
     proposition universes); raises [Invalid_argument] otherwise, and when
     the product exceeds 2{^31} states.  Without [expand], levels are
-    expanded in process ([config.distribution] is ignored here): by default
-    inline, fanning out to a domain crew only for levels wide enough to pay
-    for it, or on a crew of [config.workers] domains for every level when
-    [workers] is given.  The choice never changes the product: the merge is
-    serial in discovery order either way.  Each level's [ts.shard.round]
-    trace span says where it ran ([fanout]: [inline], [crew], or [fleet]
-    for a caller's [expand]), and [mc_shard_crew_levels_total] counts the
-    levels that ran on a crew. *)
+    expanded in process ([config.distribution] is ignored here): inline by
+    default, or on a crew of [config.workers] domains for every level when
+    [workers] is given.  The choice never changes the product: the merge
+    is serial in discovery order either way.  Each level's
+    [ts.shard.round] trace span says where it ran ([fanout]: [inline],
+    [crew], or [fleet] for a caller's [expand]), and
+    [mc_shard_crew_levels_total] counts the levels that ran on a crew. *)
 
 val num_states : t -> int
 

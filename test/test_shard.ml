@@ -220,8 +220,8 @@ let same_snapshot what a b =
 
 let torus = torus_pair ~n:5 ~h:3 ~steps:[| 1; 2; 1; 1 |]
 
-(* Per shard count, the adaptive default, forced inline ([~workers:1]) and a
-   forced two-domain crew ([~workers:2]), each with no budget and with one
+(* Per shard count, the inline default, [~workers:1] (inline too) and a
+   two-domain crew ([~workers:2]), each with no budget and with one
    so tight that every segment spills, must expose the same product as the
    unbudgeted default — and that one must be [Compose.parallel]'s. *)
 let identity_tests =
@@ -257,6 +257,37 @@ let identity_tests =
         [ 1; 3; 8 ])
     [ ("torus 5^4x3", torus); ("mesh 23x16", mesh) ]
 
+(* Where levels run: inline by default and with [~workers:1], on the crew
+   for every level with [~workers:2] — as counted by
+   [mc_shard_crew_levels_total] against [mc_shard_build_rounds_total]. *)
+let fanout_tests =
+  let module Metrics = Mechaml_obs.Metrics in
+  let crew = Metrics.counter ~help:"" "mc_shard_crew_levels_total" in
+  let rounds = Metrics.counter ~help:"" "mc_shard_build_rounds_total" in
+  [
+    test "default and workers 1 inline, workers 2 on the crew" (fun () ->
+        let was = Metrics.enabled () in
+        Metrics.set_enabled true;
+        Fun.protect
+          ~finally:(fun () -> Metrics.set_enabled was)
+          (fun () ->
+            let left, right = torus in
+            List.iter
+              (fun (workers, all_crew) ->
+                let c0 = Metrics.counter_value crew and r0 = Metrics.counter_value rounds in
+                Shard.close (Shard.explore ~config:(Shard.config ~shards:3 ?workers ()) left right);
+                let levels = Metrics.counter_value rounds - r0 in
+                let crewed = Metrics.counter_value crew - c0 in
+                Alcotest.(check bool) "some rounds" true (levels > 0);
+                Alcotest.(check int) "crew levels" (if all_crew then levels else 0) crewed)
+              [ (None, false); (Some 1, false); (Some 2, true) ]));
+  ]
+
 let () =
   Alcotest.run "shard"
-    [ ("equivalence", equivalence_tests); ("spill", spill_tests); ("identity", identity_tests) ]
+    [
+      ("equivalence", equivalence_tests);
+      ("spill", spill_tests);
+      ("identity", identity_tests);
+      ("fanout", fanout_tests);
+    ]
