@@ -78,13 +78,15 @@ shard-smoke: build
 dist-smoke: build
 	bash scripts/dist_smoke.sh
 
-# Job-benchmark smoke: short traced runs of two workloads.  synth's output
-# checks abort the run unless the memoized canonical report equals a
+# Job-benchmark smoke: short traced runs of the three workloads.  synth's
+# output checks abort the run unless the memoized canonical report equals a
 # memo:false reference, per-job cache counters repeat across rounds and the
 # traced replica agrees with Campaign.run_spec.  wide_sharded's abort it
 # unless every sharded and distributed check matches Compose.parallel +
 # Checker in verdict and structure and spill counts repeat across rounds.
-# The Chrome traces they write must then validate.
+# serve's abort it unless the daemon answers every selection the same way
+# in every round and as a local Campaign.run does.  The Chrome traces they
+# write must then validate.
 PERF_OUT = $(or $(CARGO_TARGET_DIR),.bench_build)/perfbench-out
 
 perf-smoke: build
@@ -92,6 +94,8 @@ perf-smoke: build
 	dune exec bench/bench_check.exe -- validate-trace $(PERF_OUT)/trace-synth.json
 	python3 perfbench/run.py --workload wide_sharded --seed 1 --seconds 3 --trace 1
 	dune exec bench/bench_check.exe -- validate-trace $(PERF_OUT)/trace-wide_sharded.json
+	python3 perfbench/run.py --workload serve --seed 1 --seconds 3 --trace 1
+	dune exec bench/bench_check.exe -- validate-trace $(PERF_OUT)/trace-serve.json
 
 bench:
 	dune exec bench/main.exe

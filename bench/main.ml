@@ -859,7 +859,7 @@ let exp_t13 () =
 
 let exp_t14 () =
   header "EXP-T14"
-    "Incremental re-verification: delta closures, product patching, warm fixpoints — \
+    "Incremental re-verification: delta closures, warm fixpoints — \
      wide-alphabet lock, incremental on vs off";
   let n = 12 and spares = (4, 3) in
   let context = Families.wide_lock_context ~n ~depth:(n - 1) ~spares in
@@ -916,7 +916,7 @@ let exp_t14 () =
            "incremental on";
            Printf.sprintf "%.1f ms" (t_on *. 1e3);
            string_of_int (iters r_on);
-           Printf.sprintf "delta edges %d, product reuse %d, seed rate %.2f"
+           Printf.sprintf "delta edges %d, unchanged product states %d, seed rate %.2f"
              r_on.Loop.closure_delta_edges r_on.Loop.product_states_reused
              r_on.Loop.sat_seed_hit_rate;
          ];

@@ -252,8 +252,8 @@ let in_pattern inc (i : Incomplete.interaction) =
 
 (* Wrap an existing closure automaton of [m] (freshly built or replayed from
    a cache) into incremental bookkeeping.  [dirty]/[grew] describe how [m]
-   relates to the handle the caller is replacing, so product patching stays
-   exact even when the automaton itself came from a memo hit. *)
+   relates to the handle the caller is replacing, so the loop's dirty set
+   stays exact even when the automaton itself came from a memo hit. *)
 let adopt_auto ~label_of ~extra_props ~dirty ~grew:grew_flag ~delta (m : Incomplete.t) a =
   let inputs_u = Universe.of_list m.Incomplete.input_signals in
   let outputs_u = Universe.of_list m.Incomplete.output_signals in

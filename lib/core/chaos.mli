@@ -111,7 +111,7 @@ val adopt :
     — the memo-cache path, where a hook returned the automaton without
     running the construction.  With [prev] (the handle for the model before
     this iteration) the dirty-state delta is still computed exactly, so
-    product patching composes with cache replay; without it every state is
+    warm-started fixpoints compose with cache replay; without it every state is
     conservatively dirty.  [label_of]/[extra_props] are only consulted when
     [prev] is [None]. *)
 
@@ -129,7 +129,8 @@ val dirty_states : inc -> int list
 (** Closure states whose adjacency rows changed in the last {!update} (or
     every core copy after a fresh build / conservative {!adopt}), sorted.
     Indices of core copies are stable across updates, which is what lets
-    {!Mechaml_ts.Compose.Inc} key its pair cache on them. *)
+    {!Loop} relate consecutive products state by state for warm-started
+    fixpoints. *)
 
 val grew : inc -> bool
 (** The last {!update} added core states (shifting [s_∀]/[s_δ]). *)

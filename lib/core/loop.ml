@@ -13,9 +13,14 @@ module Trace = Mechaml_obs.Trace
 module Prof = Mechaml_obs.Prof
 module Metrics = Mechaml_obs.Metrics
 module Clock = Mechaml_obs.Clock
+module Itbl = Mechaml_util.Itbl
 
 let m_iterations =
   Metrics.counter "loop_iterations_total" ~help:"Synthesis-loop iterations executed."
+
+let m_product_reused =
+  Metrics.counter "ts_product_pairs_reused_total"
+    ~help:"Product states of warm-started checks whose pair and closure row carry over from the previous check's product."
 
 let m_tests =
   Metrics.counter "loop_tests_total" ~help:"Driver queries executed by the synthesis loop."
@@ -311,15 +316,42 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
     | _ -> ()
   in
   (* Incremental re-verification state, threaded across iterations: the
-     chaotic-closure handle (delta closure), the product cache (re-explores
-     only pairs whose closure projection changed) and the previous
-     iteration's converged checker environment (warm-started fixpoints).
-     All three produce results byte-identical to the from-scratch path;
-     [incremental_debug] additionally recomputes each stage cold and fails
-     on any divergence. *)
+     chaotic-closure handle (delta closure), the previous product's pair
+     index and the previous iteration's converged checker environment
+     (warm-started fixpoints).  Both stages produce results byte-identical
+     to the from-scratch path; [incremental_debug] additionally recomputes
+     each stage cold and fails on any divergence. *)
   let chaos_inc : Chaos.inc option ref = ref None in
-  let prod_inc : Compose.Inc.t option ref = ref None in
+  let prev_pairs = ref (Itbl.create 0) in
   let prev_env : Sat.env option ref = ref None in
+  (* Pair correspondence between the products of consecutive computed
+     checks, what [Sat.create_warm] needs: a product state is keyed by its
+     context state and the stable key of its closure state (core copies
+     keep their index across updates; [s_∀]/[s_δ], the last two states, key
+     by distance from the end).  [old_of] maps each state to the previous
+     product's state with the same key; a state is dirty when its closure
+     row changed in the last update or the previous product had no such
+     pair.  Only a check that is computed needs it, so a memo hit skips it
+     (and leaves no environment to warm-start from). *)
+  let nl = Automaton.num_states context in
+  let correspond inc (p : Compose.product) =
+    let n = Automaton.num_states p.Compose.right in
+    let row_dirty = Array.make n false in
+    List.iter (fun r -> row_dirty.(r) <- true) (Chaos.dirty_states inc);
+    let count = Array.length p.Compose.pairs in
+    let ids = Itbl.create 0 in
+    let old_of = Array.make count (-1) in
+    let dirty = ref [] in
+    for id = count - 1 downto 0 do
+      let l, r = p.Compose.pairs.(id) in
+      let key = ((if r >= n - 2 then r - (n - 2) else r + 2) * nl) + l in
+      ignore (Itbl.find_or_add ids key id);
+      old_of.(id) <- Itbl.find !prev_pairs key ~default:(-1);
+      if row_dirty.(r) || old_of.(id) < 0 then dirty := id :: !dirty
+    done;
+    prev_pairs := ids;
+    (old_of, !dirty)
+  in
   (* Below [incremental_threshold] closure transitions a from-scratch rebuild
      is cheaper than maintaining the caches, so the machinery stays dormant
      until the state space outgrows the gate — and then stays on (the closure
@@ -429,41 +461,23 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
             in
             (product_lazy, states, outcome)
           | None ->
-          let product, prod_stats =
-            match (incremental && !inc_live, !chaos_inc) with
-            | true, Some inc ->
-              let pinc =
-                match !prod_inc with
-                | Some p -> p
-                | None ->
-                  let p = Compose.Inc.create context in
-                  prod_inc := Some p;
-                  p
-              in
-              (* Core closure copies keep their indices across updates; only
-                 [s_∀]/[s_δ] shift when the core grows, so they key by
-                 distance from the end. *)
-              let n = Automaton.num_states closure in
-              let stable_key r = if r >= n - 2 then r - n else r in
-              let resolve k = if k < 0 then n + k else k in
-              let p, stats =
-                Compose.Inc.parallel pinc ~right:closure ~dirty:(Chaos.dirty_states inc)
-                  ~stable_key ~resolve
-              in
-              product_reused_total := !product_reused_total + stats.Compose.Inc.reused;
-              (p, Some stats)
-            | _ -> (Compose.parallel context closure, None)
-          in
+          let product = Compose.parallel context closure in
           let env_used = ref None in
           let outcome =
             on_check ~product:product.Compose.auto ~formulas
               ~compute:(fun () ->
                 let env =
-                  match (prod_stats, !prev_env) with
-                  | Some stats, Some prev ->
-                    Sat.create_warm ~debug:incremental_debug ~prev
-                      ~old_of:stats.Compose.Inc.old_of ~dirty:stats.Compose.Inc.dirty
-                      product.Compose.auto
+                  match (incremental && !inc_live, !chaos_inc) with
+                  | true, Some inc -> (
+                    let old_of, dirty = correspond inc product in
+                    match !prev_env with
+                    | Some prev ->
+                      let reused = Array.length old_of - List.length dirty in
+                      product_reused_total := !product_reused_total + reused;
+                      Metrics.add m_product_reused reused;
+                      Sat.create_warm ~debug:incremental_debug ~prev ~old_of ~dirty
+                        product.Compose.auto
+                    | None -> Sat.create product.Compose.auto)
                   | _ -> Sat.create product.Compose.auto
                 in
                 env_used := Some env;
@@ -479,9 +493,9 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
           | None -> ());
           (* A memoized check verdict leaves no converged environment behind;
              the next iteration cold-starts its fixpoints.  Environments from
-             below the size gate are dropped too — their product was built
-             without the pair cache, so no [old_of] map relates its states to
-             the next product's. *)
+             below the size gate are dropped too — no pair index was kept for
+             their product, so no [old_of] map relates its states to the next
+             product's. *)
           prev_env := (if incremental && !inc_live then !env_used else None);
           (Lazy.from_val product, Automaton.num_states product.Compose.auto, outcome))
     in

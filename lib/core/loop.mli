@@ -97,8 +97,10 @@ type result = {
           run (0 when [incremental] is off — everything was rebuilt, nothing
           was {e patched}) *)
   product_states_reused : int;
-      (** product-state visits whose joint moves were served from the
-          incremental composition cache, summed over all iterations *)
+      (** product states outside the dirty set handed to the warm-started
+          checker — their (context state, closure state) pair existed in the
+          previous iteration's product and their closure row did not change
+          — summed over all iterations *)
   sat_seed_hit_rate : float;
       (** fraction of unbounded fixpoint computations that were warm-started
           from the previous iteration's converged sets ([0.] when
@@ -182,10 +184,11 @@ val run :
 
     [incremental] (default [true]) re-verifies incrementally across
     iterations: the chaotic closure is patched rather than rebuilt
-    ({!Chaos.update}), the product is re-explored only where the closure
-    changed ({!Mechaml_ts.Compose.Inc}) and the checker's unbounded
-    fixpoints are warm-started from the previous iteration's converged sets
-    ({!Mechaml_mc.Sat.create_warm}).  Every stage is byte-identical to the
+    ({!Chaos.update}), and the checker's unbounded fixpoints are
+    warm-started from the previous iteration's converged sets
+    ({!Mechaml_mc.Sat.create_warm}) wherever a product state's pair and
+    closure row carry over from the previous product.  The product itself
+    is composed afresh every iteration.  Every stage is byte-identical to the
     from-scratch path — same closures, products, witnesses and verdicts —
     so the flag is purely a performance switch; [incremental_debug]
     additionally recomputes each stage from scratch and raises [Failure] on
@@ -205,8 +208,8 @@ val run :
     under the config's memory budget.  Verdicts, witnesses, trails and
     canonical reports are byte-identical to the default path for any shard
     count; the materialized product is only built when a violation needs
-    its witness.  Sharded checks skip the incremental product and
-    warm-start machinery (the report's reuse counters stay 0). *)
+    its witness.  Sharded checks skip the pair correspondence and
+    warm-start machinery (the report's product and seed counters stay 0). *)
 
 val pp_iteration : Format.formatter -> iteration -> unit
 

@@ -38,8 +38,7 @@ type sess = {
   pairs : int;  (* |L| * |R|: the packed pair key space *)
   shards : int;
   mgr : Segment.t;
-  join :
-    (Automaton.state * Automaton.state) -> (Automaton.trans -> Automaton.trans -> unit) -> int;
+  join : Compose.join;
   owned : bool array;
   fwd : Segment.slot option array;
   pred : Segment.slot option array;
@@ -59,12 +58,13 @@ let field_opt data name = Wire.ints_opt data name
 (* -- build phase: stateless frontier expansion ------------------------------ *)
 
 (* test/smoke hook: slow build rounds down so an external harness has a
-   window to kill a worker mid-build *)
+   window to kill a worker mid-build.  Read once at start-up, not through a
+   [lazy]: in-process workers run on separate domains, and two of them
+   forcing one lazy value at once raise [CamlinternalLazy.Undefined]. *)
 let throttle_s =
-  lazy
-    (match Sys.getenv_opt "MECHAVERIFY_DIST_THROTTLE_MS" with
-    | Some v -> ( match int_of_string_opt v with Some ms when ms > 0 -> float_of_int ms /. 1000. | _ -> 0.)
-    | None -> 0.)
+  match Sys.getenv_opt "MECHAVERIFY_DIST_THROTTLE_MS" with
+  | Some v -> ( match int_of_string_opt v with Some ms when ms > 0 -> float_of_int ms /. 1000. | _ -> 0.)
+  | None -> 0.
 
 (* Expand every frontier in the request: field [f<k>] holds shard [k]'s
    frontier as packed pair keys; the reply's [c<k>] is the joint-move count
@@ -77,8 +77,7 @@ let expand s data =
   (match s.die_after with
   | Some r when s.rounds > r -> raise Die
   | _ -> ());
-  (let t = Lazy.force throttle_s in
-   if t > 0. then Unix.sleepf t);
+  if throttle_s > 0. then Unix.sleepf throttle_s;
   List.concat_map
     (fun (name, _) ->
       let k =
@@ -96,8 +95,8 @@ let expand s data =
           (fun key ->
             if key < 0 || key >= s.pairs then
               raise (Wire.Wire_error "worker: frontier key out of range");
-            s.join (key / s.nr, key mod s.nr) (fun (tr : Automaton.trans) (tr' : Automaton.trans) ->
-                Ivec.push succ ((tr.Automaton.dst * s.nr) + tr'.Automaton.dst)))
+            Compose.moves s.join (key / s.nr) (key mod s.nr) (fun _ _ l r ->
+                Ivec.push succ ((l * s.nr) + r)))
           (ints_field data name)
       in
       [
@@ -488,7 +487,7 @@ let handle_msg t (m : Wire.msg) : Wire.msg =
         pairs = Automaton.num_states left * nr;
         shards;
         mgr = Segment.create ?budget ~name:(Printf.sprintf "distw-%d" (Unix.getpid ())) ();
-        join = Compose.joint_iter left right;
+        join = Compose.join left right;
         owned = Array.make shards false;
         fwd = Array.make shards None;
         pred = Array.make shards None;
@@ -551,41 +550,52 @@ let handle_msg t (m : Wire.msg) : Wire.msg =
     ok []
   | op -> raise (Wire.Wire_error (Printf.sprintf "worker: unknown op %S" op))
 
+(* A transport failure on one connection — the coordinator hung up, or gave
+   up on this request at its deadline — drops that connection, not the
+   worker. *)
 let handle_conn t fd =
   let conn = Http.conn ~read_timeout_s:60. ~write_timeout_s:60. fd in
   Fun.protect
     ~finally:(fun () -> Http.close conn)
     (fun () ->
       match Http.read_request ~max_body:max_int conn with
-      | exception (Http.Closed | Http.Bad _ | Http.Timeout _) -> ()
+      | exception (Http.Closed | Http.Bad _ | Http.Timeout _ | Unix.Unix_error _) -> ()
       | req -> (
-        match handle_msg t (Wire.decode req.Http.body) with
-        | reply -> Http.respond conn ~status:200 (Wire.encode reply)
-        | exception Die -> raise Die
-        | exception Wire.Wire_error m -> Http.respond conn ~status:400 m
-        | exception Segment.Spill_error m -> Http.respond conn ~status:400 ("spill: " ^ m)))
+        let status, body =
+          match handle_msg t (Wire.decode req.Http.body) with
+          | reply -> (200, Wire.encode reply)
+          | exception Wire.Wire_error m -> (400, m)
+          | exception Segment.Spill_error m -> (400, "spill: " ^ m)
+        in
+        try Http.respond conn ~status body with Http.Timeout _ | Unix.Unix_error _ -> ()))
 
 (* Accept loop: [select] with a one-second tick so a forked worker notices
    its coordinator's death (reparenting) and exits instead of leaking. *)
 let serve t =
-  (try
-     while not (Atomic.get t.stop) do
-       (match t.ppid with
-       | Some p when Unix.getppid () <> p -> Atomic.set t.stop true
-       | _ -> ());
-       if not (Atomic.get t.stop) then
-         match Unix.select [ t.listen_fd ] [] [] 1.0 with
-         | [], _, _ -> ()
-         | _ ->
-           let fd, _ = Unix.accept t.listen_fd in
-           handle_conn t fd
-     done
-   with
-  | Die -> ()
-  | Unix.Unix_error (Unix.EBADF, _, _) -> ());
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  Hashtbl.iter (fun _ s -> Segment.close s.mgr) t.sessions;
-  Hashtbl.reset t.sessions
+  (* Whatever ends the loop, the listening socket closes with it: a socket
+     left open with nobody accepting would make every later connect wait
+     out the coordinator's deadline instead of failing at once. *)
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+      Hashtbl.iter (fun _ s -> Segment.close s.mgr) t.sessions;
+      Hashtbl.reset t.sessions)
+    (fun () ->
+      try
+        while not (Atomic.get t.stop) do
+          (match t.ppid with
+          | Some p when Unix.getppid () <> p -> Atomic.set t.stop true
+          | _ -> ());
+          if not (Atomic.get t.stop) then
+            match Unix.select [ t.listen_fd ] [] [] 1.0 with
+            | [], _, _ -> ()
+            | _ ->
+              let fd, _ = Unix.accept t.listen_fd in
+              handle_conn t fd
+        done
+      with
+      | Die -> ()
+      | Unix.Unix_error (Unix.EBADF, _, _) -> ())
 
 let create ?ppid listen_fd =
   { listen_fd; sessions = Hashtbl.create 4; ppid; stop = Atomic.make false }

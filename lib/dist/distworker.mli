@@ -3,7 +3,7 @@
     During a product build a worker is a stateless frontier expander: an
     [expand] request carries shards' frontiers as packed pair keys and is
     answered with joint-move counts and successor keys, computed with
-    {!Mechaml_ts.Compose.joint_iter} from the session's operand automata
+    the {!Mechaml_ts.Compose.moves} kernel from the session's operand automata
     alone — so a lost worker's request can be resent to any replacement.
     Interning, the merge and the CSR finalization stay on the coordinator
     ({!Distshard}).  After the build the worker is installed with its

@@ -112,7 +112,7 @@ let run_spec_unobserved ?cache ?(incremental = true) ?(incremental_debug = false
       (Ctl.props spec.property)
   in
   (* A check's product is [Compose.parallel context closure] on every tier
-     ([Compose.Inc] and the sharded explorers are byte-identical to it), and
+     (the sharded and distributed explorers are byte-identical to it), and
      the closure is named by the key [on_closure] computed in the same
      iteration — so the check key carries the context digest and that
      closure key instead of digesting the product.  Verdicts are

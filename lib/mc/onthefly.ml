@@ -1,7 +1,6 @@
 module Automaton = Mechaml_ts.Automaton
 module Universe = Mechaml_ts.Universe
 module Compose = Mechaml_ts.Compose
-module Bitset = Mechaml_util.Bitset
 module Ctl = Mechaml_logic.Ctl
 module Trace = Mechaml_obs.Trace
 module Metrics = Mechaml_obs.Metrics
@@ -38,13 +37,7 @@ let dense_cap = 1 lsl 22
 let check_safety_unobserved ~(left : Automaton.t) ~(right : Automaton.t)
     ?(shards = 1) ?(bad = fun _ _ -> false) () =
   if shards < 1 then invalid_arg "Onthefly.check_safety: shards must be >= 1";
-  let join = Compose.joint_iter left right in
-  let in_shift = Universe.size left.Automaton.inputs in
-  let out_shift = Universe.size left.Automaton.outputs in
-  let combine (t : Automaton.trans) (t' : Automaton.trans) =
-    ( Bitset.union t.input (Bitset.shift in_shift t'.input),
-      Bitset.union t.output (Bitset.shift out_shift t'.output) )
-  in
+  let join = Compose.join left right in
   let n_l = Automaton.num_states left and n_r = Automaton.num_states right in
   if n_l > 0 && n_r > 0 && n_l * n_r <= dense_cap then begin
     (* Dense-visited path: one bit per potential pair, parent links only for
@@ -83,9 +76,8 @@ let check_safety_unobserved ~(left : Automaton.t) ~(right : Automaton.t)
         | (pl, pr) :: ((cl, cr) :: _ as rest) ->
           let found = ref None in
           ignore
-            (join (pl, pr) (fun (t : Automaton.trans) (t' : Automaton.trans) ->
-                 if !found = None && t.dst = cl && t'.dst = cr then
-                   found := Some (combine t t')));
+            (Compose.moves join pl pr (fun input output l r ->
+                 if !found = None && l = cl && r = cr then found := Some (input, output)));
           (match !found with
           | Some ab -> ab :: ios rest
           | None -> assert false)
@@ -109,10 +101,8 @@ let check_safety_unobserved ~(left : Automaton.t) ~(right : Automaton.t)
     while !verdict = None && not (Queue.is_empty queue) do
       let code = Queue.pop queue in
       let moves =
-        join
-          (code / n_r, code mod n_r)
-          (fun (t : Automaton.trans) (t' : Automaton.trans) ->
-            visit ~from:code ((t.dst * n_r) + t'.dst))
+        Compose.moves join (code / n_r) (code mod n_r) (fun _ _ l r ->
+            visit ~from:code ((l * n_r) + r))
       in
       if moves = 0 then verdict := Some (Deadlocked (unwind code))
     done;
@@ -148,8 +138,8 @@ let check_safety_unobserved ~(left : Automaton.t) ~(right : Automaton.t)
     while !verdict = None && not (Queue.is_empty queue) do
       let pair = Queue.pop queue in
       let moves =
-        join pair (fun (t : Automaton.trans) (t' : Automaton.trans) ->
-            visit ~from:(pair, combine t t') (t.dst, t'.dst))
+        Compose.moves join (fst pair) (snd pair) (fun input output l r ->
+            visit ~from:(pair, (input, output)) (l, r))
       in
       if moves = 0 then verdict := Some (Deadlocked (unwind pair))
     done;

@@ -298,8 +298,8 @@ let csr m =
 
 (* Content only, never the index cells (forcing them must not change the
    digest), and without sharing so physically different but structurally
-   equal automata — e.g. [Compose.parallel] and [Compose.Inc.parallel]
-   results — marshal to the same bytes. *)
+   equal automata — e.g. a closure patched by [Chaos.update] and a fresh
+   one — marshal to the same bytes. *)
 let digest m =
   match Atomic.get m.index.digest_cell with
   | Some d -> d

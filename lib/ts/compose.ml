@@ -1,4 +1,5 @@
 module Bitset = Mechaml_util.Bitset
+module Itbl = Mechaml_util.Itbl
 module Trace = Mechaml_obs.Trace
 module Metrics = Mechaml_obs.Metrics
 
@@ -41,169 +42,198 @@ let mask_of cross =
 
 let translate cross s = Bitset.fold (fun i acc -> Bitset.add cross.(i) acc) s Bitset.empty
 
+(* The join kernel.  Every transition projects onto its shared-signal
+   footprint, a pair of sets in common index spaces: [A ∩ O'] in right-output
+   indices and [B ∩ I'] in left-output indices on the left, [B' ∩ I] and
+   [A' ∩ O] in the same spaces on the right.  Two transitions compose iff
+   their footprints are equal.  Footprints depend only on the label, so they
+   are computed once per interned interaction id, and each left id is mapped
+   to the one right id with its footprint.  A visit then binary-searches
+   that id's run in the right row of the sorted CSR view: segments are
+   stably sorted by id, so the run lists the partners in adjacency order and
+   the joint moves come out in the nested scan's order (left adjacency
+   outer, right adjacency inner).
 
-(* Hash join over the communication constraint.  Every transition projects
-   onto its shared-signal footprint — the pair of constraint sides, both
-   expressed in a common index space: [A ∩ O'] translated to right-output
-   indices paired with [B ∩ I'] in left-output indices on the left, and
-   symmetrically [B' ∩ I] / [A' ∩ O] on the right.  Two transitions are
-   compatible iff their footprints coincide, so bucketing one operand's
-   transitions by footprint finds all partners by lookup instead of the
-   former O(|T_l| × |T_r|) nested scan per state pair.  Narrow right-hand
-   fan-outs skip the bucket table entirely — a linear scan over a cached
-   key array beats hashing when there are only a handful of candidates,
-   which is the common case outside chaos closures.  Both paths preserve
-   adjacency-list order, so joint moves are enumerated exactly as the
-   nested scan did.  Per-state caches amortize key computation across a
-   whole product construction / on-the-fly exploration. *)
-let small_fanout = 8
-let make_join (left : Automaton.t) (right : Automaton.t) =
+   Two cases fall back to a scan of the right row in adjacency order: a
+   footprint shared by several right ids (open compositions, where
+   unconnected signals tell labels apart), and operands whose combined
+   signals do not fit one word, where neither footprint keys nor combined
+   labels pack.  Everything is computed up front, so a kernel is read-only
+   afterwards and can be shared across domains. *)
+type join = {
+  j_left : Automaton.t;
+  j_right : Automaton.t;
+  packed : bool;  (* combined inputs and outputs each fit one word *)
+  in_shift : int;
+  out_shift : int;
+  partner : int array;  (* left id -> right id, [none] or [scan] *)
+  lk1 : int array;  (* left id -> footprint in right-output indices *)
+  lk2 : int array;  (* left id -> footprint in left-output indices *)
+  rk1 : int array;
+  rk2 : int array;
+  c_in : int array;  (* left id -> combined input with its partner *)
+  c_out : int array;
+  r_in : int array;  (* right id -> input shifted past the left's (packed only) *)
+  r_out : int array;
+  l_row : int array;
+  l_adj : int array;
+  r_row : int array;
+  r_inter : int array;
+  r_dst : int array;
+  r_adj : int array;
+}
+
+let none = -1
+let scan = -2
+
+let join (left : Automaton.t) (right : Automaton.t) =
   if not (Automaton.composable left right) then
     invalid_arg
-      (Printf.sprintf "Compose.joint_iter: %s and %s are not composable" left.Automaton.name
+      (Printf.sprintf "Compose.join: %s and %s are not composable" left.Automaton.name
          right.Automaton.name);
   let li_ro = cross_map left.inputs right.outputs in
-  let lo_ri = cross_map left.outputs right.inputs in
   let ri_lo = cross_map right.inputs left.outputs in
-  let ro_li = cross_map right.outputs left.inputs in
   let mask_li = mask_of li_ro
-  and mask_lo = mask_of lo_ri
+  and mask_lo = mask_of (cross_map left.outputs right.inputs)
   and mask_ri = mask_of ri_lo
-  and mask_ro = mask_of ro_li in
-  let lo_w = Universe.size left.Automaton.outputs in
-  let ro_w = Universe.size right.Automaton.outputs in
-  if lo_w + ro_w <= Bitset.max_width then begin
-    (* Footprint packs into one word: allocation-free int keys.  Keys depend
-       only on the transition label, so they are memoized per interned
-       interaction id — packed keys are non-negative, leaving -1 free as the
-       not-yet-computed sentinel.  Transitions then resolve their key with
-       one array read via the adjacency-order id table. *)
-    let lkbi = Array.make (max (Automaton.num_interactions left) 1) (-1) in
-    let rkbi = Array.make (max (Automaton.num_interactions right) 1) (-1) in
-    let lkey_id iid =
-      let k = Array.unsafe_get lkbi iid in
-      if k >= 0 then k
-      else begin
-        let a, b = Automaton.interaction_io left iid in
-        let k =
-          (Bitset.to_int (translate li_ro (Bitset.inter a mask_li)) lsl lo_w)
-          lor Bitset.to_int (Bitset.inter b mask_lo)
-        in
-        lkbi.(iid) <- k;
-        k
+  and mask_ro = mask_of (cross_map right.outputs left.inputs) in
+  let in_shift = Universe.size left.Automaton.inputs in
+  let out_shift = Universe.size left.Automaton.outputs in
+  let packed =
+    in_shift + Universe.size right.Automaton.inputs <= Bitset.max_width
+    && out_shift + Universe.size right.Automaton.outputs <= Bitset.max_width
+  in
+  let nl = Automaton.num_interactions left and nr = Automaton.num_interactions right in
+  let lk1 = Array.make nl 0 and lk2 = Array.make nl 0 in
+  for id = 0 to nl - 1 do
+    let a, b = Automaton.interaction_io left id in
+    lk1.(id) <- Bitset.to_int (translate li_ro (Bitset.inter a mask_li));
+    lk2.(id) <- Bitset.to_int (Bitset.inter b mask_lo)
+  done;
+  let rk1 = Array.make nr 0 and rk2 = Array.make nr 0 in
+  let r_in = Array.make (if packed then nr else 0) 0 in
+  let r_out = Array.make (if packed then nr else 0) 0 in
+  for id = 0 to nr - 1 do
+    let a, b = Automaton.interaction_io right id in
+    rk1.(id) <- Bitset.to_int (Bitset.inter b mask_ro);
+    rk2.(id) <- Bitset.to_int (translate ri_lo (Bitset.inter a mask_ri));
+    if packed then begin
+      r_in.(id) <- Bitset.to_int a lsl in_shift;
+      r_out.(id) <- Bitset.to_int b lsl out_shift
+    end
+  done;
+  let partner = Array.make nl scan in
+  let c_in = Array.make nl 0 and c_out = Array.make nl 0 in
+  if packed then begin
+    (* key = footprint packed into one word: right-output part above the
+       left-output part; [scan] marks a key several right ids share *)
+    let key k1 k2 = (k1 lsl out_shift) lor k2 in
+    let first = Itbl.create nr in
+    let shared = Array.make nr false in
+    for id = 0 to nr - 1 do
+      let f = Itbl.find_or_add first (key rk1.(id) rk2.(id)) id in
+      if f <> id then shared.(f) <- true
+    done;
+    for id = 0 to nl - 1 do
+      let f = Itbl.find first (key lk1.(id) lk2.(id)) ~default:none in
+      if f = none then partner.(id) <- none
+      else if not shared.(f) then begin
+        partner.(id) <- f;
+        let a, b = Automaton.interaction_io left id in
+        c_in.(id) <- Bitset.to_int a lor r_in.(f);
+        c_out.(id) <- Bitset.to_int b lor r_out.(f)
       end
-    in
-    let rkey_id iid =
-      let k = Array.unsafe_get rkbi iid in
-      if k >= 0 then k
-      else begin
-        let a, b = Automaton.interaction_io right iid in
-        let k =
-          (Bitset.to_int (Bitset.inter b mask_ro) lsl lo_w)
-          lor Bitset.to_int (translate ri_lo (Bitset.inter a mask_ri))
-        in
-        rkbi.(iid) <- k;
-        k
-      end
-    in
-    let row_l = Automaton.Csr.row left and ai_l = Automaton.Csr.adj_inter left in
-    let row_r = Automaton.Csr.row right and ai_r = Automaton.Csr.adj_inter right in
-    let rcache : (int, Automaton.trans list) Hashtbl.t option array =
-      Array.make (Automaton.num_states right) None
-    in
-    let buckets s' =
-      match rcache.(s') with
-      | Some h -> h
-      | None ->
-        let h = Hashtbl.create (2 * (row_r.(s' + 1) - row_r.(s'))) in
-        let j = ref row_r.(s') in
-        List.iter
-          (fun t' ->
-            let k = rkey_id (Array.unsafe_get ai_r !j) in
-            incr j;
-            Hashtbl.replace h k
-              (t' :: Option.value (Hashtbl.find_opt h k) ~default:[]))
-          (Automaton.transitions_from right s');
-        Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) h;
-        rcache.(s') <- Some h;
-        h
-    in
-    fun (s, s') f ->
-      let count = ref 0 in
-      let rn = row_r.(s' + 1) - row_r.(s') in
-      if rn <= small_fanout then begin
-        (* narrow fan-out: nested scan over adjacency lists, memoized keys *)
-        let i = ref row_l.(s) in
-        List.iter
-          (fun t ->
-            let k = lkey_id (Array.unsafe_get ai_l !i) in
-            incr i;
-            let j = ref row_r.(s') in
-            List.iter
-              (fun t' ->
-                (if rkey_id (Array.unsafe_get ai_r !j) = k then begin
-                   incr count;
-                   f t t'
-                 end);
-                incr j)
-              (Automaton.transitions_from right s'))
-          (Automaton.transitions_from left s)
-      end
-      else begin
-        let h = buckets s' in
-        let i = ref row_l.(s) in
-        List.iter
-          (fun t ->
-            let k = lkey_id (Array.unsafe_get ai_l !i) in
-            incr i;
-            match Hashtbl.find_opt h k with
-            | None -> ()
-            | Some ts' ->
-              List.iter
-                (fun t' ->
-                  incr count;
-                  f t t')
-                ts')
-          (Automaton.transitions_from left s)
-      end;
-      !count
-  end
+    done
+  end;
+  {
+    j_left = left;
+    j_right = right;
+    packed;
+    in_shift;
+    out_shift;
+    partner;
+    lk1;
+    lk2;
+    rk1;
+    rk2;
+    c_in;
+    c_out;
+    r_in;
+    r_out;
+    l_row = Automaton.Csr.row left;
+    l_adj = Automaton.Csr.adj_inter left;
+    r_row = Automaton.Csr.row right;
+    r_inter = Automaton.Csr.inter right;
+    r_dst = Automaton.Csr.dst right;
+    r_adj = Automaton.Csr.adj_inter right;
+  }
+
+(* The right row's transitions whose footprint equals left id [lid]'s, in
+   adjacency order. *)
+let scan_row j (t : Automaton.trans) lid s' emit =
+  let count = ref 0 in
+  let k = ref j.r_row.(s') in
+  let k1 = j.lk1.(lid) and k2 = j.lk2.(lid) in
+  List.iter
+    (fun (t' : Automaton.trans) ->
+      let rid = Array.unsafe_get j.r_adj !k in
+      incr k;
+      if Array.unsafe_get j.rk1 rid = k1 && Array.unsafe_get j.rk2 rid = k2 then begin
+        incr count;
+        if j.packed then
+          emit
+            (Bitset.union t.input (Bitset.of_int_unsafe j.r_in.(rid)))
+            (Bitset.union t.output (Bitset.of_int_unsafe j.r_out.(rid)))
+            t.dst t'.dst
+        else
+          emit
+            (Bitset.union t.input (Bitset.shift j.in_shift t'.input))
+            (Bitset.union t.output (Bitset.shift j.out_shift t'.output))
+            t.dst t'.dst
+      end)
+    (Automaton.transitions_from j.j_right s');
+  !count
+
+let moves j s s' emit =
+  let lo = Array.unsafe_get j.r_row s' and hi = Array.unsafe_get j.r_row (s' + 1) in
+  if lo = hi then 0
   else begin
-    (* > 62 connected output signals: fall back to the direct scan *)
-    let compatible (t : Automaton.trans) (t' : Automaton.trans) =
-      Bitset.equal
-        (translate li_ro (Bitset.inter t.input mask_li))
-        (Bitset.inter t'.output mask_ro)
-      && Bitset.equal
-           (translate ri_lo (Bitset.inter t'.input mask_ri))
-           (Bitset.inter t.output mask_lo)
+    let count = ref 0 in
+    let rec go k = function
+      | [] -> ()
+      | (t : Automaton.trans) :: rest ->
+        let lid = Array.unsafe_get j.l_adj k in
+        let rid = Array.unsafe_get j.partner lid in
+        if rid >= 0 then begin
+          (* lowest position in the row with id >= rid *)
+          let a = ref lo and b = ref hi in
+          while !a < !b do
+            let mid = (!a + !b) lsr 1 in
+            if Array.unsafe_get j.r_inter mid < rid then a := mid + 1 else b := mid
+          done;
+          let i = ref !a in
+          if !i < hi && Array.unsafe_get j.r_inter !i = rid then begin
+            let input = Bitset.of_int_unsafe (Array.unsafe_get j.c_in lid)
+            and output = Bitset.of_int_unsafe (Array.unsafe_get j.c_out lid) in
+            while !i < hi && Array.unsafe_get j.r_inter !i = rid do
+              incr count;
+              emit input output t.dst (Array.unsafe_get j.r_dst !i);
+              incr i
+            done
+          end
+        end
+        else if rid = scan then count := !count + scan_row j t lid s' emit;
+        go (k + 1) rest
     in
-    fun (s, s') f ->
-      let count = ref 0 in
-      List.iter
-        (fun t ->
-          List.iter
-            (fun t' ->
-              if compatible t t' then begin
-                incr count;
-                f t t'
-              end)
-            (Automaton.transitions_from right s'))
-        (Automaton.transitions_from left s);
-      !count
+    go (Array.unsafe_get j.l_row s) (Automaton.transitions_from j.j_left s);
+    !count
   end
 
-let joint_iter = make_join
-
-(* BFS core of the product construction, parameterized over the joint-move
-   enumerator so the incremental path below can substitute cached successor
-   lists for live hash joins: [moves s s' emit] must call
-   [emit input output l_dst r_dst] once per joint move of the pair, with the
-   already-combined interaction label, in {!make_join}'s enumeration order.
-   Everything observable about the product (state numbering, names, labels,
-   adjacency order) is fixed by the emitted moves, which is what lets the
-   incremental layer guarantee byte-identical products. *)
-let bfs_product ~moves (left : Automaton.t) (right : Automaton.t) =
+(* The product construction: a BFS over state pairs, expanded through the
+   kernel.  Everything observable about the product (state numbering,
+   names, labels, adjacency order) is fixed by the order of the emitted
+   moves. *)
+let bfs_product (left : Automaton.t) (right : Automaton.t) =
   if not (Automaton.composable left right) then
     invalid_arg
       (Printf.sprintf "Compose.parallel: %s and %s are not composable" left.Automaton.name
@@ -214,13 +244,16 @@ let bfs_product ~moves (left : Automaton.t) (right : Automaton.t) =
   let outputs = Universe.union left.outputs right.outputs in
   let props = Universe.union left.props right.props in
   let lp_size = Universe.size left.props in
+  let kernel = join left right in
   (* Pairs pack into one int key (products beyond 2^62 states are unbuildable
-     anyway), so interning never allocates a tuple; per-state data lives in
-     growable arrays rather than reversed lists, and because ids are handed
-     out in discovery order a cursor over those arrays doubles as the BFS
-     queue. *)
+     anyway), interned through a flat table; per-state data lives in
+     growable arrays, and because ids are handed out in discovery order a
+     cursor over those arrays doubles as the BFS queue.  The table starts
+     minimal: most products are small, and a presized table's arrays would
+     be major-heap allocations on every composition, which raised the
+     daemon's peak RSS. *)
   let nr = Automaton.num_states right in
-  let table : (int, int) Hashtbl.t = Hashtbl.create 256 in
+  let table = Itbl.create 0 in
   let cap = ref 16 in
   let names = ref (Array.make !cap "") in
   let labs = ref (Array.make !cap Bitset.empty) in
@@ -243,20 +276,20 @@ let bfs_product ~moves (left : Automaton.t) (right : Automaton.t) =
     cap := c
   in
   let intern s s' =
-    let key = (s * nr) + s' in
-    match Hashtbl.find_opt table key with
-    | Some id -> id
-    | None ->
-      let id = !n in
+    let fresh = !n in
+    let id = Itbl.find_or_add table ((s * nr) + s') fresh in
+    if id = fresh then begin
       if id = !cap then grow ();
-      Hashtbl.add table key id;
       !names.(id) <- Automaton.state_name left s ^ "," ^ Automaton.state_name right s';
+      (* the union universe fits one word, so the shift cannot overflow *)
       !labs.(id) <-
-        Bitset.union (Automaton.label left s) (Bitset.shift lp_size (Automaton.label right s'));
+        Bitset.union (Automaton.label left s)
+          (Bitset.of_int_unsafe (Bitset.to_int (Automaton.label right s') lsl lp_size));
       !pl.(id) <- s;
       !pr.(id) <- s';
-      n := id + 1;
-      id
+      n := id + 1
+    end;
+    id
   in
   let initial =
     List.concat_map (fun q -> List.map (fun q' -> intern q q') right.initial) left.initial
@@ -265,11 +298,11 @@ let bfs_product ~moves (left : Automaton.t) (right : Automaton.t) =
   while !cursor < !n do
     let id = !cursor in
     incr cursor;
-    let s = !pl.(id) and s' = !pr.(id) in
     let acc = ref [] in
-    moves s s' (fun input output l_dst r_dst ->
-        let dst = intern l_dst r_dst in
-        acc := { Automaton.input; output; dst } :: !acc);
+    ignore
+      (moves kernel !pl.(id) !pr.(id) (fun input output l_dst r_dst ->
+           let dst = intern l_dst r_dst in
+           acc := { Automaton.input; output; dst } :: !acc));
     !outs.(id) <- List.rev !acc
   done;
   let count = !n in
@@ -326,24 +359,6 @@ let bfs_product ~moves (left : Automaton.t) (right : Automaton.t) =
   in
   { auto; left; right; pairs }
 
-(* Joint-move enumerator over a live hash join: the combined interaction
-   label is assembled on the fly by shifting the right operand's signals past
-   the left operand's universe. *)
-let join_moves (left : Automaton.t) (right : Automaton.t) =
-  let in_shift = Universe.size left.Automaton.inputs in
-  let out_shift = Universe.size left.Automaton.outputs in
-  let join = make_join left right in
-  fun s s' emit ->
-    ignore
-      (join (s, s') (fun (t : Automaton.trans) (t' : Automaton.trans) ->
-           emit
-             (Bitset.union t.input (Bitset.shift in_shift t'.input))
-             (Bitset.union t.output (Bitset.shift out_shift t'.output))
-             t.dst t'.dst))
-
-let parallel_unobserved (left : Automaton.t) (right : Automaton.t) =
-  bfs_product ~moves:(join_moves left right) left right
-
 let observe_product ~start_us (p : product) =
   if start_us <> None || Metrics.enabled () then begin
     let states = Automaton.num_states p.auto in
@@ -370,7 +385,7 @@ let observe_product ~start_us (p : product) =
 
 let parallel left right =
   let t0 = if Trace.is_enabled () then Some (Trace.now_us ()) else None in
-  let p = parallel_unobserved left right in
+  let p = bfs_product left right in
   observe_product ~start_us:t0 p;
   p
 
@@ -400,127 +415,7 @@ let project_left p r = project `Left p r
 
 let project_right p r = project `Right p r
 
-let stepper (left : Automaton.t) (right : Automaton.t) =
-  let join = make_join left right in
-  fun pair ->
-    let rev = ref [] in
-    ignore (join pair (fun t t' -> rev := (t, t') :: !rev));
-    List.rev !rev
-
 let find_pair p pair =
   let n = Array.length p.pairs in
   let rec go i = if i >= n then None else if p.pairs.(i) = pair then Some i else go (i + 1) in
   go 0
-
-(* Incremental product reconstruction across a sequence of right operands
-   that differ only in a few states' adjacency rows — the synthesis loop's
-   context ∥ chaos(M_i) sequence.  The BFS itself is re-run every iteration
-   (state numbering must stay byte-identical, and the reachable region can
-   both grow and shrink), but the expensive part of each visit — the hash
-   join over the pair's transitions — is served from a cache keyed by
-   (left state, stable right key) and invalidated by the caller's dirty set.
-   Cached moves store destinations as stable right keys too, so entries
-   survive right-operand reindexing (the chaos states shift when the core
-   grows); the caller translates keys back per call via [resolve]. *)
-module Inc = struct
-  type move = {
-    mv_input : Bitset.t;
-    mv_output : Bitset.t;
-    mv_ldst : int;
-    mv_rkey : int;
-  }
-
-  type entry = { e_version : int; e_moves : move array }
-
-  type stats = {
-    old_of : int array;
-    dirty : int list;
-    reused : int;
-    total : int;
-  }
-
-  type t = {
-    inc_left : Automaton.t;
-    cache : (int * int, entry) Hashtbl.t;
-    last_dirty : (int, int) Hashtbl.t; (* stable key → version last invalidated *)
-    mutable version : int;
-    mutable prev_ids : (int * int, int) Hashtbl.t; (* (l, stable key) → prior product id *)
-  }
-
-  let m_reused =
-    Metrics.counter "ts_product_pairs_reused_total"
-      ~help:"Product state visits whose joint moves were served from the incremental cache."
-
-  let create left =
-    {
-      inc_left = left;
-      cache = Hashtbl.create 1024;
-      last_dirty = Hashtbl.create 64;
-      version = 0;
-      prev_ids = Hashtbl.create 16;
-    }
-
-  let left_operand inc = inc.inc_left
-
-  let parallel inc ~right ~dirty ~stable_key ~resolve =
-    let left = inc.inc_left in
-    inc.version <- inc.version + 1;
-    let v = inc.version in
-    List.iter (fun r -> Hashtbl.replace inc.last_dirty (stable_key r) v) dirty;
-    let live = lazy (join_moves left right) in
-    let reused = ref 0 in
-    let moves s s' emit =
-      let skey = stable_key s' in
-      let hit =
-        match Hashtbl.find_opt inc.cache (s, skey) with
-        | Some e
-          when e.e_version
-               >= Option.value (Hashtbl.find_opt inc.last_dirty skey) ~default:0 ->
-          incr reused;
-          Array.iter
-            (fun m -> emit m.mv_input m.mv_output m.mv_ldst (resolve m.mv_rkey))
-            e.e_moves;
-          true
-        | _ -> false
-      in
-      if not hit then begin
-        let acc = ref [] in
-        (Lazy.force live) s s' (fun input output l_dst r_dst ->
-            acc :=
-              {
-                mv_input = input;
-                mv_output = output;
-                mv_ldst = l_dst;
-                mv_rkey = stable_key r_dst;
-              }
-              :: !acc;
-            emit input output l_dst r_dst);
-        Hashtbl.replace inc.cache (s, skey)
-          { e_version = v; e_moves = Array.of_list (List.rev !acc) }
-      end
-    in
-    let t0 = if Trace.is_enabled () then Some (Trace.now_us ()) else None in
-    let p = bfs_product ~moves left right in
-    observe_product ~start_us:t0 p;
-    let count = Array.length p.pairs in
-    let old_of = Array.make count (-1) in
-    let new_ids = Hashtbl.create (2 * count) in
-    let dirty_new = ref [] in
-    for id = count - 1 downto 0 do
-      let l, r = p.pairs.(id) in
-      let skey = stable_key r in
-      Hashtbl.replace new_ids (l, skey) id;
-      (match Hashtbl.find_opt inc.prev_ids (l, skey) with
-      | Some o -> old_of.(id) <- o
-      | None -> ());
-      let row_changed =
-        match Hashtbl.find_opt inc.last_dirty skey with
-        | Some dv -> dv = v
-        | None -> false
-      in
-      if row_changed || old_of.(id) < 0 then dirty_new := id :: !dirty_new
-    done;
-    inc.prev_ids <- new_ids;
-    Metrics.add m_reused !reused;
-    (p, { old_of; dirty = !dirty_new; reused = !reused; total = count })
-end

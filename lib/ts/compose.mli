@@ -39,79 +39,35 @@ val right_state : product -> Automaton.state -> Automaton.state
 val find_pair : product -> Automaton.state * Automaton.state -> Automaton.state option
 (** Product state for a (left, right) pair if that pair is reachable. *)
 
-val stepper :
-  Automaton.t ->
-  Automaton.t ->
-  Automaton.state * Automaton.state ->
-  (Automaton.trans * Automaton.trans) list
-(** The joint moves of the parallel composition from a state pair, without
-    materializing the product — the compatible transition pairs per
-    Definition 3.  [stepper left right] precomputes the signal cross-maps, so
-    partial application amortizes the setup over a whole exploration. *)
+type join
+(** The joint-move kernel of one operand pair: what {!parallel}, the
+    sharded and distributed explorers and the on-the-fly checker call to
+    expand a state pair.  Built once per pair; read-only afterwards, so one
+    kernel may be shared across domains. *)
 
-val joint_iter :
-  Automaton.t ->
-  Automaton.t ->
-  Automaton.state * Automaton.state ->
-  (Automaton.trans -> Automaton.trans -> unit) ->
+val join : Automaton.t -> Automaton.t -> join
+(** [join left right] precomputes, per interned interaction id, each
+    transition label's shared-signal footprint (the signals Definition 3's
+    communication constraint compares), maps every left id to the single
+    right id with the same footprint, and shifts every right label past the
+    left operand's universes.  Raises [Invalid_argument] when the operands
+    are not composable. *)
+
+val moves :
+  join ->
+  Automaton.state ->
+  Automaton.state ->
+  (Mechaml_util.Bitset.t -> Mechaml_util.Bitset.t -> Automaton.state -> Automaton.state -> unit) ->
   int
-(** Allocation-light variant of {!stepper}: applies the callback to every
-    compatible transition pair (in {!stepper}'s enumeration order — left
-    adjacency order outer, right adjacency order inner) and returns the
-    number of joint moves.  Compatibility is decided by comparing
-    shared-signal footprint keys memoized per interned interaction id;
-    narrow right fan-outs are joined by direct scan, wide ones (chaos
-    states) through per-state hash buckets cached across calls — so
-    composition and on-the-fly exploration visit a state pair in O(moves)
-    rather than O(|T_l| × |T_r|) where it matters.  Used by
-    {!Mechaml_mc.Onthefly}. *)
-
-(** Incremental product reconstruction across a sequence of right operands
-    that differ only in a few states' adjacency rows — the synthesis loop's
-    [context ∥ chaos(M_i)] sequence.  Each call re-runs the reachability BFS
-    (numbering must stay byte-identical to {!parallel} and the reachable
-    region can shrink as escapes to chaos disappear), but joint-move
-    enumeration per visited pair — the dominant cost against a chaos closure
-    — is served from a cache invalidated only for the caller's dirty right
-    states.  The resulting product is structurally identical to
-    [parallel left right]. *)
-module Inc : sig
-  type t
-  (** Cache handle, tied to one left operand. *)
-
-  type stats = {
-    old_of : int array;
-        (** per new-product state, the previous product's state with the same
-            (left, stable right key) pair, or [-1] if none — the correlation
-            that lets {!Mechaml_mc.Sat} warm-start fixpoints *)
-    dirty : int list;
-        (** new-product states that are new or whose right projection was
-            dirty this call: outside this set (and the states that reach it),
-            the old product's subgraph is isomorphic *)
-    reused : int;  (** visited pairs whose moves came from the cache *)
-    total : int;  (** product states *)
-  }
-
-  val create : Automaton.t -> t
-  (** [create left] — subsequent {!parallel} calls compose this operand. *)
-
-  val parallel :
-    t ->
-    right:Automaton.t ->
-    dirty:Automaton.state list ->
-    stable_key:(Automaton.state -> int) ->
-    resolve:(int -> Automaton.state) ->
-    product * stats
-  (** Compose against the next right operand.  [dirty] lists the right
-      states (of {e this} operand) whose adjacency rows differ from the
-      previous call's operand — for chaos closures,
-      {!Mechaml_core.Chaos.dirty_states}.  [stable_key] must injectively
-      name right states so that a state keeps its key across operands even
-      when indices shift (core closure copies are index-stable; [s_∀]/[s_δ]
-      map to negative keys), and [resolve] inverts it for the current
-      operand.  Correctness requires exactly the contract the chaos closure
-      provides: equal keys ⇒ same adjacency row (up to key-stable
-      destinations and unchanged interaction labels) unless listed dirty. *)
-
-  val left_operand : t -> Automaton.t
-end
+(** [moves j s s' emit] calls [emit input output l_dst r_dst] once per
+    joint move from the pair [(s, s')] — the combined interaction label
+    (left signals first, right signals shifted past them, as in
+    {!parallel}'s universes) and the two destinations — and returns the
+    number of moves.  Moves come in left adjacency order outer, right
+    adjacency order inner, the order of a nested scan over both lists.  A
+    left transition finds its partners by binary search for its partner id
+    in the right row of the sorted CSR view ({!Automaton.Csr.inter}); a
+    footprint that several right ids share (open compositions) and operands
+    whose combined signals exceed {!Mechaml_util.Bitset.max_width} scan the
+    right row instead.  In that last case a move whose combined label does
+    not fit one word raises [Invalid_argument]. *)

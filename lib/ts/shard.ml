@@ -173,11 +173,10 @@ let ints payload name =
 
 type expand = int array array -> (int array * int array) array
 
-(* The default transport: expansion in this process.  The join memoizes
-   per-interaction keys and per-right-state buckets in plain hash tables, so
-   sharing one across worker domains would race — crew member [w] owns join
-   [w] and expands exactly the shards [k] with [k mod size = w].  By default
-   every level runs inline on join 0: a crew pays for its spawn, a cold
+(* The default transport: expansion in this process.  The join kernel is
+   read-only once built, so every crew member shares it; member [w] expands
+   exactly the shards [k] with [k mod size = w].  By default every level
+   runs inline in the calling domain: a crew pays for its spawn, a cold
    first round, a wake-up per level and a cross-domain barrier on every
    minor collection of the serial merge, which on the [wide_sharded] tori
    (widest level about 3k keys) and on meshes (one state per level) costs
@@ -188,10 +187,10 @@ let local_expand config left right =
   let shards = config.shards in
   let nr = Automaton.num_states right in
   let size = match config.workers with Some w -> min shards w | None -> 1 in
-  let joins = Array.init size (fun _ -> Compose.joint_iter left right) in
+  let join = Compose.join left right in
   let succ = Array.init shards (fun _ -> Ivec.create ()) in
   let out = Array.make shards ([||], [||]) in
-  let expand_shard join frontier k =
+  let expand_shard frontier k =
     if Array.length frontier.(k) = 0 then out.(k) <- ([||], [||])
     else begin
       let keys = succ.(k) in
@@ -199,8 +198,8 @@ let local_expand config left right =
       let counts =
         Array.map
           (fun key ->
-            join (key / nr, key mod nr) (fun (tr : Automaton.trans) (tr' : Automaton.trans) ->
-                Ivec.push keys ((tr.dst * nr) + tr'.dst)))
+            Compose.moves join (key / nr) (key mod nr) (fun _ _ l r ->
+                Ivec.push keys ((l * nr) + r)))
           frontier.(k)
       in
       out.(k) <- (counts, Ivec.to_array keys)
@@ -209,7 +208,7 @@ let local_expand config left right =
   if size = 1 then
     ( (fun frontier ->
         for k = 0 to shards - 1 do
-          expand_shard joins.(0) frontier k
+          expand_shard frontier k
         done;
         out),
       "inline",
@@ -220,7 +219,7 @@ let local_expand config left right =
         Crew.round crew (fun w ->
             let k = ref w in
             while !k < shards do
-              expand_shard joins.(w) frontier !k;
+              expand_shard frontier !k;
               k := !k + size
             done);
         Metrics.incr m_crew_levels;

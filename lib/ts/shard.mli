@@ -96,7 +96,7 @@ type expand = int array array -> (int array * int array) array
     shard's frontier as packed pair keys ([l * num_states right + r], in
     discovery order); answers, per shard, the joint-move count of every
     frontier state and the flattened successor keys, both in frontier order
-    and in {!Compose.joint_iter}'s enumeration order.  The answer is read
+    and in {!Compose.moves}' enumeration order.  The answer is read
     before the next call, so a transport may reuse its buffers.  The
     explorer trusts the answer: a transport fed by untrusted peers must
     validate it first. *)

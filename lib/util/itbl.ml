@@ -67,6 +67,13 @@ let find_or_add t key v =
     v
   end
 
+let find t key ~default =
+  if key < 0 then default
+  else begin
+    let i = slot t.keys t.mask key in
+    if Array.unsafe_get t.keys i = key then Array.unsafe_get t.vals i else default
+  end
+
 let length t = t.size
 
 let iter f t =

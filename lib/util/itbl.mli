@@ -20,6 +20,10 @@ val find_or_add : t -> int -> int -> int
     unbound it binds it to [v] first and returns [v].  Raises
     [Invalid_argument] on a negative key. *)
 
+val find : t -> int -> default:int -> int
+(** [find t key ~default] is the value bound to [key], or [default] when
+    [key] is unbound (negative keys are never bound). *)
+
 val length : t -> int
 (** Number of bindings. *)
 

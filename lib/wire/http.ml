@@ -21,7 +21,17 @@ type conn = {
   mutable stamped : (string * string) list;
 }
 
+(* A write to a peer that has gone away must fail as [EPIPE] — the daemon
+   then drops the connection, the shard coordinator counts a dead worker —
+   instead of killing the whole process with SIGPIPE.  Set on the first
+   connection, so programs that never open one keep the default. *)
+let sigpipe_ignored = Atomic.make false
+
 let conn ?read_timeout_s ?write_timeout_s fd =
+  if not (Atomic.get sigpipe_ignored) then begin
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+    Atomic.set sigpipe_ignored true
+  end;
   {
     cfd = fd;
     rbuf = Bytes.create 8192;

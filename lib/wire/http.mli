@@ -30,7 +30,9 @@ val conn : ?read_timeout_s:float -> ?write_timeout_s:float -> Unix.file_descr ->
 (** Wrap a socket.  With [read_timeout_s] ([write_timeout_s]) every read
     (write) first waits for readiness with [select] and raises {!Timeout}
     when the peer produces (accepts) nothing for that long; without them
-    I/O blocks indefinitely (the pre-daemon behaviour). *)
+    I/O blocks indefinitely (the pre-daemon behaviour).  The first call sets
+    the process to ignore SIGPIPE, so a write to a peer that has hung up
+    raises [Unix_error (EPIPE, _, _)] instead of killing the process. *)
 
 val fd : conn -> Unix.file_descr
 

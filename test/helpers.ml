@@ -155,3 +155,65 @@ let mesh_formulas =
       Ctl.Eu (b 1 10, Ctl.Not tick, home);
       Ctl.Or (Ctl.Deadlock, Ctl.Eg (None, Ctl.Or (tick, home)));
     ]
+
+(* Random automata for property tests, built straight from bitsets.  A row
+   draws its labels from a small pool, so equal labels (one interaction id)
+   recur within a row and across rows. *)
+module Prng = Mechaml_util.Prng
+
+let random_subset rng width =
+  let s = ref 0 in
+  for i = 0 to width - 1 do
+    if Prng.int rng 3 = 0 then s := !s lor (1 lsl i)
+  done;
+  Mechaml_util.Bitset.of_int_unsafe !s
+
+(* [out_bits] bounds the output signals a label uses (default: all). *)
+let random_label_pool rng ~in_width ~out_bits =
+  Array.init (1 + Prng.int rng 8) (fun _ -> (random_subset rng in_width, random_subset rng out_bits))
+
+let random_row rng pool ~fanout ~states =
+  List.init (Prng.int rng (fanout + 1)) (fun _ ->
+      let input, output = pool.(Prng.int rng (Array.length pool)) in
+      { Automaton.input; output; dst = Prng.int rng states })
+
+(* [states] states named [name ^ index], rows of up to [fanout]
+   transitions, one to three initial states, and a proposition [name ^ ".p"]
+   on the even states. *)
+let random_automaton rng ~name ~inputs ~outputs ?(out_bits = List.length outputs) ?(fanout = 8)
+    ~states () =
+  let pool = random_label_pool rng ~in_width:(List.length inputs) ~out_bits in
+  let initial =
+    List.sort_uniq compare (List.init (1 + Prng.int rng 3) (fun _ -> Prng.int rng states))
+  in
+  Automaton.of_packed ~name ~inputs:(Mechaml_ts.Universe.of_list inputs)
+    ~outputs:(Mechaml_ts.Universe.of_list outputs)
+    ~props:(Mechaml_ts.Universe.of_list [ name ^ ".p" ])
+    ~state_names:(Array.init states (Printf.sprintf "%s%d" name))
+    ~labels:
+      (Array.init states (fun i ->
+           if i mod 2 = 0 then Mechaml_util.Bitset.singleton 0 else Mechaml_util.Bitset.empty))
+    ~trans:(Array.init states (fun _ -> random_row rng pool ~fanout ~states))
+    ~initial ()
+
+(* [Automaton.patch] of [old] (whose index is forced first): each state is
+   dirty with probability 1/3 and gets a fresh row over a fresh label pool,
+   so new interaction ids are appended and ids of labels no row carries any
+   more linger in the table. *)
+let random_patch rng (old : Automaton.t) =
+  ignore (Automaton.Csr.row old);
+  let n = Automaton.num_states old in
+  let pool =
+    random_label_pool rng
+      ~in_width:(Mechaml_ts.Universe.size old.Automaton.inputs)
+      ~out_bits:(Mechaml_ts.Universe.size old.Automaton.outputs)
+  in
+  let dirty = Array.init n (fun _ -> Prng.int rng 3 = 0) in
+  let trans =
+    Array.init n (fun s ->
+        if dirty.(s) then random_row rng pool ~fanout:8 ~states:n
+        else Automaton.transitions_from old s)
+  in
+  Automaton.patch ~old ~name:old.Automaton.name ~props:old.Automaton.props
+    ~state_names:old.Automaton.state_names ~labels:old.Automaton.labels ~trans
+    ~initial:old.Automaton.initial ~dirty ~old_of:(Array.init n Fun.id) ~dst_map:Fun.id ()

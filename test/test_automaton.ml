@@ -170,4 +170,48 @@ let digest_tests =
         check_string "rebuilt" d (Automaton.digest (simple ())));
   ]
 
-let () = Alcotest.run "automaton" [ ("unit", unit_tests @ digest_tests) ]
+(* The sorted CSR view the join kernel binary-searches: per state, the
+   segment of [Csr.inter] is the adjacency list stably sorted by interaction
+   id — sorted, equal ids in adjacency order, and each [adj_inter] id the
+   transition's own label.  Fresh indexes and [Automaton.patch] output (whose
+   interaction table keeps stale ids) must both satisfy it. *)
+let csr_is_stably_sorted (m : Automaton.t) =
+  let row = Automaton.Csr.row m and adj = Automaton.Csr.adj_inter m in
+  let inter = Automaton.Csr.inter m and dst = Automaton.Csr.dst m in
+  let input = Automaton.Csr.input m and output = Automaton.Csr.output m in
+  let ok = ref true in
+  for s = 0 to Automaton.num_states m - 1 do
+    let adjacency =
+      List.mapi
+        (fun i (t : Automaton.trans) ->
+          let id = adj.(row.(s) + i) in
+          if Automaton.interaction_io m id <> (t.input, t.output) then ok := false;
+          (id, t.dst, t.input, t.output))
+        (Automaton.transitions_from m s)
+    in
+    let expected = List.stable_sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) adjacency in
+    let segment =
+      List.init (row.(s + 1) - row.(s)) (fun i ->
+          let k = row.(s) + i in
+          (inter.(k), dst.(k), input.(k), output.(k)))
+    in
+    if segment <> expected then ok := false
+  done;
+  !ok
+
+let csr_tests =
+  [
+    qcheck ~count:200 "CSR segments are stably sorted by id, fresh and patched"
+      QCheck.(int_bound 1_000_000)
+      (fun seed ->
+        let rng = Prng.create ~seed in
+        let m =
+          random_automaton rng ~name:"m" ~inputs:[ "a"; "b"; "c" ] ~outputs:[ "x"; "y" ]
+            ~fanout:12 ~states:(1 + Prng.int rng 8) ()
+        in
+        let p1 = random_patch rng m in
+        let p2 = random_patch rng p1 in
+        csr_is_stably_sorted m && csr_is_stably_sorted p1 && csr_is_stably_sorted p2);
+  ]
+
+let () = Alcotest.run "automaton" [ ("unit", unit_tests @ digest_tests @ csr_tests) ]

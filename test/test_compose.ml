@@ -2,6 +2,7 @@ module Automaton = Mechaml_ts.Automaton
 module Compose = Mechaml_ts.Compose
 module Run = Mechaml_ts.Run
 module Universe = Mechaml_ts.Universe
+module Bitset = Mechaml_util.Bitset
 open Helpers
 
 (* A ping/pong pair: left sends ping and expects pong, right mirrors. *)
@@ -106,4 +107,155 @@ let unit_tests =
         | _ -> Alcotest.fail "expected raise");
   ]
 
-let () = Alcotest.run "compose" [ ("unit", unit_tests) ]
+(* -- the join kernel against a nested-scan reference ----------------------
+
+   The reference is Definition 3 read literally, over signal names: two
+   transitions compose iff what each consumes from the other's outputs is
+   exactly what the other produces on the connected signals.  Its moves come
+   from a nested scan of both adjacency lists (left outer, right inner), and
+   its product from a plain BFS in discovery order. *)
+
+let connected from_u set to_u =
+  List.filter (Universe.mem to_u) (Universe.names_of_set from_u set)
+
+let compatible (l : Automaton.t) (r : Automaton.t) (t : Automaton.trans) (t' : Automaton.trans) =
+  List.sort compare (connected l.inputs t.input r.outputs)
+  = List.sort compare (connected r.outputs t'.output l.inputs)
+  && List.sort compare (connected r.inputs t'.input l.outputs)
+     = List.sort compare (connected l.outputs t.output r.inputs)
+
+let reference_moves (l : Automaton.t) (r : Automaton.t) s s' =
+  List.concat_map
+    (fun (t : Automaton.trans) ->
+      List.filter_map
+        (fun (t' : Automaton.trans) ->
+          if compatible l r t t' then
+            Some
+              ( Bitset.union t.input (Bitset.shift (Universe.size l.inputs) t'.input),
+                Bitset.union t.output (Bitset.shift (Universe.size l.outputs) t'.output),
+                t.dst,
+                t'.dst )
+          else None)
+        (Automaton.transitions_from r s'))
+    (Automaton.transitions_from l s)
+
+let kernel_moves j s s' =
+  let acc = ref [] in
+  let n = Compose.moves j s s' (fun a b l r -> acc := (a, b, l, r) :: !acc) in
+  if n <> List.length !acc then Alcotest.failf "move count %d disagrees with the moves" n;
+  List.rev !acc
+
+(* Reachable pairs in discovery order, checking the kernel's moves from each
+   against the reference's; [None] when they first disagree. *)
+let explore (l : Automaton.t) (r : Automaton.t) =
+  let j = Compose.join l r in
+  let ids = Hashtbl.create 64 and order = ref [] and queue = Queue.create () in
+  let intern pair =
+    match Hashtbl.find_opt ids pair with
+    | Some id -> id
+    | None ->
+      let id = Hashtbl.length ids in
+      Hashtbl.add ids pair id;
+      order := pair :: !order;
+      Queue.add pair queue;
+      id
+  in
+  let initial =
+    List.concat_map (fun q -> List.map (fun q' -> intern (q, q')) r.initial) l.initial
+  in
+  let rows = ref [] and agree = ref true in
+  while !agree && not (Queue.is_empty queue) do
+    let s, s' = Queue.pop queue in
+    let expected = reference_moves l r s s' in
+    if kernel_moves j s s' <> expected then agree := false;
+    rows :=
+      List.map
+        (fun (input, output, d, d') -> { Automaton.input; output; dst = intern (d, d') })
+        expected
+      :: !rows
+  done;
+  if !agree then Some (Array.of_list (List.rev !order), initial, Array.of_list (List.rev !rows))
+  else None
+
+let reference_product (l : Automaton.t) (r : Automaton.t) (pairs, initial, trans) =
+  Automaton.of_packed
+    ~name:(l.name ^ "||" ^ r.name)
+    ~inputs:(Universe.union l.inputs r.inputs)
+    ~outputs:(Universe.union l.outputs r.outputs)
+    ~props:(Universe.union l.props r.props)
+    ~state_names:
+      (Array.map (fun (s, s') -> Automaton.state_name l s ^ "," ^ Automaton.state_name r s') pairs)
+    ~labels:
+      (Array.map
+         (fun (s, s') ->
+           Bitset.union (Automaton.label l s)
+             (Bitset.shift (Universe.size l.props) (Automaton.label r s')))
+         pairs)
+    ~trans ~initial ()
+
+(* Kernel moves equal the reference's from every reachable pair; where the
+   combined universes fit a word, [parallel] also equals the reference
+   product in digest and provenance. *)
+let agrees ~shape (l : Automaton.t) (r : Automaton.t) =
+  match explore l r with
+  | None -> QCheck.Test.fail_reportf "%s: joint moves differ from the nested scan" shape
+  | Some ((pairs, _, _) as reachable) ->
+    let fits =
+      Universe.size l.inputs + Universe.size r.inputs <= Bitset.max_width
+      && Universe.size l.outputs + Universe.size r.outputs <= Bitset.max_width
+    in
+    (if fits then
+       let p = Compose.parallel l r in
+       if p.Compose.pairs <> pairs then
+         QCheck.Test.fail_reportf "%s: product pairs differ" shape;
+       if Automaton.digest p.Compose.auto <> Automaton.digest (reference_product l r reachable)
+       then QCheck.Test.fail_reportf "%s: product digest differs" shape);
+    true
+
+let names prefix n = List.init n (Printf.sprintf "%s%d" prefix)
+
+let kernel_prop seed =
+  let rng = Prng.create ~seed in
+  let states () = 1 + Prng.int rng 6 in
+  (* closed: every output of one side is an input of the other *)
+  let closed_l =
+    random_automaton rng ~name:"L" ~inputs:(names "a" 3) ~outputs:(names "b" 2) ~states:(states ()) ()
+  in
+  let closed_r =
+    random_automaton rng ~name:"R" ~inputs:(names "b" 2) ~outputs:(names "a" 3) ~fanout:16
+      ~states:(states ()) ()
+  in
+  (* open: unconnected signals on both sides, so right labels that differ
+     only there share a footprint *)
+  let open_l =
+    random_automaton rng ~name:"L" ~inputs:(names "a" 2 @ [ "e" ]) ~outputs:(names "b" 2 @ [ "f" ])
+      ~states:(states ()) ()
+  in
+  let open_r =
+    random_automaton rng ~name:"R" ~inputs:(names "b" 2 @ [ "g" ]) ~outputs:(names "a" 2 @ [ "h" ])
+      ~fanout:16 ~states:(states ()) ()
+  in
+  (* wide: 40 + 24 outputs; the right side's labels use its first 20, so
+     every combined label still fits a word *)
+  let wide_l =
+    random_automaton rng ~name:"L" ~inputs:(names "a" 2) ~outputs:(names "b" 2 @ names "p" 38)
+      ~states:(states ()) ()
+  in
+  let wide_r =
+    random_automaton rng ~name:"R" ~inputs:(names "b" 2) ~outputs:(names "a" 2 @ names "q" 22)
+      ~out_bits:20 ~states:(states ()) ()
+  in
+  let patched = random_patch rng (random_patch rng closed_r) in
+  agrees ~shape:"closed" closed_l closed_r
+  && agrees ~shape:"open" open_l open_r
+  && agrees ~shape:"wide" wide_l wide_r
+  && agrees ~shape:"patched" closed_l patched
+
+let property_tests =
+  [
+    qcheck ~count:300 "kernel matches the nested-scan reference"
+      QCheck.(int_bound 1_000_000)
+      kernel_prop;
+  ]
+
+let () = Alcotest.run "compose" [ ("unit", unit_tests); ("join", property_tests) ]

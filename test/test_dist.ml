@@ -217,6 +217,20 @@ let fault_tests =
   let left = machine 1 and right = context 18 in
   let pairs = Automaton.num_states left * Automaton.num_states right in
   [
+    test "a client that hangs up before its reply leaves the worker serving" (fun () ->
+        with_fleet 1 (fun _ addrs ->
+            let addr = Wire.addr_of_string (List.hd addrs) in
+            let ping = Wire.msg (Json.Obj [ ("op", Json.Str "ping") ]) in
+            (* with its receive side shut, the worker's reply fails to write *)
+            let fd = Wire.connect addr in
+            Unix.shutdown fd Unix.SHUTDOWN_RECEIVE;
+            let c = Http.conn fd in
+            Http.write_request c ~meth:"POST" ~path:"/v1/dist/ping" (Wire.encode ping);
+            Http.close c;
+            match Wire.call ~deadline_s:5. addr ~path:"/v1/dist/ping" ping with
+            | _ -> ()
+            | exception e ->
+              Alcotest.failf "the worker stopped answering: %s" (Printexc.to_string e)));
     test "a lone worker answering out-of-range keys fails the build with Dist_error"
       (fun () ->
         with_fake_worker ~pairs (fun fake ->

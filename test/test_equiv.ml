@@ -1,6 +1,6 @@
 (* Kernel-equivalence suite: the state-space engine rewrite (packed automata,
-   bucketed products, bitset fixpoints) and the incremental re-verification
-   engine (delta closures, product patching, warm-started fixpoints) must be
+   the CSR join kernel, bitset fixpoints) and the incremental re-verification
+   engine (delta closures, warm-started fixpoints) must be
    pure speedups.  These tests pin the observable behaviour of the whole
    pipeline to the seed engine:
 
@@ -187,65 +187,10 @@ let loop_equivalence_prop seed =
     QCheck.Test.fail_reportf "iteration records differ (seed %d)" seed;
   true
 
-(* The campaign memo keys a check by the context digest and the closure key,
-   never by the product: sound only while [Compose.Inc.parallel] builds the
-   very automaton [Compose.parallel] would.  Drive the loop's sequence —
-   closure update, incremental product with its stable right keys — and
-   compare content digests. *)
-let inc_product_digest_prop seed =
-  let module Compose = Mechaml_ts.Compose in
-  let rng = Prng.create ~seed in
-  let pool = [| "s0"; "s1"; "s2"; "s3" |] in
-  let subset l = List.filter (fun _ -> Prng.bool rng) l in
-  let context =
-    automaton ~name:"ctx" ~inputs:[ "x" ] ~outputs:[ "a"; "b" ]
-      ~trans:
-        [
-          ("c0", [], [ "a" ], "c1");
-          ("c0", [ "x" ], [], "c0");
-          ("c1", [ "x" ], [ "b" ], "c0");
-          ("c1", [], [], "c2");
-          ("c2", [], [ "a"; "b" ], "c0");
-        ]
-      ~initial:[ "c0" ] ()
-  in
-  let m =
-    ref (Incomplete.create ~name:"q" ~inputs:[ "a"; "b" ] ~outputs:[ "x" ] ~initial_state:"s0")
-  in
-  let inc = Chaos.inc_closure ~label_of:(fun _ -> []) ~extra_props:[] !m in
-  let pinc = Compose.Inc.create context in
-  for _ = 1 to 10 do
-    (try
-       let src = pool.(Prng.int rng (Array.length pool)) in
-       let inputs = subset [ "a"; "b" ] in
-       if Prng.bool rng then
-         let dst = pool.(Prng.int rng (Array.length pool)) in
-         m :=
-           Incomplete.add_transition !m ~src
-             (Incomplete.interaction ~inputs ~outputs:(subset [ "x" ]))
-             ~dst
-       else m := Incomplete.add_refusal !m ~state:src ~inputs
-     with Invalid_argument _ -> ());
-    Chaos.update inc !m;
-    let closure = Chaos.auto inc in
-    let n = Automaton.num_states closure in
-    let p, _ =
-      Compose.Inc.parallel pinc ~right:closure ~dirty:(Chaos.dirty_states inc)
-        ~stable_key:(fun r -> if r >= n - 2 then r - n else r)
-        ~resolve:(fun k -> if k < 0 then n + k else k)
-    in
-    let fresh = Compose.parallel context closure in
-    if Automaton.digest p.Compose.auto <> Automaton.digest fresh.Compose.auto then
-      QCheck.Test.fail_reportf "incremental product digest diverged (seed %d)" seed
-  done;
-  true
-
 let property_tests =
   [
     qcheck ~count:40 "Chaos.update chain is structurally a fresh closure"
       QCheck.small_nat chaos_update_chain_prop;
-    qcheck ~count:40 "Compose.Inc.parallel digests like Compose.parallel"
-      QCheck.small_nat inc_product_digest_prop;
     qcheck ~count:15 "incremental Loop.run matches scratch Loop.run"
       QCheck.small_nat loop_equivalence_prop;
   ]

@@ -13,12 +13,14 @@ let bindings t =
 let reference_bindings h = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
 
 (* Interns [keys] in order, handing out ids in first-seen order the way the
-   sharded explorer does; fails on the first disagreement with Hashtbl. *)
+   sharded explorer does, and looks each key up before and after; fails on
+   the first disagreement with Hashtbl. *)
 let intern_agrees ?(size = 0) keys =
   let t = Itbl.create size and h = Hashtbl.create 16 in
   List.for_all
     (fun key ->
       let fresh = Hashtbl.length h in
+      let before = Option.value (Hashtbl.find_opt h key) ~default:(-1) in
       let expect =
         match Hashtbl.find_opt h key with
         | Some v -> v
@@ -26,7 +28,10 @@ let intern_agrees ?(size = 0) keys =
           Hashtbl.add h key fresh;
           fresh
       in
-      Itbl.find_or_add t key fresh = expect && Itbl.length t = Hashtbl.length h)
+      Itbl.find t key ~default:(-1) = before
+      && Itbl.find_or_add t key fresh = expect
+      && Itbl.find t key ~default:(-1) = expect
+      && Itbl.length t = Hashtbl.length h)
     keys
   && bindings t = reference_bindings h
 
@@ -64,7 +69,10 @@ let unit_tests =
         for i = 0 to 9999 do
           if Itbl.find_or_add t (i * 7919) (-1) <> i then Alcotest.failf "lost key %d" i
         done;
-        check_int "no growth on lookups" 10000 (Itbl.length t));
+        check_int "no growth on lookups" 10000 (Itbl.length t);
+        check_int "find misses" (-5) (Itbl.find t 1 ~default:(-5));
+        check_int "negative keys miss" (-5) (Itbl.find t (-7919) ~default:(-5));
+        check_int "find adds nothing" 10000 (Itbl.length t));
     test "key 0 and max_int are ordinary keys" (fun () ->
         let t = Itbl.create 0 in
         check_int "zero" 1 (Itbl.find_or_add t 0 1);

@@ -120,6 +120,25 @@ let automaton_tests =
             Wire.automaton_of_json (Json.Str "nope")));
   ]
 
+(* The shard coordinator writes to workers that may have died; the write
+   must fail with an error it can recover from, not end the process. *)
+let http_tests =
+  [
+    test "a write to a closed peer raises instead of killing the process" (fun () ->
+        let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.close b;
+        let c = Mechaml_wire.Http.conn a in
+        Fun.protect
+          ~finally:(fun () -> Mechaml_wire.Http.close c)
+          (fun () ->
+            match
+              Mechaml_wire.Http.write_request c ~meth:"POST" ~path:"/x"
+                (String.make 100_000 'x')
+            with
+            | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+            | () -> Alcotest.fail "a write to a closed peer succeeded"));
+  ]
+
 let () =
   Alcotest.run "wire"
-    [ ("codec", codec_tests); ("automaton", automaton_tests) ]
+    [ ("codec", codec_tests); ("automaton", automaton_tests); ("http", http_tests) ]
