@@ -643,44 +643,6 @@ let exp_t10 () =
        ~header:[ "scenario"; "CEs/round"; "verdict"; "MC rounds"; "tests"; "test steps" ]
        rows)
 
-(* -- EXP-T11: on-the-fly vs materialized checking --------------------------- *)
-
-let exp_t11 () =
-  header "EXP-T11" "On-the-fly product exploration vs materializing the composition";
-  let module Onthefly = Mechaml_mc.Onthefly in
-  let rows =
-    List.map
-      (fun n ->
-        let left = Families.lock_context ~n ~depth:(n - 1) in
-        let right = Families.lock_legacy ~n in
-        let fly = Onthefly.check_safety ~left ~right () in
-        let p = Compose.parallel left right in
-        [
-          string_of_int n;
-          string_of_int fly.Onthefly.pairs_explored;
-          string_of_int (Automaton.num_states p.Compose.auto);
-          (match fly.Onthefly.verdict with
-          | Onthefly.Holds -> "holds"
-          | Onthefly.Bad_state _ -> "bad state"
-          | Onthefly.Deadlocked _ -> "deadlock");
-        ])
-      [ 16; 64; 256 ]
-  in
-  print_endline
-    (Pp.table ~header:[ "lock n"; "pairs explored"; "product states"; "verdict" ] rows);
-  let n = 256 in
-  let left = Families.lock_context ~n ~depth:(n - 1) in
-  let right = Families.lock_legacy ~n in
-  measure_tests "onthefly_vs_materialized"
-    [
-      Test.make ~name:"on-the-fly check"
-        (Staged.stage (fun () -> ignore (Onthefly.check_safety ~left ~right ())));
-      Test.make ~name:"materialize + check"
-        (Staged.stage (fun () ->
-             let p = Compose.parallel left right in
-             ignore (Checker.holds p.Compose.auto Ctl.deadlock_free)));
-    ]
-
 (* -- EXP-T12: counterexample processing in L* ------------------------------- *)
 
 let exp_t12 () =
@@ -1488,7 +1450,6 @@ let groups =
     ("t8_timed", exp_t8);
     ("t9_qos", exp_t9);
     ("t10_batch", exp_t10);
-    ("t11_onthefly", exp_t11);
     ("t12_ce_processing", exp_t12);
     ("t13_campaign", exp_t13);
     ("t14_loop_incremental", exp_t14);

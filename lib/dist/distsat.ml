@@ -1,6 +1,7 @@
 (* The distributed backend: successor sweeps and the four unbounded
    fixpoints run on the worker fleet through {!Distshard.agg} /
-   {!Distshard.fixpoint}; satisfaction sets are global bit vectors on the
+   {!Distshard.fixpoint} (each worker on the {!Mechaml_mc.Worklist}
+   kernel); satisfaction sets are global bit vectors on the
    coordinator, banked in its segment manager so they share its residency
    budget with the product's CSR segments. *)
 

@@ -2,7 +2,9 @@
     {!Mechaml_mc.Eval} evaluator over a worker-fleet backend.
 
     Satisfaction sets are global bit vectors held by the coordinator;
-    successor sweeps and the unbounded fixpoints run on the worker fleet.
+    successor sweeps and the unbounded fixpoints run on the worker fleet,
+    each worker driving the {!Mechaml_mc.Worklist} kernel over its adopted
+    shards while the coordinator routes boundary items between them.
     The fixpoints are confluent, so the distributed schedule (including
     mid-operator worker restarts) converges to bit-for-bit the same sets as
     {!Mechaml_mc.Sat} and {!Mechaml_mc.Shardsat}, for any worker and shard

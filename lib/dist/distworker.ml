@@ -5,15 +5,22 @@
    successor keys, computed from the session's operand automata alone.
    After the build it holds the forward and predecessor CSR segments of the
    shards it owns, under its own memory budget, and runs the shard-local
-   part of the global fixpoints.  All state is per-session, so one worker
-   serves any number of concurrent coordinators. *)
+   part of the global fixpoints on the {!Mechaml_mc.Worklist} kernel: its
+   adopted shards are the kernel's owned blocks, its outboxes the kernel's
+   [emit], and the coordinator's boundary items the kernel's [feed].  Every
+   request is validated against the session before the kernel sees it.
+   All state is per-session, so one worker serves any number of concurrent
+   coordinators. *)
 
 module Bitvec = Mechaml_util.Bitvec
+module Eval = Mechaml_mc.Eval
+module Worklist = Mechaml_mc.Worklist
 module Segment = Mechaml_util.Segment
 module Ivec = Mechaml_util.Ivec
 module Json = Mechaml_obs.Json
 module Automaton = Mechaml_ts.Automaton
 module Compose = Mechaml_ts.Compose
+module Shard = Mechaml_ts.Shard
 module Http = Mechaml_wire.Http
 module Wire = Mechaml_wire.Shardwire
 
@@ -22,15 +29,13 @@ exception Die
 
 (* -- per-session state ------------------------------------------------------ *)
 
-type fix_kind = Ef | Eu | Eg | Au
-
-type fix_state = {
-  kind : fix_kind;
-  out : Bitvec.t;  (* global-indexed; authoritative only for owned states *)
-  guard : Bitvec.t option;  (* [f] of E/A (f U g) *)
-  stacks : int array array;  (* per shard, local indices *)
-  sps : int array;
-  cnt : int array array;  (* per shard: EG successor counts / AU bad counts *)
+(* The global maps from the [ctx] op, checked to be a partition: [sizes.(k)]
+   states in shard [k], numbered [0 .. sizes.(k) - 1] by [local]. *)
+type ctx = {
+  owner : int array;
+  local : int array;
+  sizes : int array;
+  blocking : Bitvec.t;  (* set for owned states as their shards are adopted *)
 }
 
 type sess = {
@@ -39,21 +44,29 @@ type sess = {
   shards : int;
   mgr : Segment.t;
   join : Compose.join;
-  owned : bool array;
-  fwd : Segment.slot option array;
-  pred : Segment.slot option array;
-  g2l : (int, int) Hashtbl.t array;  (* gid -> local, per owned shard *)
-  mutable owner_g : int array;  (* global owner map, from the ctx op *)
-  mutable local_g : int array;
-  mutable fix : fix_state option;
+  seg : Segment.slot option array;  (* adopted shards' forward + predecessor CSR *)
+  mutable ctx : ctx option;
+  mutable fix : Worklist.run option;
+  outboxes : Ivec.t array;  (* boundary items per destination shard *)
   mutable rounds : int;
   mutable uniq : int;  (* uniquifies segment names across re-installs *)
   die_after : int option;
 }
 
+let bad fmt = Printf.ksprintf (fun m -> raise (Wire.Wire_error ("worker: " ^ m))) fmt
+
 let ints_field data name = Wire.ints data name
 
-let field_opt data name = Wire.ints_opt data name
+(* The shard [k] a request field named [prefix ^ k] is addressed to. *)
+let shard_of_field s ~prefix name =
+  let p = String.length prefix in
+  match
+    if String.length name > p && String.sub name 0 p = prefix then
+      int_of_string_opt (String.sub name p (String.length name - p))
+    else None
+  with
+  | Some k when k >= 0 && k < s.shards -> k
+  | _ -> bad "bad field %S" name
 
 (* -- build phase: stateless frontier expansion ------------------------------ *)
 
@@ -80,15 +93,7 @@ let expand s data =
   if throttle_s > 0. then Unix.sleepf throttle_s;
   List.concat_map
     (fun (name, _) ->
-      let k =
-        match
-          if String.length name > 1 && name.[0] = 'f' then
-            int_of_string_opt (String.sub name 1 (String.length name - 1))
-          else None
-        with
-        | Some k when k >= 0 && k < s.shards -> k
-        | _ -> raise (Wire.Wire_error (Printf.sprintf "worker: bad expand field %S" name))
-      in
+      let k = shard_of_field s ~prefix:"f" name in
       let succ = Ivec.create () in
       let counts =
         Array.map
@@ -105,341 +110,161 @@ let expand s data =
       ])
     data
 
-let fwd_view s k =
-  match s.fwd.(k) with
-  | None -> raise (Wire.Wire_error "worker: shard not installed")
-  | Some slot ->
-    let p = Segment.get s.mgr slot in
-    (ints_field p "members", ints_field p "row", ints_field p "dst")
+(* -- install: the coordinator's context and finished segments ------------- *)
 
-let pred_view s k =
-  match s.pred.(k) with
-  | None -> raise (Wire.Wire_error "worker: shard has no predecessor segment")
-  | Some slot ->
-    let p = Segment.get s.mgr slot in
-    (ints_field p "prow", ints_field p "psrc")
+(* Install the global owner/local maps.  Adopted shards and a running
+   fixpoint belong to the previous maps and are dropped; the coordinator
+   always follows a [ctx] with its [adopt_seg]s. *)
+let set_ctx s data =
+  let owner = ints_field data "owner" and local = ints_field data "local" in
+  let n = Array.length owner in
+  if Array.length local <> n then bad "owner and local maps differ in length";
+  let sizes = Array.make s.shards 0 in
+  Array.iter
+    (fun k ->
+      if k < 0 || k >= s.shards then bad "owner map names shard %d" k;
+      sizes.(k) <- sizes.(k) + 1)
+    owner;
+  let base = Array.make s.shards 0 in
+  for k = 1 to s.shards - 1 do
+    base.(k) <- base.(k - 1) + sizes.(k - 1)
+  done;
+  let seen = Bitvec.create n in
+  Array.iteri
+    (fun g k ->
+      let m = local.(g) in
+      if m < 0 || m >= sizes.(k) || Bitvec.get seen (base.(k) + m) then
+        bad "local map is not a numbering of each shard";
+      Bitvec.set seen (base.(k) + m))
+    owner;
+  Array.fill s.seg 0 s.shards None;
+  s.fix <- None;
+  s.ctx <- Some { owner; local; sizes; blocking = Bitvec.create n }
 
-(* -- install: the coordinator's finished segments --------------------------- *)
+let require_ctx s =
+  match s.ctx with Some c -> c | None -> bad "op before the owner/local context"
+
+(* [row] has an offset per source plus one, monotone from 0 and within
+   [ids] (which may carry padding); every indexed id is a state. *)
+let check_csr ~what ~n ~rows row ids =
+  if Array.length row <> rows + 1 || row.(0) <> 0 || row.(rows) > Array.length ids then
+    bad "%s offsets do not fit the shard" what;
+  for m = 0 to rows - 1 do
+    if row.(m + 1) < row.(m) then bad "%s offsets are not monotone" what
+  done;
+  for e = 0 to row.(rows) - 1 do
+    if ids.(e) < 0 || ids.(e) >= n then bad "%s names state %d of %d" what ids.(e) n
+  done
 
 (* Take ownership of shard [k] with the coordinator's finished, digest-checked
    forward and predecessor segments (after the build, and again on a
-   replacement worker). *)
+   replacement worker).  The members must be exactly the shard of the
+   context's maps. *)
 let adopt_seg s k data =
-  if k < 0 || k >= s.shards then raise (Wire.Wire_error "worker: adopted shard out of range");
-  s.owned.(k) <- true;
+  let c = require_ctx s in
+  if k < 0 || k >= s.shards then bad "adopted shard out of range";
+  let n = Array.length c.owner in
   let members = ints_field data "members" in
+  let size = Array.length members in
+  if size <> c.sizes.(k) then bad "shard %d has %d members, the context %d" k size c.sizes.(k);
+  Array.iteri
+    (fun m g ->
+      if g < 0 || g >= n || c.owner.(g) <> k || c.local.(g) <> m then
+        bad "member %d of shard %d disagrees with the context" m k)
+    members;
+  let row = ints_field data "row" and prow = ints_field data "prow" in
+  check_csr ~what:"forward" ~n ~rows:size row (ints_field data "dst");
+  check_csr ~what:"predecessor" ~n ~rows:size prow (ints_field data "psrc");
+  Array.iteri
+    (fun m g ->
+      if row.(m + 1) = row.(m) then Bitvec.set c.blocking g else Bitvec.clear c.blocking g)
+    members;
   s.uniq <- s.uniq + 1;
-  s.fwd.(k) <-
+  s.seg.(k) <-
     Some
       (Segment.add s.mgr
-         ~name:(Printf.sprintf "fwd%d_%d" k s.uniq)
-         [
-           ("members", Segment.Ints members);
-           ("row", Segment.Ints (ints_field data "row"));
-           ("dst", Segment.Ints (ints_field data "dst"));
-         ]);
-  s.pred.(k) <-
-    Some
-      (Segment.add s.mgr
-         ~name:(Printf.sprintf "pred%d_%d" k s.uniq)
-         [
-           ("prow", Segment.Ints (ints_field data "prow"));
-           ("psrc", Segment.Ints (ints_field data "psrc"));
-         ]);
-  let tbl = Hashtbl.create (max 16 (Array.length members)) in
-  Array.iteri (fun m g -> Hashtbl.replace tbl g m) members;
-  s.g2l.(k) <- tbl
+         ~name:(Printf.sprintf "seg%d_%d" k s.uniq)
+         (List.map
+            (fun f -> (f, Segment.Ints (ints_field data f)))
+            [ "members"; "row"; "dst"; "prow"; "psrc" ]))
 
-(* -- satisfaction sweeps and fixpoints -------------------------------------- *)
+(* -- satisfaction sweeps and fixpoints: the kernel over the adopted shards -- *)
 
-let require_ctx s =
-  if Array.length s.owner_g = 0 then
-    raise (Wire.Wire_error "worker: sat op before owner/local context")
+let view s k =
+  match s.seg.(k) with
+  | None -> bad "shard %d not installed" k
+  | Some slot ->
+    let p = Segment.get s.mgr slot in
+    let f = ints_field p in
+    { Shard.members = f "members"; row = f "row"; dst = f "dst"; prow = f "prow"; psrc = f "psrc" }
 
-(* One-shot structural sweep: for every owned state, quantify the operand
-   vector over its successors.  Blocking states answer [true] under [forall]
-   (vacuous) and [false] under [exists], matching the in-process checker. *)
-let agg s ~forall x =
-  let n = Bitvec.length x in
-  let out = Bitvec.create n in
-  for k = 0 to s.shards - 1 do
-    if s.owned.(k) then begin
-      let members, row, dst = fwd_view s k in
-      Array.iteri
-        (fun m g ->
-          let hi = row.(m + 1) in
-          let e = ref row.(m) in
-          if forall then begin
-            let ok = ref true in
-            while !ok && !e < hi do
-              if not (Bitvec.unsafe_get x dst.(!e)) then ok := false;
-              incr e
-            done;
-            if !ok then Bitvec.unsafe_set out g
-          end
-          else begin
-            let found = ref false in
-            while (not !found) && !e < hi do
-              if Bitvec.unsafe_get x dst.(!e) then found := true;
-              incr e
-            done;
-            if !found then Bitvec.unsafe_set out g
-          end)
-        members
-    end
-  done;
-  out
+let space s =
+  let c = require_ctx s in
+  Worklist.blocks ~blocking:c.blocking ~owner:c.owner ~local:c.local ~sizes:c.sizes
+    ~owned:(Array.map Option.is_some s.seg) (view s)
 
-let owned_gid s g =
-  let k = s.owner_g.(g) in
-  s.owned.(k)
+(* A global bit vector from the request, sized to the context's maps. *)
+let global_bits s data name =
+  let v = Wire.bits data name and n = Array.length (require_ctx s).owner in
+  if Bitvec.length v <> n then bad "%s has %d bits for %d states" name (Bitvec.length v) n;
+  v
 
-let fix_init s kind ~seed ~guard =
-  require_ctx s;
-  let out = Bitvec.copy seed in
-  let stacks = Array.make s.shards [||] in
-  let sps = Array.make s.shards 0 in
-  let cnt = Array.make s.shards [||] in
-  for k = 0 to s.shards - 1 do
-    if s.owned.(k) then begin
-      let members, row, dst = fwd_view s k in
-      let size = Array.length members in
-      stacks.(k) <- Array.make (max size 1) 0;
-      (match kind with
-      | Ef | Eu ->
-        Array.iteri
-          (fun m g ->
-            if Bitvec.unsafe_get out g then begin
-              stacks.(k).(sps.(k)) <- m;
-              sps.(k) <- sps.(k) + 1
-            end)
-          members
-      | Eg ->
-        cnt.(k) <- Array.make (max size 1) 0;
-        Array.iteri
-          (fun m g ->
-            if Bitvec.unsafe_get out g then begin
-              let c = ref 0 in
-              for e = row.(m) to row.(m + 1) - 1 do
-                if Bitvec.unsafe_get out dst.(e) then incr c
-              done;
-              cnt.(k).(m) <- !c;
-              if !c = 0 && row.(m + 1) > row.(m) then begin
-                stacks.(k).(sps.(k)) <- m;
-                sps.(k) <- sps.(k) + 1
-              end
-            end)
-          members
-      | Au ->
-        (* first pass only: bad-successor counts against the unmodified
-           seed — candidates are a separate pass below, exactly like the
-           in-process engine, so no edge's removal is counted twice *)
-        cnt.(k) <- Array.make (max size 1) 0;
-        Array.iteri
-          (fun m _g ->
-            let c = ref 0 in
-            for e = row.(m) to row.(m + 1) - 1 do
-              if not (Bitvec.unsafe_get out dst.(e)) then incr c
-            done;
-            cnt.(k).(m) <- !c)
-          members
-      )
-    end
-  done;
-  (match kind with
-  | Au ->
-    let fset = match guard with Some f -> f | None -> raise (Wire.Wire_error "worker: AU without guard") in
-    for k = 0 to s.shards - 1 do
-      if s.owned.(k) then begin
-        let members, row, _ = fwd_view s k in
-        Array.iteri
-          (fun m g ->
-            if
-              (not (Bitvec.unsafe_get out g))
-              && Bitvec.unsafe_get fset g
-              && row.(m + 1) > row.(m)
-              && cnt.(k).(m) = 0
-            then begin
-              Bitvec.unsafe_set out g;
-              stacks.(k).(sps.(k)) <- m;
-              sps.(k) <- sps.(k) + 1
-            end)
-          members
-      end
-    done
-  | Ef | Eu | Eg -> ());
-  s.fix <- Some { kind; out; guard; stacks; sps; cnt }
+let fix_init s (kind : Eval.fix) data =
+  let init = global_bits s data "seed" in
+  let guard =
+    match (kind, List.mem_assoc "guard" data) with
+    | (Eu | Au), true -> Some (global_bits s data "guard")
+    | (Eu | Au), false -> bad "eu/au without a guard"
+    | (Ef | Eg), _ -> None
+  in
+  let c = require_ctx s in
+  let emit p = Ivec.push s.outboxes.(c.owner.(p)) p in
+  s.fix <- Some (Worklist.start (space s) kind ~init ~guard ~emit)
 
-(* Apply one shard's incoming boundary items, then drain every owned stack.
-   Cross-worker work goes to per-destination-shard outboxes; within the
-   worker, pushes land directly on the owning shard's stack — exactly the
-   in-process worklist, cut at process boundaries.  All four fixpoints are
-   confluent, so the drain order (which differs from the single-process
-   schedule) cannot change the converged set. *)
+let fix_run s = match s.fix with Some r -> r | None -> bad "fixpoint op before fix_init"
+
+(* Feed shard [k]'s incoming boundary items, then run kernel rounds until
+   every owned stack is empty.  Cross-worker work lands in the outboxes;
+   all four fixpoints are confluent, so the drain order (which differs from
+   the single-process schedule) cannot change the converged set. *)
 let fix_round s data =
-  require_ctx s;
-  let f = match s.fix with Some f -> f | None -> raise (Wire.Wire_error "worker: fix_round before fix_init") in
-  let outboxes = Array.init s.shards (fun _ -> Ivec.create ()) in
-  let blocking_of row m = row.(m + 1) = row.(m) in
-  (* incoming boundary items *)
-  for k = 0 to s.shards - 1 do
-    if s.owned.(k) then begin
-      match field_opt data (Printf.sprintf "in%d" k) with
-      | None -> ()
-      | Some incoming ->
-        let _, row, _ = fwd_view s k in
+  let r = fix_run s in
+  let c = require_ctx s in
+  (* every item is checked before any is fed, so a refused round leaves
+     the fixpoint as it was *)
+  let incoming =
+    List.map
+      (fun (name, _) ->
+        let k = shard_of_field s ~prefix:"in" name in
+        if s.seg.(k) = None then bad "boundary items for shard %d, not adopted" k;
+        let items = ints_field data name in
         Array.iter
           (fun g ->
-            let m =
-              match Hashtbl.find_opt s.g2l.(k) g with
-              | Some m -> m
-              | None -> raise (Wire.Wire_error "worker: boundary item for foreign state")
-            in
-            match f.kind with
-            | Ef ->
-              if not (Bitvec.unsafe_get f.out g) then begin
-                Bitvec.unsafe_set f.out g;
-                f.stacks.(k).(f.sps.(k)) <- m;
-                f.sps.(k) <- f.sps.(k) + 1
-              end
-            | Eu ->
-              let fset = Option.get f.guard in
-              if (not (Bitvec.unsafe_get f.out g)) && Bitvec.unsafe_get fset g then begin
-                Bitvec.unsafe_set f.out g;
-                f.stacks.(k).(f.sps.(k)) <- m;
-                f.sps.(k) <- f.sps.(k) + 1
-              end
-            | Eg ->
-              (* a decrement event: one per removed-successor edge *)
-              if Bitvec.unsafe_get f.out g then begin
-                f.cnt.(k).(m) <- f.cnt.(k).(m) - 1;
-                if f.cnt.(k).(m) = 0 then begin
-                  f.stacks.(k).(f.sps.(k)) <- m;
-                  f.sps.(k) <- f.sps.(k) + 1
-                end
-              end
-            | Au ->
-              let fset = Option.get f.guard in
-              f.cnt.(k).(m) <- f.cnt.(k).(m) - 1;
-              if
-                (not (Bitvec.unsafe_get f.out g))
-                && Bitvec.unsafe_get fset g
-                && (not (blocking_of row m))
-                && f.cnt.(k).(m) = 0
-              then begin
-                Bitvec.unsafe_set f.out g;
-                f.stacks.(k).(f.sps.(k)) <- m;
-                f.sps.(k) <- f.sps.(k) + 1
-              end)
-          incoming
-    end
+            if g < 0 || g >= Array.length c.owner || c.owner.(g) <> k then
+              bad "boundary item %d is not a state of shard %d" g k)
+          items;
+        items)
+      data
+  in
+  List.iter (Array.iter (Worklist.feed r)) incoming;
+  while Worklist.round r > 0 do
+    ()
   done;
-  (* drain until every owned stack is empty *)
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    for k = 0 to s.shards - 1 do
-      if s.owned.(k) && f.sps.(k) > 0 then begin
-        progress := true;
-        let prow, psrc = pred_view s k in
-        let members, _, _ = fwd_view s k in
-        let stack = f.stacks.(k) in
-        while f.sps.(k) > 0 do
-          f.sps.(k) <- f.sps.(k) - 1;
-          let m = stack.(f.sps.(k)) in
-          (match f.kind with
-          | Ef ->
-            for e = prow.(m) to prow.(m + 1) - 1 do
-              let p = psrc.(e) in
-              if not (Bitvec.unsafe_get f.out p) then
-                if owned_gid s p then begin
-                  Bitvec.unsafe_set f.out p;
-                  let kp = s.owner_g.(p) in
-                  f.stacks.(kp).(f.sps.(kp)) <- s.local_g.(p);
-                  f.sps.(kp) <- f.sps.(kp) + 1
-                end
-                else begin
-                  Bitvec.unsafe_set f.out p;
-                  Ivec.push outboxes.(s.owner_g.(p)) p
-                end
-            done
-          | Eu ->
-            let fset = Option.get f.guard in
-            for e = prow.(m) to prow.(m + 1) - 1 do
-              let p = psrc.(e) in
-              if (not (Bitvec.unsafe_get f.out p)) && Bitvec.unsafe_get fset p then
-                if owned_gid s p then begin
-                  Bitvec.unsafe_set f.out p;
-                  let kp = s.owner_g.(p) in
-                  f.stacks.(kp).(f.sps.(kp)) <- s.local_g.(p);
-                  f.sps.(kp) <- f.sps.(kp) + 1
-                end
-                else begin
-                  Bitvec.unsafe_set f.out p;
-                  Ivec.push outboxes.(s.owner_g.(p)) p
-                end
-            done
-          | Eg ->
-            let g = members.(m) in
-            if Bitvec.unsafe_get f.out g then begin
-              Bitvec.unsafe_clear f.out g;
-              for e = prow.(m) to prow.(m + 1) - 1 do
-                let p = psrc.(e) in
-                if Bitvec.unsafe_get f.out p then
-                  if owned_gid s p then begin
-                    let kp = s.owner_g.(p) in
-                    let lp = s.local_g.(p) in
-                    f.cnt.(kp).(lp) <- f.cnt.(kp).(lp) - 1;
-                    if f.cnt.(kp).(lp) = 0 then begin
-                      f.stacks.(kp).(f.sps.(kp)) <- lp;
-                      f.sps.(kp) <- f.sps.(kp) + 1
-                    end
-                  end
-                  else Ivec.push outboxes.(s.owner_g.(p)) p
-              done
-            end
-          | Au ->
-            let fset = Option.get f.guard in
-            for e = prow.(m) to prow.(m + 1) - 1 do
-              let p = psrc.(e) in
-              if owned_gid s p then begin
-                let kp = s.owner_g.(p) in
-                let lp = s.local_g.(p) in
-                f.cnt.(kp).(lp) <- f.cnt.(kp).(lp) - 1;
-                let blocking =
-                  let _, prow_p, _ = fwd_view s kp in
-                  prow_p.(lp + 1) = prow_p.(lp)
-                in
-                if
-                  (not (Bitvec.unsafe_get f.out p))
-                  && Bitvec.unsafe_get fset p
-                  && (not blocking)
-                  && f.cnt.(kp).(lp) = 0
-                then begin
-                  Bitvec.unsafe_set f.out p;
-                  f.stacks.(kp).(f.sps.(kp)) <- lp;
-                  f.sps.(kp) <- f.sps.(kp) + 1
-                end
-              end
-              else Ivec.push outboxes.(s.owner_g.(p)) p
-            done)
-        done
-      end
-    done
-  done;
-  let out = ref [] in
-  for kk = s.shards - 1 downto 0 do
-    if Ivec.length outboxes.(kk) > 0 then
-      out := (Printf.sprintf "out%d" kk, Segment.Ints (Ivec.to_array outboxes.(kk))) :: !out
-  done;
-  !out
+  List.filter_map
+    (fun k ->
+      let o = s.outboxes.(k) in
+      if Ivec.length o = 0 then None
+      else begin
+        let a = Ivec.to_array o in
+        Ivec.clear o;
+        Some (Printf.sprintf "out%d" k, Segment.Ints a)
+      end)
+    (List.init s.shards Fun.id)
 
 let fix_done s =
-  match s.fix with
-  | None -> raise (Wire.Wire_error "worker: fix_done before fix_init")
-  | Some f ->
-    s.fix <- None;
-    [ ("out", Segment.Bits f.out) ]
+  let r = fix_run s in
+  s.fix <- None;
+  [ ("out", Segment.Bits (Worklist.result r)) ]
 
 (* -- the server loop -------------------------------------------------------- *)
 
@@ -488,13 +313,10 @@ let handle_msg t (m : Wire.msg) : Wire.msg =
         shards;
         mgr = Segment.create ?budget ~name:(Printf.sprintf "distw-%d" (Unix.getpid ())) ();
         join = Compose.join left right;
-        owned = Array.make shards false;
-        fwd = Array.make shards None;
-        pred = Array.make shards None;
-        g2l = Array.init shards (fun _ -> Hashtbl.create 16);
-        owner_g = [||];
-        local_g = [||];
+        seg = Array.make shards None;
+        ctx = None;
         fix = None;
+        outboxes = Array.init shards (fun _ -> Ivec.create ());
         rounds = 0;
         uniq = 0;
         die_after = Wire.jint_opt meta "die_after_rounds";
@@ -504,9 +326,7 @@ let handle_msg t (m : Wire.msg) : Wire.msg =
     ok []
   | "expand" -> ok (expand (session ()) data)
   | "ctx" ->
-    let s = session () in
-    s.owner_g <- ints_field data "owner";
-    s.local_g <- ints_field data "local";
+    set_ctx (session ()) data;
     ok []
   | "adopt_seg" ->
     let s = session () in
@@ -520,20 +340,17 @@ let handle_msg t (m : Wire.msg) : Wire.msg =
       | "exists" -> false
       | k -> raise (Wire.Wire_error ("worker: unknown agg kind " ^ k))
     in
-    ok [ ("out", Segment.Bits (agg s ~forall (Wire.bits data "x"))) ]
+    ok [ ("out", Segment.Bits (Worklist.agg (space s) ~forall (global_bits s data "x"))) ]
   | "fix_init" ->
-    let s = session () in
-    let kind =
+    let kind : Eval.fix =
       match Wire.jstr meta "kind" with
       | "ef" -> Ef
       | "eu" -> Eu
       | "eg" -> Eg
       | "au" -> Au
-      | k -> raise (Wire.Wire_error ("worker: unknown fixpoint kind " ^ k))
+      | k -> bad "unknown fixpoint kind %s" k
     in
-    let seed = Wire.bits data "seed" in
-    let guard = match List.assoc_opt "guard" data with Some (Segment.Bits b) -> Some b | _ -> None in
-    fix_init s kind ~seed ~guard;
+    fix_init (session ()) kind data;
     ok []
   | "fix_round" -> ok (fix_round (session ()) data)
   | "fix_done" -> ok (fix_done (session ()))

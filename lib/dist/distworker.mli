@@ -9,7 +9,16 @@
     ({!Distshard}).  After the build the worker is installed with its
     shards' finished forward and predecessor segments (held under its own
     {!Mechaml_util.Segment} budget) and runs the shard-local part of the global
-    fixpoints.
+    fixpoints on the {!Mechaml_mc.Worklist} kernel: its shards are the
+    kernel's owned blocks, its outboxes the kernel's [emit], and the
+    coordinator's boundary items are fed through the kernel's relaxation.
+
+    Every request is checked against the session before the kernel sees
+    it: bit vectors must match the [ctx] maps' length, [guard] is required
+    for [eu]/[au], the [ctx] maps must number each shard, [adopt_seg]
+    segments must be well-formed CSR over the shard's members, and
+    boundary items must be states of the shard they are addressed to.  A
+    violation is answered with a 400 and leaves the worker serving.
 
     The ops are [ping], [open], [expand], [ctx], [adopt_seg], [agg],
     [fix_init], [fix_round], [fix_done], [close] and [shutdown].  The

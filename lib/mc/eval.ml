@@ -244,13 +244,6 @@ module Make (B : BACKEND) = struct
     List.find_opt (fun q -> not (Bitvec.get v q)) (B.initial env.b)
 end
 
-let quantify ~forall ~row ~dst x s =
-  let e = ref row.(s) and hi = row.(s + 1) in
-  while !e < hi && Bitvec.unsafe_get x dst.(!e) = forall do
-    incr e
-  done;
-  !e >= hi = forall
-
 let prop_of_labels ~where universe (labels : Bitset.t array) p =
   match Mechaml_ts.Universe.index_opt universe p with
   | None -> invalid_arg (Printf.sprintf "Mc.Eval: proposition %S not in %s" p where)

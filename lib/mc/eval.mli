@@ -14,9 +14,11 @@
     seeding and the initial-state queries.  Satisfaction sets are global
     bit vectors indexed by state id.  The backends are {!Sat} (the
     materialized automaton), {!Shardsat} (an in-process sharded product)
-    and [Mechaml_dist.Distsat] (a product spread over worker processes);
-    every unbounded fixpoint is confluent, so all three produce bit-for-bit
-    the same sets. *)
+    and [Mechaml_dist.Distsat] (a product spread over worker processes).
+    All three compute {!BACKEND.agg} and {!BACKEND.fixpoint} on the one
+    {!Worklist} kernel, set up over one flat block, all shards, or each
+    worker's adopted shards; every unbounded fixpoint is confluent, so all
+    three produce bit-for-bit the same sets. *)
 
 module Ctl = Mechaml_logic.Ctl
 module Bitset = Mechaml_util.Bitset
@@ -108,11 +110,6 @@ module Make (B : BACKEND) : sig
 end
 
 (** {1 Helpers shared by the backends} *)
-
-val quantify : forall:bool -> row:int array -> dst:int array -> Bitvec.t -> int -> bool
-(** [quantify ~forall ~row ~dst x s]: all ([forall]) or some successors of
-    row [s] of a CSR adjacency are in [x] — the per-state step of
-    {!BACKEND.agg}. *)
 
 val prop_of_labels : where:string -> Mechaml_ts.Universe.t -> Bitset.t array -> string -> Bitvec.t
 (** The states whose label (indexed by state) contains the proposition;

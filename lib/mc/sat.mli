@@ -1,9 +1,10 @@
 (** Satisfaction sets for CCTL over the explicit state space of an
     automaton: the {!Eval} evaluator over the materialized backend.
 
-    The backend keeps the automaton's CSR adjacency in both directions and
-    runs each unbounded fixpoint as a single worklist; converged sets stay
-    in memory.  The CCTL semantics (maximal runs, discrete-time bounds) and
+    The backend keeps the automaton's CSR adjacency in both directions as
+    one flat block of the {!Worklist} kernel, which runs every unbounded
+    fixpoint and successor sweep; converged sets stay in memory.  The CCTL
+    semantics (maximal runs, discrete-time bounds) and
     the operator table are {!Eval}'s, shared with {!Shardsat} and
     [Mechaml_dist.Distsat], which compute bit-for-bit the same sets.  This
     is the one backend with a warm-start entry point ({!create_warm}) and

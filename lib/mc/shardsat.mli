@@ -2,12 +2,15 @@
     the {!Eval} evaluator over an in-process sharded backend.
 
     Satisfaction sets are global bit vectors; the structure is read one
-    shard view at a time.  Every unbounded fixpoint runs shard-local
-    worklists in batched rounds, exchanging boundary frontiers (pushes
-    whose owning shard differs from the one being drained) until the
-    global fixpoint is reached.  The fixpoints are confluent, so the
-    shard-batched processing order converges to bit-for-bit the same sets
-    as {!Sat}, for any shard count.
+    shard view at a time.  Every shard is an owned block of the
+    {!Worklist} kernel: each unbounded fixpoint drains the shard stacks in
+    rounds, one shard view resident per batch, and a push whose owning
+    shard differs from the one being drained is a boundary push
+    ([mc_shard_boundary_pushes_total]; rounds are
+    [mc_shard_rounds_total], each an [mc.shard.round] span).  The
+    fixpoints are confluent, so the shard-batched processing order
+    converges to bit-for-bit the same sets as {!Sat}, for any shard
+    count.
 
     Converged sets are banked in the product's
     {!Mechaml_ts.Shard.manager}, so under a memory budget cold sat sets

@@ -270,6 +270,107 @@ let fault_tests =
             | exception Distshard.Dist_error _ -> ());
             let dt = Unix.gettimeofday () -. t0 in
             if dt >= 5. then Alcotest.failf "Dist_error only after %.1f s" dt));
+    test "hostile fixpoint and install requests get a 400, the worker keeps serving"
+      (fun () ->
+        let left, right = mesh_pair ~w:23 ~h:16 in
+        let sp = Shard.explore ~config:(Shard.config ~shards:2 ()) left right in
+        Fun.protect
+          ~finally:(fun () -> Shard.close sp)
+          (fun () ->
+            with_fleet 1 (fun _ addrs ->
+                let addr = Wire.addr_of_string (List.hd addrs) in
+                let call ?(data = []) op fields =
+                  Wire.call ~deadline_s:5. addr ~path:("/v1/dist/" ^ op)
+                    (Wire.msg ~data
+                       (Json.Obj (("op", Json.Str op) :: ("sid", Json.Str "hostile") :: fields)))
+                in
+                let n = Shard.num_states sp in
+                let v0 = Shard.view sp 0 and v1 = Shard.view sp 1 in
+                let seg ?(members = v0.Shard.members) ?(row = v0.Shard.row)
+                    ?(dst = v0.Shard.dst) ?(psrc = v0.Shard.psrc) () =
+                  [
+                    ("members", Segment.Ints members);
+                    ("row", Segment.Ints row);
+                    ("dst", Segment.Ints dst);
+                    ("prow", Segment.Ints v0.Shard.prow);
+                    ("psrc", Segment.Ints psrc);
+                  ]
+                in
+                let adopt data = call "adopt_seg" ~data [ ("shard", Wire.num 0) ] in
+                let fix_init kind data = call "fix_init" ~data [ ("kind", Json.Str kind) ] in
+                let refused what f =
+                  (match f () with
+                  | _ -> Alcotest.failf "%s was accepted" what
+                  | exception Wire.Wire_error m ->
+                    let affix = "answered 400" in
+                    let k = String.length affix in
+                    if
+                      not
+                        (List.exists
+                           (fun i -> String.sub m i k = affix)
+                           (List.init (max 0 (String.length m - k + 1)) Fun.id))
+                    then Alcotest.failf "%s: %s" what m);
+                  match call "ping" [] with
+                  | _ -> ()
+                  | exception e ->
+                    Alcotest.failf "after %s the worker stopped answering: %s" what
+                      (Printexc.to_string e)
+                in
+                ignore
+                  (call "open"
+                     [
+                       ("shards", Wire.num 2);
+                       ("left", Wire.json_of_automaton left);
+                       ("right", Wire.json_of_automaton right);
+                     ]);
+                ignore
+                  (call "ctx"
+                     ~data:
+                       [
+                         ("owner", Segment.Ints (Shard.owner sp));
+                         ("local", Segment.Ints (Shard.local sp));
+                       ]
+                     []);
+                ignore (adopt (seg ()));
+                let all = Segment.Bits (Bitvec.create_full n) in
+                refused "eu without a guard" (fun () -> fix_init "eu" [ ("seed", all) ]);
+                refused "a round after the refused init" (fun () -> call "fix_round" []);
+                refused "au without a guard" (fun () -> fix_init "au" [ ("seed", all) ]);
+                refused "a 1-bit seed" (fun () ->
+                    fix_init "ef" [ ("seed", Segment.Bits (Bitvec.create 1)) ]);
+                refused "a 1-bit guard" (fun () ->
+                    fix_init "eu" [ ("seed", all); ("guard", Segment.Bits (Bitvec.create 1)) ]);
+                refused "a 1-bit agg operand" (fun () ->
+                    call "agg"
+                      ~data:[ ("x", Segment.Bits (Bitvec.create 1)) ]
+                      [ ("kind", Json.Str "forall") ]);
+                ignore (fix_init "ef" [ ("seed", Segment.Bits (Bitvec.create n)) ]);
+                let round items = call "fix_round" ~data:items [] in
+                refused "an out-of-range boundary item" (fun () ->
+                    round [ ("in0", Segment.Ints [| n |]) ]);
+                refused "a boundary item of another shard" (fun () ->
+                    round [ ("in0", Segment.Ints [| v1.Shard.members.(0) |]) ]);
+                refused "items for a shard not adopted" (fun () ->
+                    round [ ("in1", Segment.Ints [| v1.Shard.members.(0) |]) ]);
+                let rows = Array.length v0.Shard.row in
+                refused "a short row" (fun () ->
+                    adopt (seg ~row:(Array.sub v0.Shard.row 0 (rows - 1)) ()));
+                refused "a row that runs backwards" (fun () ->
+                    let row = Array.copy v0.Shard.row in
+                    row.(1) <- row.(2) + 1;
+                    adopt (seg ~row ()));
+                refused "a successor past the last state" (fun () ->
+                    adopt (seg ~dst:(Array.map (fun _ -> n) v0.Shard.dst) ()));
+                refused "a negative predecessor" (fun () ->
+                    adopt (seg ~psrc:(Array.map (fun _ -> -1) v0.Shard.psrc) ()));
+                refused "members of another shard" (fun () ->
+                    adopt (seg ~members:v1.Shard.members ()));
+                (* the session still computes: EF of everything is everything *)
+                ignore (fix_init "ef" [ ("seed", all) ]);
+                ignore (round []);
+                let reply, _, _ = call "fix_done" [] in
+                check_bool "the session still answers" true
+                  (Bitvec.equal (Wire.bits reply.Wire.data "out") (Bitvec.create_full n)))));
   ]
 
 (* Every field of two sharded products, compared exactly. *)

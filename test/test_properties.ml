@@ -307,20 +307,6 @@ let property_tests =
         in
         model'.Incomplete.trans = model.Incomplete.trans
         && model'.Incomplete.refusals = model.Incomplete.refusals);
-    qcheck ~count:40 "on-the-fly agrees with the materialized checker" seed_arb (fun seed ->
-        let legacy = deterministic_legacy seed in
-        let context =
-          Families.random_context ~seed:(seed + 5) ~states:3 ~legacy_inputs:[ "u"; "v" ]
-            ~legacy_outputs:[ "w" ]
-        in
-        let fly = Mechaml_mc.Onthefly.check_safety ~left:context ~right:legacy () in
-        let p = Compose.parallel context legacy in
-        let materialized = Checker.holds p.Compose.auto Ctl.deadlock_free in
-        (match fly.Mechaml_mc.Onthefly.verdict with
-        | Mechaml_mc.Onthefly.Holds -> materialized
-        | Mechaml_mc.Onthefly.Deadlocked _ -> not materialized
-        | Mechaml_mc.Onthefly.Bad_state _ -> false)
-        && fly.Mechaml_mc.Onthefly.pairs_explored <= Automaton.num_states p.Compose.auto + 1);
     qcheck ~count:30 "DFA L* learns random targets minimally" seed_arb (fun seed ->
         let target = Mechaml_learnlib.Dfa.random ~seed ~states:5 ~alphabet:[ "a"; "b" ] in
         let minimal = Mechaml_learnlib.Dfa.minimize target in

@@ -283,6 +283,175 @@ let fanout_tests =
               [ (None, false); (Some 1, false); (Some 2, true) ]));
   ]
 
+(* -- the worklist kernel against a sweep-to-convergence reference -------- *)
+
+module Worklist = Mechaml_mc.Worklist
+
+let kinds = Mechaml_mc.Eval.[ (Ef, "EF"); (Eu, "EU"); (Eg, "EG"); (Au, "AU") ]
+
+(* The fixpoint by repeated whole-space sweeps over the forward adjacency. *)
+let reference ~row ~dst ~blocking (kind : Mechaml_mc.Eval.fix) ~init ~guard =
+  let n = Bitvec.length init in
+  let x = Bitvec.to_bool_array init in
+  let succ s p =
+    let ok = ref false in
+    for e = row.(s) to row.(s + 1) - 1 do
+      if p x.(dst.(e)) then ok := true
+    done;
+    !ok
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for s = 0 to n - 1 do
+      let stop = Bitvec.get blocking s in
+      let v =
+        match kind with
+        | Ef | Eu -> x.(s) || (Bitvec.get guard s && succ s Fun.id)
+        | Eg -> x.(s) && (stop || succ s Fun.id)
+        | Au -> x.(s) || (Bitvec.get guard s && (not stop) && not (succ s not))
+      in
+      if v <> x.(s) then begin
+        x.(s) <- v;
+        changed := true
+      end
+    done
+  done;
+  Bitvec.of_bool_array x
+
+(* Predecessors of each state, once per transition. *)
+let predecessors ~row ~dst n =
+  let preds = Array.make n [] in
+  for s = n - 1 downto 0 do
+    for e = row.(s + 1) - 1 downto row.(s) do
+      preds.(dst.(e)) <- s :: preds.(dst.(e))
+    done
+  done;
+  preds
+
+(* CSR of [adj] over the sources [ids], in order. *)
+let csr adj ids =
+  let row = Array.make (List.length ids + 1) 0 in
+  List.iteri (fun m g -> row.(m + 1) <- row.(m) + List.length (adj g)) ids;
+  (row, Array.of_list (List.concat_map adj ids))
+
+(* Random states-to-blocks assignment and the views it induces: members
+   ascending, forward and predecessor edges once per transition. *)
+let partition rng ~row ~dst ~blocks n =
+  let owner = Array.init n (fun _ -> Prng.int rng blocks) in
+  let members =
+    Array.init blocks (fun k -> List.filter (fun g -> owner.(g) = k) (List.init n Fun.id))
+  in
+  let local = Array.make n 0 in
+  Array.iter (List.iteri (fun m g -> local.(g) <- m)) members;
+  let succs g = List.init (row.(g + 1) - row.(g)) (fun e -> dst.(row.(g) + e)) in
+  let preds = predecessors ~row ~dst n in
+  let views =
+    Array.map
+      (fun ms ->
+        let row, dst = csr succs ms in
+        let prow, psrc = csr (Array.get preds) ms in
+        { Shard.members = Array.of_list ms; row; dst; prow; psrc })
+      members
+  in
+  (owner, local, Array.map List.length members, views)
+
+(* One fixpoint split between two simulated processes: [A] owns the even
+   blocks, [B] the odd ones; each drains until quiet, then the items each
+   emitted are fed to the other, until neither emits.  Every state's bit
+   comes from its owner. *)
+let two_process ~space ~owner kind ~init ~guard =
+  let side parity =
+    let outbox = ref [] in
+    ( Worklist.start
+        (space (fun k -> k mod 2 = parity))
+        kind ~init ~guard
+        ~emit:(fun p -> outbox := p :: !outbox),
+      outbox )
+  in
+  let ra, outa = side 0 and rb, outb = side 1 in
+  let rec exchange () =
+    while Worklist.round ra > 0 do () done;
+    while Worklist.round rb > 0 do () done;
+    let to_a = List.rev !outb and to_b = List.rev !outa in
+    outa := [];
+    outb := [];
+    if to_a <> [] || to_b <> [] then begin
+      List.iter (Worklist.feed ra) to_a;
+      List.iter (Worklist.feed rb) to_b;
+      exchange ()
+    end
+  in
+  exchange ();
+  Bitvec.init (Bitvec.length init) (fun g ->
+      Bitvec.get (Worklist.result (if owner.(g) mod 2 = 0 then ra else rb)) g)
+
+let kernel_tests =
+  [
+    qcheck ~count:300 "EF/EU/EG/AU and agg match the sweep reference, 1/3/8 blocks, 2 processes"
+      QCheck.(pair (int_range 0 100_000) (oneofl [ 1; 3; 8 ]))
+      (fun (seed, blocks) ->
+        let rng = Prng.create ~seed in
+        let auto =
+          random_automaton rng ~name:"k" ~inputs:[ "a" ] ~outputs:[ "x" ] ~fanout:3
+            ~states:(1 + Prng.int rng 40) ()
+        in
+        let n = Automaton.num_states auto in
+        let row = Automaton.Csr.row auto and dst = Automaton.Csr.dst auto in
+        let blocking = Bitvec.init n (fun s -> row.(s + 1) = row.(s)) in
+        let random_set () = Bitvec.init n (fun _ -> Prng.int rng 3 > 0) in
+        let owner, local, sizes, views = partition rng ~row ~dst ~blocks n in
+        (* the blocks [owns] picks are this process's *)
+        let space owns =
+          Worklist.blocks ~blocking ~owner ~local ~sizes ~owned:(Array.init blocks owns)
+            (Array.get views)
+        in
+        let prow, psrc = csr (Array.get (predecessors ~row ~dst n)) (List.init n Fun.id) in
+        let flat = Worklist.flat ~blocking ~row ~dst ~prow ~psrc in
+        let sharded = space (fun _ -> true) in
+        let same what a b =
+          if not (Bitvec.equal a b) then QCheck.Test.fail_reportf "%s differs (n = %d)" what n
+        in
+        List.iter
+          (fun (kind, name) ->
+            let init = random_set () in
+            let guard =
+              match kind with Mechaml_mc.Eval.Eu | Au -> Some (random_set ()) | Ef | Eg -> None
+            in
+            let want =
+              reference ~row ~dst ~blocking kind ~init
+                ~guard:(Option.value guard ~default:(Bitvec.create_full n))
+            in
+            same (name ^ ", flat") want (Worklist.fixpoint flat kind ~init ~guard);
+            same (name ^ ", all blocks owned") want (Worklist.fixpoint sharded kind ~init ~guard);
+            same (name ^ ", two processes") want
+              (two_process ~space ~owner kind ~init ~guard))
+          kinds;
+        List.iter
+          (fun forall ->
+            let x = random_set () in
+            let want =
+              Bitvec.init n (fun s ->
+                  let hits = ref 0 in
+                  for e = row.(s) to row.(s + 1) - 1 do
+                    if Bitvec.get x dst.(e) then incr hits
+                  done;
+                  if forall then !hits = row.(s + 1) - row.(s) else !hits > 0)
+            in
+            let split =
+              List.map
+                (fun parity -> Worklist.agg (space (fun k -> k mod 2 = parity)) ~forall x)
+                [ 0; 1 ]
+            in
+            let name = if forall then "agg forall" else "agg exists" in
+            same (name ^ ", flat") want (Worklist.agg flat ~forall x);
+            same (name ^ ", all blocks owned") want (Worklist.agg sharded ~forall x);
+            same (name ^ ", two processes") want
+              (List.fold_left Bitvec.logor (Bitvec.create n) split))
+          [ true; false ];
+        true);
+  ]
+
 let () =
   Alcotest.run "shard"
     [
@@ -290,4 +459,5 @@ let () =
       ("spill", spill_tests);
       ("identity", identity_tests);
       ("fanout", fanout_tests);
+      ("kernel", kernel_tests);
     ]
