@@ -354,6 +354,30 @@ let structurally_equal (a : Automaton.t) (b : Automaton.t) =
   && Universe.to_list a.Automaton.inputs = Universe.to_list b.Automaton.inputs
   && Universe.to_list a.Automaton.outputs = Universe.to_list b.Automaton.outputs
 
+(* The patched index against a fresh one's, up to interaction-id renaming:
+   [a]'s segments are sorted by [a]'s ids, and each one, renamed into [b]'s
+   ids by label and stably re-sorted, is [b]'s segment (labels, dsts);
+   adjacency-order labels agree. *)
+let same_index (a : Automaton.t) (b : Automaton.t) =
+  let module C = Automaton.Csr in
+  let row = C.row a in
+  let segment m s f = List.init (row.(s + 1) - row.(s)) (fun j -> f m (row.(s) + j)) in
+  let id m k = (C.inter m).(k) and dst m k = (C.dst m).(k) in
+  let adj_label m k = Automaton.interaction_io m (C.adj_inter m).(k) in
+  let renamed m k =
+    let i, o = Automaton.interaction_io m (id m k) in
+    (Automaton.interaction_id b i o, dst m k)
+  in
+  row = C.row b
+  && List.for_all
+       (fun s ->
+         let ids = segment a s id in
+         ids = List.sort compare ids
+         && List.stable_sort (fun (x, _) (y, _) -> compare x y) (segment a s renamed)
+            = segment b s (fun m k -> (Some (id m k), dst m k))
+         && segment a s adj_label = segment b s adj_label)
+       (List.init (Automaton.num_states a) Fun.id)
+
 let update ?(debug = false) inc (m : Incomplete.t) =
   let t0 = if Trace.is_enabled () then Some (Trace.now_us ()) else None in
   let new_states, new_trans, new_refusals, dirty = delta_of inc m in
@@ -536,7 +560,7 @@ let update ?(debug = false) inc (m : Incomplete.t) =
       let fresh =
         closure_unobserved ~label_of:inc.i_label_of ~extra_props:inc.i_extra_props m
       in
-      if not (structurally_equal a fresh) then
+      if not (structurally_equal a fresh && same_index a fresh) then
         failwith "Chaos.update: incremental closure diverged from the fresh construction"
     end
   end;

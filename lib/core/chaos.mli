@@ -97,8 +97,10 @@ val update : ?debug:bool -> inc -> Incomplete.t -> unit
     the same one the handle was built from, extended append-only (as
     {!Incomplete.add_transition}/[add_refusal] do — the loop's only mutation
     path); the delta is recovered from element counts.  With [debug] a fresh
-    closure is also built and compared structurally — [Failure] on any
-    divergence.  Raises like {!closure} on invalid new state names. *)
+    closure is also built and compared structurally, and the patched CSR
+    index against the fresh one's up to interaction-id renaming (per
+    segment, each label's destinations in the same order) — [Failure] on
+    any divergence.  Raises like {!closure} on invalid new state names. *)
 
 val adopt :
   ?label_of:(string -> string list) ->

@@ -1,4 +1,5 @@
 module Bitset = Mechaml_util.Bitset
+module Itbl = Mechaml_util.Itbl
 
 type state = int
 
@@ -6,17 +7,18 @@ type trans = { input : Bitset.t; output : Bitset.t; dst : state }
 
 (* Interaction interning: every distinct (A, B) transition label gets a small
    dense id.  When |I| + |O| fits a single word the key is the packed bit
-   pattern (no allocation on lookup); otherwise fall back to structural
-   hashing of the pair. *)
+   pattern, interned in a flat [Itbl] (no allocation on lookup); otherwise
+   fall back to structural hashing of the pair. *)
 type inter_tbl =
-  | Packed of { shift : int; tbl : (int, int) Hashtbl.t }
+  | Packed of { shift : int; tbl : Itbl.t }
   | Pairs of (int * int, int) Hashtbl.t
 
+(* Published indexes are never written, so a patched index shares
+   [inter_tbl] and [inter_io] with the one it came from until it interns a
+   label that one lacks. *)
 type csr = {
   row : int array;            (* n+1 offsets into the flat arrays *)
-  f_input : Bitset.t array;   (* per-state segments, stably sorted by id *)
-  f_output : Bitset.t array;
-  f_dst : int array;
+  f_dst : int array;          (* per-state segments, stably sorted by id *)
   f_inter : int array;
   adj_inter : int array;      (* interaction id per transition, adjacency order *)
   inter_tbl : inter_tbl;
@@ -51,17 +53,42 @@ type t = {
   index : index;
 }
 
+(* The id of label (a, b), or -1. *)
 let inter_find it a b =
   match it with
   | Packed { shift; tbl } ->
-    Hashtbl.find_opt tbl ((Bitset.to_int a lsl shift) lor Bitset.to_int b)
-  | Pairs tbl -> Hashtbl.find_opt tbl (Bitset.to_int a, Bitset.to_int b)
+    Itbl.find tbl ((Bitset.to_int a lsl shift) lor Bitset.to_int b) ~default:(-1)
+  | Pairs tbl ->
+    Option.value (Hashtbl.find_opt tbl (Bitset.to_int a, Bitset.to_int b)) ~default:(-1)
 
-let inter_add it a b id =
-  match it with
-  | Packed { shift; tbl } ->
-    Hashtbl.add tbl ((Bitset.to_int a lsl shift) lor Bitset.to_int b) id
-  | Pairs tbl -> Hashtbl.add tbl (Bitset.to_int a, Bitset.to_int b) id
+(* Interns labels against [it], which binds the ids of [io] and may belong
+   to a published index: the first label [it] lacks copies it before the
+   insert, so [finish ()] hands [it] and [io] back shared when no label was
+   added. *)
+let interner it io =
+  let it = ref it and rev_io = ref [] and n = ref (Array.length io) in
+  let intern a b =
+    let id = inter_find !it a b in
+    if id >= 0 then id
+    else begin
+      if !rev_io = [] then
+        it :=
+          (match !it with
+          | Packed p -> Packed { p with tbl = Itbl.copy p.tbl }
+          | Pairs tbl -> Pairs (Hashtbl.copy tbl));
+      (match !it with
+      | Packed { shift; tbl } ->
+        ignore (Itbl.find_or_add tbl ((Bitset.to_int a lsl shift) lor Bitset.to_int b) !n)
+      | Pairs tbl -> Hashtbl.add tbl (Bitset.to_int a, Bitset.to_int b) !n);
+      rev_io := (a, b) :: !rev_io;
+      incr n;
+      !n - 1
+    end
+  in
+  let finish () =
+    (!it, if !rev_io = [] then io else Array.append io (Array.of_list (List.rev !rev_io)))
+  in
+  (intern, finish)
 
 let build_name_tbl ~dup_ok ~name state_names =
   let name_tbl = Hashtbl.create (2 * Array.length state_names + 1) in
@@ -76,190 +103,128 @@ let build_name_tbl ~dup_ok ~name state_names =
     state_names;
   name_tbl
 
+(* Writes [ts] from offset [lo] in adjacency-list order: interned ids into
+   [adj], destinations into [dst].  True when the ids are non-decreasing. *)
+let fill intern adj dst lo ts =
+  let k = ref lo and sorted = ref true in
+  List.iter
+    (fun t ->
+      let id = intern t.input t.output in
+      if !k > lo && adj.(!k - 1) > id then sorted := false;
+      adj.(!k) <- id;
+      dst.(!k) <- t.dst;
+      incr k)
+    ts;
+  !sorted
+
+(* Heapsort of distinct ints: no comparator closure, no quadratic case. *)
+let heapsort (a : int array) =
+  let sift i n =
+    let x = a.(i) and i = ref i and go = ref true in
+    while !go do
+      let c = (2 * !i) + 1 in
+      let c = if c + 1 < n && a.(c + 1) > a.(c) then c + 1 else c in
+      if c < n && a.(c) > x then begin
+        a.(!i) <- a.(c);
+        i := c
+      end
+      else go := false
+    done;
+    a.(!i) <- x
+  in
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for last = n - 1 downto 1 do
+    let top = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- top;
+    sift 0 last
+  done
+
+(* Stable in-place sort of the segment [lo, hi) of [inter]/[dst] by id: a
+   key packs (id, position), so keys are distinct and equal ids keep their
+   adjacency order. *)
+let sort_segment inter dst lo hi =
+  let bits = ref 0 in
+  while 1 lsl !bits < hi - lo do
+    incr bits
+  done;
+  let bits = !bits in
+  let keys = Array.init (hi - lo) (fun i -> (inter.(lo + i) lsl bits) lor i) in
+  let d = Array.sub dst lo (hi - lo) in
+  heapsort keys;
+  Array.iteri
+    (fun j key ->
+      inter.(lo + j) <- key lsr bits;
+      dst.(lo + j) <- d.(key land ((1 lsl bits) - 1)))
+    keys
+
 let build_csr ~in_width ~out_width ~n ~trans =
   let row = Array.make (n + 1) 0 in
   for s = 0 to n - 1 do
     row.(s + 1) <- row.(s) + List.length trans.(s)
   done;
-  let total = row.(n) in
-  let inter_tbl =
+  let it =
     if in_width + out_width <= Bitset.max_width then
-      Packed { shift = out_width; tbl = Hashtbl.create 16 }
+      Packed { shift = out_width; tbl = Itbl.create 16 }
     else Pairs (Hashtbl.create 16)
   in
-  let rev_io = ref [] and n_inter = ref 0 in
-  let intern a b =
-    match inter_find inter_tbl a b with
-    | Some id -> id
-    | None ->
-      let id = !n_inter in
-      incr n_inter;
-      inter_add inter_tbl a b id;
-      rev_io := (a, b) :: !rev_io;
-      id
-  in
-  (* First pass in adjacency-list order, then a stable per-segment sort by
-     interaction id: transitions sharing a label keep their list order, so
-     [successors] still enumerates destinations in declaration order. *)
-  let a_input = Array.make total Bitset.empty in
-  let a_output = Array.make total Bitset.empty in
-  let a_dst = Array.make total 0 in
-  let a_inter = Array.make total 0 in
+  let intern, finish = interner it [||] in
+  let f_dst = Array.make row.(n) 0 and adj_inter = Array.make row.(n) 0 in
+  let unsorted = ref [] in
   for s = 0 to n - 1 do
-    let k = ref row.(s) in
-    List.iter
-      (fun t ->
-        a_input.(!k) <- t.input;
-        a_output.(!k) <- t.output;
-        a_dst.(!k) <- t.dst;
-        a_inter.(!k) <- intern t.input t.output;
-        incr k)
-      trans.(s)
+    if not (fill intern adj_inter f_dst row.(s) trans.(s)) then unsorted := s :: !unsorted
   done;
-  (* Adjacency lists whose ids already come out non-decreasing (the common
-     case: builders and products emit few, distinct labels per state) need
-     no permutation at all — the pass-1 arrays serve as both views. *)
-  let sorted = ref true in
-  for s = 0 to n - 1 do
-    for k = row.(s) + 1 to row.(s + 1) - 1 do
-      if a_inter.(k - 1) > a_inter.(k) then sorted := false
-    done
-  done;
-  let inter_io = Array.of_list (List.rev !rev_io) in
-  if !sorted then
-    {
-      row;
-      f_input = a_input;
-      f_output = a_output;
-      f_dst = a_dst;
-      f_inter = a_inter;
-      adj_inter = a_inter;
-      inter_tbl;
-      inter_io;
-    }
-  else begin
-    let perm = Array.init total Fun.id in
-    for s = 0 to n - 1 do
-      let lo = row.(s) and hi = row.(s + 1) in
-      if hi - lo > 1 then begin
-        let seg = Array.sub perm lo (hi - lo) in
-        Array.sort
-          (fun i j ->
-            let c = compare a_inter.(i) a_inter.(j) in
-            if c <> 0 then c else compare i j)
-          seg;
-        Array.blit seg 0 perm lo (hi - lo)
-      end
-    done;
-    {
-      row;
-      f_input = Array.map (fun i -> a_input.(i)) perm;
-      f_output = Array.map (fun i -> a_output.(i)) perm;
-      f_dst = Array.map (fun i -> a_dst.(i)) perm;
-      f_inter = Array.map (fun i -> a_inter.(i)) perm;
-      adj_inter = a_inter;
-      inter_tbl;
-      inter_io;
-    }
-  end
+  (* Segments whose ids already come out non-decreasing (the common case:
+     builders and products emit few, distinct labels per state) need no
+     sort; when every one does, one array serves as both id views. *)
+  let f_inter = if !unsorted = [] then adj_inter else Array.copy adj_inter in
+  List.iter (fun s -> sort_segment f_inter f_dst row.(s) row.(s + 1)) !unsorted;
+  let inter_tbl, inter_io = finish () in
+  { row; f_dst; f_inter; adj_inter; inter_tbl; inter_io }
 
 (* Splice a new CSR out of an old one: segments of clean states are blitted
    (destinations remapped through [dst_map]), only dirty segments intern
-   their transitions — against a copy of the old interaction table, so ids
-   of surviving interactions are preserved and the blitted segments stay
-   per-segment sorted.  Interaction ids therefore differ from what a fresh
-   [build_csr] would assign (stale ids linger, new ones append at the end),
-   which is unobservable: every consumer either walks the adjacency lists
-   ([adj_inter] keeps list order) or treats the sorted view as a set. *)
+   their transitions — against the old interaction table, copied on the
+   first label it lacks, so ids of surviving interactions are preserved and
+   the blitted segments stay per-segment sorted.  Interaction ids therefore
+   differ from what a fresh [build_csr] would assign (stale ids linger, new
+   ones append at the end), which is unobservable: every consumer either
+   walks the adjacency lists ([adj_inter] keeps list order) or treats the
+   sorted view as a set. *)
 let patch_csr ~old_csr ~n ~trans ~dirty ~old_of ~dst_map =
   let old_row = old_csr.row in
   let row = Array.make (n + 1) 0 in
   for s = 0 to n - 1 do
     let len =
       if dirty.(s) then List.length trans.(s)
-      else begin
-        let o = old_of.(s) in
-        old_row.(o + 1) - old_row.(o)
-      end
+      else old_row.(old_of.(s) + 1) - old_row.(old_of.(s))
     in
     row.(s + 1) <- row.(s) + len
   done;
-  let total = row.(n) in
-  let inter_tbl =
-    match old_csr.inter_tbl with
-    | Packed { shift; tbl } -> Packed { shift; tbl = Hashtbl.copy tbl }
-    | Pairs tbl -> Pairs (Hashtbl.copy tbl)
-  in
-  let rev_io = ref [] and n_inter = ref (Array.length old_csr.inter_io) in
-  let intern a b =
-    match inter_find inter_tbl a b with
-    | Some id -> id
-    | None ->
-      let id = !n_inter in
-      incr n_inter;
-      inter_add inter_tbl a b id;
-      rev_io := (a, b) :: !rev_io;
-      id
-  in
-  let f_input = Array.make total Bitset.empty in
-  let f_output = Array.make total Bitset.empty in
-  let f_dst = Array.make total 0 in
-  let f_inter = Array.make total 0 in
-  let adj_inter = Array.make total 0 in
+  let intern, finish = interner old_csr.inter_tbl old_csr.inter_io in
+  let f_dst = Array.make row.(n) 0 in
+  let f_inter = Array.make row.(n) 0 and adj_inter = Array.make row.(n) 0 in
   for s = 0 to n - 1 do
-    let lo = row.(s) in
-    let len = row.(s + 1) - lo in
-    if not dirty.(s) then begin
-      let o = old_of.(s) in
-      let olo = old_row.(o) in
-      Array.blit old_csr.f_input olo f_input lo len;
-      Array.blit old_csr.f_output olo f_output lo len;
-      Array.blit old_csr.f_inter olo f_inter lo len;
-      Array.blit old_csr.adj_inter olo adj_inter lo len;
-      for k = 0 to len - 1 do
+    let lo = row.(s) and hi = row.(s + 1) in
+    if dirty.(s) then begin
+      let sorted = fill intern adj_inter f_dst lo trans.(s) in
+      Array.blit adj_inter lo f_inter lo (hi - lo);
+      if not sorted then sort_segment f_inter f_dst lo hi
+    end
+    else begin
+      let olo = old_row.(old_of.(s)) in
+      Array.blit old_csr.f_inter olo f_inter lo (hi - lo);
+      Array.blit old_csr.adj_inter olo adj_inter lo (hi - lo);
+      for k = 0 to hi - lo - 1 do
         f_dst.(lo + k) <- dst_map old_csr.f_dst.(olo + k)
       done
     end
-    else begin
-      (* pass 1 in adjacency-list order *)
-      let k = ref lo in
-      List.iter
-        (fun t ->
-          f_input.(!k) <- t.input;
-          f_output.(!k) <- t.output;
-          f_dst.(!k) <- t.dst;
-          let id = intern t.input t.output in
-          f_inter.(!k) <- id;
-          adj_inter.(!k) <- id;
-          incr k)
-        trans.(s);
-      (* stable per-segment sort by interaction id, as [build_csr] does *)
-      let sorted = ref true in
-      for k = lo + 1 to lo + len - 1 do
-        if f_inter.(k - 1) > f_inter.(k) then sorted := false
-      done;
-      if not !sorted then begin
-        let perm = Array.init len (fun i -> lo + i) in
-        Array.sort
-          (fun i j ->
-            let c = compare adj_inter.(i) adj_inter.(j) in
-            if c <> 0 then c else compare i j)
-          perm;
-        let gi = Array.map (fun i -> f_input.(i)) perm in
-        let go = Array.map (fun i -> f_output.(i)) perm in
-        let gd = Array.map (fun i -> f_dst.(i)) perm in
-        let gt = Array.map (fun i -> adj_inter.(i)) perm in
-        Array.blit gi 0 f_input lo len;
-        Array.blit go 0 f_output lo len;
-        Array.blit gd 0 f_dst lo len;
-        Array.blit gt 0 f_inter lo len
-      end
-    end
   done;
-  let inter_io =
-    Array.append old_csr.inter_io (Array.of_list (List.rev !rev_io))
-  in
-  { row; f_input; f_output; f_dst; f_inter; adj_inter; inter_tbl; inter_io }
+  let inter_tbl, inter_io = finish () in
+  { row; f_dst; f_inter; adj_inter; inter_tbl; inter_io }
 
 let make_with_tbl ~name_tbl ~name ~inputs ~outputs ~props ~state_names ~labels ~trans ~initial =
   let index =
@@ -341,7 +306,8 @@ let has_prop m s p =
 
 let is_blocking m s = m.trans.(s) = []
 
-let interaction_id m a b = inter_find (csr m).inter_tbl a b
+let interaction_id m a b =
+  match inter_find (csr m).inter_tbl a b with -1 -> None | id -> Some id
 
 let num_interactions m = Array.length (csr m).inter_io
 
@@ -356,23 +322,18 @@ let lower_bound f_inter lo hi id =
   done;
   !lo
 
+(* An unknown label's id, -1, matches no transition. *)
 let accepts m s a b =
-  match interaction_id m a b with
-  | None -> false
-  | Some id ->
-    let ix = csr m in
-    let k = lower_bound ix.f_inter ix.row.(s) ix.row.(s + 1) id in
-    k < ix.row.(s + 1) && ix.f_inter.(k) = id
+  let ix = csr m in
+  let id = inter_find ix.inter_tbl a b in
+  let k = lower_bound ix.f_inter ix.row.(s) ix.row.(s + 1) id in
+  k < ix.row.(s + 1) && ix.f_inter.(k) = id
 
 let successors m s a b =
-  match interaction_id m a b with
-  | None -> []
-  | Some id ->
-    let ix = csr m in
-    let hi = ix.row.(s + 1) in
-    let k = lower_bound ix.f_inter ix.row.(s) hi id in
-    let rec collect k = if k < hi && ix.f_inter.(k) = id then ix.f_dst.(k) :: collect (k + 1) else [] in
-    collect k
+  let ix = csr m in
+  let id = inter_find ix.inter_tbl a b and hi = ix.row.(s + 1) in
+  let rec collect k = if k < hi && ix.f_inter.(k) = id then ix.f_dst.(k) :: collect (k + 1) else [] in
+  collect (lower_bound ix.f_inter ix.row.(s) hi id)
 
 let deterministic m =
   let ix = csr m in
@@ -520,10 +481,6 @@ let patch ~old ~name ~props ~state_names ~labels ~trans ~initial ~dirty ~old_of 
 
 module Csr = struct
   let row m = (csr m).row
-
-  let input m = (csr m).f_input
-
-  let output m = (csr m).f_output
 
   let dst m = (csr m).f_dst
 

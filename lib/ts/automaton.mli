@@ -150,9 +150,12 @@ val patch :
     [old_of.(s)] with each destination pushed through [dst_map] (same
     labels, same order); the CSR index is then spliced — clean segments are
     blitted from [old]'s index with destinations remapped, and only dirty
-    segments intern their transitions (against a copy of [old]'s
-    interaction table, so surviving interaction ids are preserved and
-    blitted segments remain sorted).  Interaction ids and per-segment
+    segments intern their transitions, against [old]'s interaction table:
+    the new index shares that table and its id -> label map with [old]
+    until a dirty segment carries a label [old] lacks, and then copies both
+    once (neither index is written after it is published, so the sharing is
+    safe across domains).  Surviving interaction ids are preserved and
+    blitted segments remain sorted.  Interaction ids and per-segment
     sorted order may therefore differ from a fresh {!of_packed} build;
     both are internal to the index — adjacency lists, state numbering and
     all set-valued queries are identical.  Like
@@ -173,16 +176,13 @@ val interaction_io : t -> int -> Mechaml_util.Bitset.t * Mechaml_util.Bitset.t
 
 (** Read-only views of the packed transition relation, for hot loops that
     want arrays instead of lists ({!Mechaml_mc.Sat}'s fixpoints, the
-    on-the-fly checker).  Transition [k] of state [s] lives at flat offsets
-    [row.(s) <= k < row.(s+1)]; segments are stably sorted by interaction
-    id, so equal-labelled transitions keep adjacency-list order.  Callers
-    must not mutate the returned arrays. *)
+    {!Compose} join kernel).  Transition [k] of state [s] lives at flat
+    offsets [row.(s) <= k < row.(s+1)]; segments are stably sorted by
+    interaction id, so equal-labelled transitions keep adjacency-list order.
+    The label of transition [k] is [interaction_io m (inter m).(k)].
+    Callers must not mutate the returned arrays. *)
 module Csr : sig
   val row : t -> int array
-
-  val input : t -> Mechaml_util.Bitset.t array
-
-  val output : t -> Mechaml_util.Bitset.t array
 
   val dst : t -> int array
 

@@ -40,10 +40,10 @@ val find_pair : product -> Automaton.state * Automaton.state -> Automaton.state 
 (** Product state for a (left, right) pair if that pair is reachable. *)
 
 type join
-(** The joint-move kernel of one operand pair: what {!parallel}, the
-    sharded and distributed explorers and the on-the-fly checker call to
-    expand a state pair.  Built once per pair; read-only afterwards, so one
-    kernel may be shared across domains. *)
+(** The joint-move kernel of one operand pair: what {!parallel} and the
+    sharded and distributed explorers call to expand a state pair.  Built
+    once per pair; read-only afterwards, so one kernel may be shared across
+    domains. *)
 
 val join : Automaton.t -> Automaton.t -> join
 (** [join left right] precomputes, per interned interaction id, each

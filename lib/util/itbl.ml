@@ -76,6 +76,8 @@ let find t key ~default =
 
 let length t = t.size
 
+let copy t = { t with keys = Array.copy t.keys; vals = Array.copy t.vals }
+
 let iter f t =
   Array.iteri (fun i k -> if k >= 0 then f k (Array.unsafe_get t.vals i)) t.keys
 

@@ -27,6 +27,10 @@ val find : t -> int -> default:int -> int
 val length : t -> int
 (** Number of bindings. *)
 
+val copy : t -> t
+(** An independent table with the same bindings: later insertions into
+    either never show in the other. *)
+
 val iter : (int -> int -> unit) -> t -> unit
 (** [iter f t] calls [f key value] once per binding, in no particular
     order. *)

@@ -178,7 +178,6 @@ let digest_tests =
 let csr_is_stably_sorted (m : Automaton.t) =
   let row = Automaton.Csr.row m and adj = Automaton.Csr.adj_inter m in
   let inter = Automaton.Csr.inter m and dst = Automaton.Csr.dst m in
-  let input = Automaton.Csr.input m and output = Automaton.Csr.output m in
   let ok = ref true in
   for s = 0 to Automaton.num_states m - 1 do
     let adjacency =
@@ -193,11 +192,71 @@ let csr_is_stably_sorted (m : Automaton.t) =
     let segment =
       List.init (row.(s + 1) - row.(s)) (fun i ->
           let k = row.(s) + i in
-          (inter.(k), dst.(k), input.(k), output.(k)))
+          let input, output = Automaton.interaction_io m inter.(k) in
+          (inter.(k), dst.(k), input, output))
     in
     if segment <> expected then ok := false
   done;
   !ok
+
+let narrow rng ~name =
+  random_automaton rng ~name ~inputs:[ "a"; "b"; "c" ] ~outputs:[ "x"; "y" ] ~fanout:12
+    ~states:(1 + Prng.int rng 8) ()
+
+(* 40 + 24 signals do not fit one word: labels intern as structural pairs. *)
+let wide rng ~name =
+  random_automaton rng ~name
+    ~inputs:(List.init 40 (Printf.sprintf "i%d"))
+    ~outputs:(List.init 24 (Printf.sprintf "o%d"))
+    ~out_bits:(1 + Prng.int rng 24) ~fanout:12 ~states:(1 + Prng.int rng 8) ()
+
+(* Everything a published index answers, over [labels]. *)
+let index_view (m : Automaton.t) labels =
+  ( Automaton.num_interactions m,
+    List.map (fun (a, b) -> Automaton.interaction_id m a b) labels,
+    Array.copy (Automaton.Csr.inter m),
+    Array.copy (Automaton.Csr.adj_inter m),
+    List.init (Automaton.num_states m) (fun s ->
+        List.map (fun (a, b) -> (Automaton.accepts m s a b, Automaton.successors m s a b)) labels) )
+
+let labels_of (m : Automaton.t) =
+  List.init (Automaton.num_interactions m) (Automaton.interaction_io m)
+
+(* [Automaton.patch] of [old] that gives state 0 one transition labelled
+   [(a, b)]. *)
+let patch_with_label (old : Automaton.t) (a, b) =
+  let n = Automaton.num_states old in
+  let dirty = Array.init n (fun s -> s = 0) in
+  let trans =
+    Array.init n (fun s ->
+        if s = 0 then [ { Automaton.input = a; output = b; dst = 0 } ]
+        else Automaton.transitions_from old s)
+  in
+  Automaton.patch ~old ~name:old.Automaton.name ~props:old.Automaton.props
+    ~state_names:old.Automaton.state_names ~labels:old.Automaton.labels ~trans
+    ~initial:old.Automaton.initial ~dirty ~old_of:(Array.init n Fun.id) ~dst_map:Fun.id ()
+
+(* A patch shares its parent's interaction table until it adds a label; the
+   copy it then makes must leave the parent (and the parent's parent, whose
+   table the parent may share) exactly as they answered before. *)
+let cow_isolated rng make =
+  let m = make rng ~name:"m" in
+  let p1 = random_patch rng m in
+  let in_width = Universe.size m.Automaton.inputs in
+  let out_width = Universe.size m.Automaton.outputs in
+  let rec fresh () =
+    let l = (random_subset rng in_width, random_subset rng out_width) in
+    if Automaton.interaction_id p1 (fst l) (snd l) = None then l else fresh ()
+  in
+  let label = fresh () in
+  let labels = (label :: labels_of m) @ labels_of p1 in
+  let before_m = index_view m labels and before_p1 = index_view p1 labels in
+  let p2 = patch_with_label p1 label in
+  Automaton.interaction_id p2 (fst label) (snd label) <> None
+  && Automaton.accepts p2 0 (fst label) (snd label)
+  && index_view m labels = before_m
+  && index_view p1 labels = before_p1
+  && csr_is_stably_sorted p2
 
 let csr_tests =
   [
@@ -205,13 +264,18 @@ let csr_tests =
       QCheck.(int_bound 1_000_000)
       (fun seed ->
         let rng = Prng.create ~seed in
-        let m =
-          random_automaton rng ~name:"m" ~inputs:[ "a"; "b"; "c" ] ~outputs:[ "x"; "y" ]
-            ~fanout:12 ~states:(1 + Prng.int rng 8) ()
-        in
-        let p1 = random_patch rng m in
-        let p2 = random_patch rng p1 in
-        csr_is_stably_sorted m && csr_is_stably_sorted p1 && csr_is_stably_sorted p2);
+        List.for_all
+          (fun make ->
+            let m = make rng ~name:"m" in
+            let p1 = random_patch rng m in
+            let p2 = random_patch rng p1 in
+            csr_is_stably_sorted m && csr_is_stably_sorted p1 && csr_is_stably_sorted p2)
+          [ narrow; wide ]);
+    qcheck ~count:200 "a patch that adds a label leaves its ancestors' indexes unchanged"
+      QCheck.(int_bound 1_000_000)
+      (fun seed ->
+        let rng = Prng.create ~seed in
+        cow_isolated rng narrow && cow_isolated rng wide);
   ]
 
 let () = Alcotest.run "automaton" [ ("unit", unit_tests @ digest_tests @ csr_tests) ]

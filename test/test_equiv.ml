@@ -141,7 +141,7 @@ let chaos_update_chain_prop seed =
          m := Incomplete.add_transition !m ~src (Incomplete.interaction ~inputs ~outputs) ~dst
        else m := Incomplete.add_refusal !m ~state:src ~inputs
      with Invalid_argument _ -> (* contradicts recorded knowledge: skip *) ());
-    Chaos.update inc !m;
+    Chaos.update ~debug:true inc !m;
     if not (same_auto (Chaos.auto inc) (Chaos.closure ~label_of ~extra_props !m)) then
       QCheck.Test.fail_reportf "patched closure diverged from fresh closure (seed %d)" seed
   done;

@@ -45,12 +45,36 @@ let stream_gen = QCheck.Gen.(list_size (int_range 0 3000) key_gen)
 
 let stream = QCheck.make ~print:QCheck.Print.(list int) stream_gen
 
+(* Interns [key] into the table and the model alike, with the model's next
+   id as the fresh value; true when both answer the same. *)
+let step t h key =
+  let fresh = Hashtbl.length h in
+  let expect =
+    match Hashtbl.find_opt h key with
+    | Some v -> v
+    | None ->
+      Hashtbl.add h key fresh;
+      fresh
+  in
+  Itbl.find_or_add t key fresh = expect && Itbl.length t = Hashtbl.length h
+
 let property_tests =
   [
     qcheck ~count:300 "interning agrees with Hashtbl across resizes" stream intern_agrees;
     qcheck ~count:100 "a presized table agrees too"
       QCheck.(pair (int_bound 5000) stream)
       (fun (size, keys) -> intern_agrees ~size keys);
+    qcheck ~count:200 "a copy and its original never see each other's inserts"
+      QCheck.(triple stream stream stream)
+      (fun (shared, mine, theirs) ->
+        let t = Itbl.create 0 and h = Hashtbl.create 16 in
+        List.for_all (step t h) shared
+        &&
+        let t' = Itbl.copy t and h' = Hashtbl.copy h in
+        List.for_all (step t h) mine
+        && List.for_all (step t' h') theirs
+        && bindings t = reference_bindings h
+        && bindings t' = reference_bindings h');
   ]
 
 let unit_tests =
