@@ -70,7 +70,7 @@ let mem_budget_t =
   let doc =
     "Residency watermark for the sharded product, e.g. $(b,64M) or $(b,2G) (suffixes \
      K/M/G, plain bytes otherwise).  Cold shard segments beyond the watermark spill to \
-     disk and reload on demand.  Implies sharded exploration even with $(b,--shards 1)."
+     disk and reload on demand."
   in
   Arg.(value & opt (some string) None & info [ "mem-budget" ] ~docv:"BYTES" ~doc)
 
@@ -88,7 +88,7 @@ let dist_workers_t =
      domains.  Workers expand each BFS level's frontiers and hold their shards' \
      segments for the checks; the coordinator interns, merges and finalizes the \
      product itself.  Verdicts and canonical reports are byte-identical for every \
-     worker count.  Implies sharded exploration."
+     worker count."
   in
   Arg.(value & opt int 0 & info [ "dist-workers" ] ~docv:"N" ~doc)
 
@@ -127,8 +127,10 @@ let parse_size s =
       | Some v when v > 0 -> Ok (v * mult)
       | _ -> fail ()
 
-(* [None] when every flag is at its default — the standard materialized
-   pipeline; any sharding-related flag switches to the sharded one *)
+(* [None] when every flag is at its default: the loop then explores one
+   unbudgeted shard in process, which is also what [--shards 1] alone
+   means.  Every configuration runs the same check path; the flags only
+   lay the product out differently or move it to a fleet. *)
 let sharding_of ~shards ~mem_budget ~spill_dir ?(dist_workers = 0) ?dist_connect
     ?(dist_deadline = 120.) () =
   let input_error msg =
@@ -300,6 +302,7 @@ let report ?(left = "context") ?(right = "legacy") dot_dir (r : Loop.result) =
   Format.printf "%a@.@." Loop.pp_result r;
   (match r.Loop.verdict with
   | Loop.Real_violation { witness; product; _ } ->
+    let product = Lazy.force product in
     Format.printf "Counterexample:@.%s@." (Listing.render ~left_name:left ~right_name:right product witness)
   | _ -> ());
   Format.printf "Learned model:@.%a@." Incomplete.pp r.Loop.final_model;

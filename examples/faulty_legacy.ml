@@ -22,6 +22,7 @@ let () =
   Format.printf "%a@.@." Loop.pp_result r;
   (match r.Loop.verdict with
   | Loop.Real_violation { kind = Loop.Deadlock; witness; product; _ } ->
+    let product = Lazy.force product in
     Format.printf "Deadlock counterexample:@.@.%s@."
       (Listing.render ~left_name:"receiver" ~right_name:"sender" product witness);
     (* Replay the counterexample against the component to show it is real:

@@ -63,6 +63,7 @@ let show name r =
   Format.printf "== %s ==@.@.%a@.@." name Loop.pp_result r.Multi.loop;
   (match r.Multi.loop.Loop.verdict with
   | Loop.Real_violation { witness; product; _ } ->
+    let product = Lazy.force product in
     Format.printf "Counterexample:@.%s@."
       (Listing.render ~left_name:"gateway" ~right_name:"sensors" product witness)
   | _ -> ());

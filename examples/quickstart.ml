@@ -91,6 +91,7 @@ let () =
   Format.printf "%a@.@." Loop.pp_result result;
   match result.Loop.verdict with
   | Loop.Real_violation { kind; witness; product; _ } ->
+    let product = Lazy.force product in
     Format.printf "Real %s found; counterexample:@.%s@."
       (match kind with Loop.Deadlock -> "deadlock" | Loop.Property -> "property violation")
       (Mechaml_scenarios.Listing.render ~left_name:"driver" ~right_name:"lamp" product witness)

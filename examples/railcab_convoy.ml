@@ -90,6 +90,7 @@ let () =
   Format.printf "%a@.@." Loop.pp_result conflict;
   (match conflict.Loop.verdict with
   | Loop.Real_violation { witness; product; _ } ->
+    let product = Lazy.force product in
     Format.printf "Counterexample (violation inside the synthesized behaviour):@.@.%s@."
       (Listing.render ~left_name:"shuttle1" ~right_name:"shuttle2" product witness);
     save_figure "fig6_conflicting_learned"

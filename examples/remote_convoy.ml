@@ -23,6 +23,7 @@ let show name (r : Loop.result) =
   Format.printf "== %s ==@.@.%a@.@." name Loop.pp_result r;
   match r.Loop.verdict with
   | Loop.Real_violation { witness; product; _ } ->
+    let product = Lazy.force product in
     Format.printf "Counterexample:@.%s@."
       (Listing.render ~left_name:"front+link" ~right_name:"shuttle2" product witness)
   | _ -> ()

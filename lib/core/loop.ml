@@ -2,9 +2,11 @@ module Automaton = Mechaml_ts.Automaton
 module Universe = Mechaml_ts.Universe
 module Run = Mechaml_ts.Run
 module Compose = Mechaml_ts.Compose
+module Shard = Mechaml_ts.Shard
 module Ctl = Mechaml_logic.Ctl
 module Checker = Mechaml_mc.Checker
-module Sat = Mechaml_mc.Sat
+module Shardsat = Mechaml_mc.Shardsat
+module Eval = Mechaml_mc.Eval
 module Witness = Mechaml_mc.Witness
 module Blackbox = Mechaml_legacy.Blackbox
 module Observation = Mechaml_legacy.Observation
@@ -40,7 +42,7 @@ type verdict =
       kind : violation_kind;
       formula : Ctl.t;
       witness : Run.t;
-      product : Compose.product;
+      product : Compose.product Lazy.t;
       confirmed_by_test : bool;
     }
   | Exhausted of { iterations : int }
@@ -98,9 +100,8 @@ type projected = {
   closure_states : string list;
 }
 
-let project_counterexample (product : Compose.product) witness =
-  let run = Compose.project_right product witness in
-  let closure = product.Compose.right in
+let project_counterexample ~context ~(closure : Automaton.t) sp witness =
+  let run = Compose.project_pairs `Right ~left:context ~right:closure ~pair:(Shard.pair sp) witness in
   {
     step_inputs =
       List.map
@@ -165,6 +166,25 @@ let candidate_status model ~state (a, b) =
 (* Raised (internally) by the observe wrapper when the supervised driver gives
    up on a query — caught at the top of [run] to degrade gracefully. *)
 exception Degrade of string
+
+(* A check's product, the evaluator's view of it and how to release it. *)
+type product = { sp : Shard.t; backend : Eval.backend; close : unit -> unit }
+
+(* The one reader of [distribution]: a fleet changes where the levels of
+   the build are expanded and where the fixpoints run, nothing else. *)
+let explore (config : Shard.config) left right =
+  match config.Shard.distribution with
+  | None ->
+    let sp = Shard.explore ~config left right in
+    { sp; backend = Shardsat.backend sp; close = (fun () -> Shard.close sp) }
+  | Some _ ->
+    let dp = Mechaml_dist.Distshard.explore ~config left right in
+    let sp = Mechaml_dist.Distshard.shard dp in
+    {
+      sp;
+      backend = Shardsat.backend ~fleet:(Mechaml_dist.Distsat.fleet dp) sp;
+      close = (fun () -> Mechaml_dist.Distshard.close dp);
+    }
 
 let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterations
     ?initial_knowledge ?(counterexamples_per_iteration = 1)
@@ -315,17 +335,18 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
       last_snapshot := Incomplete.knowledge model
     | _ -> ()
   in
+  let sharding = Option.value sharding ~default:(Shard.config ()) in
   (* Incremental re-verification state, threaded across iterations: the
      chaotic-closure handle (delta closure), the previous product's pair
-     index and the previous iteration's converged checker environment
+     index and the converged sets of the previous iteration's check
      (warm-started fixpoints).  Both stages produce results byte-identical
      to the from-scratch path; [incremental_debug] additionally recomputes
      each stage cold and fails on any divergence. *)
   let chaos_inc : Chaos.inc option ref = ref None in
   let prev_pairs = ref (Itbl.create 0) in
-  let prev_env : Sat.env option ref = ref None in
+  let prev : Eval.seeds option ref = ref None in
   (* Pair correspondence between the products of consecutive computed
-     checks, what [Sat.create_warm] needs: a product state is keyed by its
+     checks, what [create_warm] needs: a product state is keyed by its
      context state and the stable key of its closure state (core copies
      keep their index across updates; [s_∀]/[s_δ], the last two states, key
      by distance from the end).  [old_of] maps each state to the previous
@@ -334,16 +355,16 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
      pair.  Only a check that is computed needs it, so a memo hit skips it
      (and leaves no environment to warm-start from). *)
   let nl = Automaton.num_states context in
-  let correspond inc (p : Compose.product) =
-    let n = Automaton.num_states p.Compose.right in
+  let correspond inc (closure : Automaton.t) sp =
+    let n = Automaton.num_states closure in
     let row_dirty = Array.make n false in
     List.iter (fun r -> row_dirty.(r) <- true) (Chaos.dirty_states inc);
-    let count = Array.length p.Compose.pairs in
+    let count = Shard.num_states sp in
     let ids = Itbl.create 0 in
     let old_of = Array.make count (-1) in
     let dirty = ref [] in
     for id = count - 1 downto 0 do
-      let l, r = p.Compose.pairs.(id) in
+      let l, r = Shard.pair sp id in
       let key = ((if r >= n - 2 then r - (n - 2) else r + 2) * nl) + l in
       ignore (Itbl.find_or_add ids key id);
       old_of.(id) <- Itbl.find !prev_pairs key ~default:(-1);
@@ -408,97 +429,58 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
        (the paper's fast conflict detection, Listing 1.4) rather than as
        one of the deadlocks the chaotic closure also induces. *)
     let formulas = [ weakened; Ctl.deadlock_free ] in
-    let check_env env = Checker.check_conjunction_env ~strategy env formulas in
-    (* The out-of-core evaluators: explore the sharded product — in process
-       or on the worker fleet — and answer [(states, holds)] from the global
-       fixpoints, closing the product before returning. *)
-    let sharded_verdict scfg =
-      match scfg.Mechaml_ts.Shard.distribution with
-      | Some _ ->
-        let dp = Mechaml_dist.Distshard.explore ~config:scfg context closure in
-        Fun.protect
-          ~finally:(fun () -> Mechaml_dist.Distshard.close dp)
-          (fun () ->
-            let env = Mechaml_dist.Distsat.create dp in
-            ( Mechaml_dist.Distshard.num_states dp,
-              List.for_all (Mechaml_dist.Distsat.holds_initially env) formulas ))
-      | None ->
-        let sp = Mechaml_ts.Shard.explore ~config:scfg context closure in
-        Fun.protect
-          ~finally:(fun () -> Mechaml_ts.Shard.close sp)
-          (fun () ->
-            let env = Mechaml_mc.Shardsat.create sp in
-            ( Mechaml_ts.Shard.num_states sp,
-              List.for_all (Mechaml_mc.Shardsat.holds_initially env) formulas ))
+    (* The check's only input is the operand pair: the product is explored
+       here and checked in [compute] — warm-started from the previous
+       product's environment wherever the pair correspondence allows. *)
+    let check product =
+      let env_used = ref None in
+      let outcome =
+        on_check ~product:(context, closure) ~formulas ~compute:(fun () ->
+            let env =
+              match (incremental && !inc_live, !chaos_inc) with
+              | true, Some inc -> (
+                let old_of, dirty = correspond inc closure product.sp in
+                match !prev with
+                | Some prev ->
+                  let reused = Array.length old_of - List.length dirty in
+                  product_reused_total := !product_reused_total + reused;
+                  Metrics.add m_product_reused reused;
+                  Eval.create_warm ~debug:incremental_debug ~prev ~old_of ~dirty
+                    product.backend
+                | None -> Eval.create product.backend)
+              | _ -> Eval.create product.backend
+            in
+            env_used := Some env;
+            Checker.check_space ~strategy
+              (Shardsat.space product.sp ~sat:(Eval.sat_vec env))
+              formulas)
+      in
+      Option.iter
+        (fun env ->
+          match Eval.warm_stats env with
+          | Some (h, t) ->
+            seed_hits := !seed_hits + h;
+            seed_total := !seed_total + t
+          | None -> ())
+        !env_used;
+      (!env_used, outcome)
     in
-    let product_lazy, product_states, outcome =
+    let product, env_used, outcome =
       timed check_seconds ~name:"loop.check"
         ~args:[ ("iteration", Trace.Int index) ]
         (fun () ->
-          match sharding with
-          | Some scfg ->
-            (* Sharded, out-of-core check, byte-identical to the materialized
-               path for any shard count.  The materialized product is only
-               built lazily, when a violation needs its witness machinery
-               (projection, provenance, extra counterexamples) — so proved
-               iterations never allocate the full state space in one piece.
-               The incremental product/warm-start machinery is skipped: the
-               sharded fixpoints recompute cold, with identical results. *)
-            let product_lazy = lazy (Compose.parallel context closure) in
-            let counted = ref None in
-            let outcome =
-              on_check ~product:closure ~formulas
-                ~compute:(fun () ->
-                  let states, holds = sharded_verdict scfg in
-                  counted := Some states;
-                  if holds then Checker.Holds
-                  else check_env (Sat.create (Lazy.force product_lazy).Compose.auto))
-            in
-            let states =
-              match !counted with
-              | Some n -> n
-              | None -> Automaton.num_states (Lazy.force product_lazy).Compose.auto
-            in
-            (product_lazy, states, outcome)
-          | None ->
-          let product = Compose.parallel context closure in
-          let env_used = ref None in
-          let outcome =
-            on_check ~product:product.Compose.auto ~formulas
-              ~compute:(fun () ->
-                let env =
-                  match (incremental && !inc_live, !chaos_inc) with
-                  | true, Some inc -> (
-                    let old_of, dirty = correspond inc product in
-                    match !prev_env with
-                    | Some prev ->
-                      let reused = Array.length old_of - List.length dirty in
-                      product_reused_total := !product_reused_total + reused;
-                      Metrics.add m_product_reused reused;
-                      Sat.create_warm ~debug:incremental_debug ~prev ~old_of ~dirty
-                        product.Compose.auto
-                    | None -> Sat.create product.Compose.auto)
-                  | _ -> Sat.create product.Compose.auto
-                in
-                env_used := Some env;
-                check_env env)
-          in
-          (match !env_used with
-          | Some env ->
-            (match Sat.warm_stats env with
-            | Some (h, t) ->
-              seed_hits := !seed_hits + h;
-              seed_total := !seed_total + t
-            | None -> ())
-          | None -> ());
-          (* A memoized check verdict leaves no converged environment behind;
-             the next iteration cold-starts its fixpoints.  Environments from
-             below the size gate are dropped too — no pair index was kept for
-             their product, so no [old_of] map relates its states to the next
-             product's. *)
-          prev_env := (if incremental && !inc_live then !env_used else None);
-          (Lazy.from_val product, Automaton.num_states product.Compose.auto, outcome))
+          let product = explore sharding context closure in
+          match check product with
+          | env_used, outcome -> (product, env_used, outcome)
+          | exception e ->
+            product.close ();
+            raise e)
     in
+    (* One product is open at a time: it is released when the iteration
+       is done, and only its converged sets carry over to the next check. *)
+    Fun.protect ~finally:product.close @@ fun () ->
+    let sp = product.sp in
+    let product_states = Shard.num_states sp in
     let base =
       {
         index;
@@ -518,13 +500,12 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
       Log.info (fun m -> m "iteration %d: property proved" index);
       `Done (Proved, List.rev (base :: records), model)
     | Checker.Violated { formula; witness; explanation; complete } ->
-      let product = Lazy.force product_lazy in
       let kind = if Ctl.equal formula Ctl.deadlock_free then Deadlock else Property in
       Log.info (fun m ->
           m "iteration %d: %s counterexample of length %d (%s)" index
             (match kind with Deadlock -> "deadlock" | Property -> "property")
             (Run.length witness) explanation);
-      let proj = project_counterexample product witness in
+      let proj = project_counterexample ~context ~closure sp witness in
       let base =
         {
           base with
@@ -533,9 +514,20 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
         }
       in
       let knowledge_before = Incomplete.knowledge model in
+      (* a memoized verdict brought no environment; extra witnesses need one *)
+      let env =
+        lazy (match env_used with Some env -> env | None -> Eval.create product.backend)
+      in
       let finish_real ?(model = model) ~confirmed ~record () =
         `Done
-          ( Real_violation { kind; formula; witness; product; confirmed_by_test = confirmed },
+          ( Real_violation
+              {
+                kind;
+                formula;
+                witness;
+                product = lazy (Compose.parallel context closure);
+                confirmed_by_test = confirmed;
+              },
             List.rev (record :: records),
             model )
       in
@@ -548,7 +540,7 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
          a [`Refuted] without new knowledge is impossible for
          blocking-based evidence. *)
       let analyse_final model ~final_core ~prefix_inputs =
-        let c_end = Compose.left_state product (Run.final_state witness) in
+        let c_end = fst (Shard.pair sp (Run.final_state witness)) in
         let cands = candidates_at context legacy c_end in
         let rec go model probes refuted = function
           | [] -> (model, probes, if refuted then `Refuted else `Confirmed)
@@ -578,14 +570,27 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
             (fun model extra ->
               if Run.final_state extra = Run.final_state witness then model
               else begin
-                let proj = project_counterexample product extra in
+                let proj = project_counterexample ~context ~closure sp extra in
                 if all_steps_known model proj then model
                 else observe model proj.step_inputs
               end)
             model
             (Checker.more_witnesses
                ~limit:(counterexamples_per_iteration - 1)
-               product.Compose.auto formula)
+               (Shardsat.space sp ~sat:(Eval.sat_vec (Lazy.force env)))
+               formula)
+      in
+      (* Before the product is released, keep the sets that can seed the
+         next check, extra witnesses' included: a memoized verdict leaves
+         no environment, and below the size gate no pair index relates
+         this product's states to the next one's. *)
+      let continue model record =
+        let model = learn_extras model in
+        (prev :=
+           match env_used with
+           | Some env when incremental && !inc_live -> Some (Eval.seeds env)
+           | _ -> None);
+        `Continue (model, record :: records)
       in
       let continue_or_fail model' record =
         if Incomplete.knowledge model' <= knowledge_before then
@@ -595,7 +600,7 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
                 nested temporal obligation the testing step cannot validate; use safety \
                 (AG of a state predicate) or bounded-response properties"
                (Ctl.to_string formula))
-        else `Continue (learn_extras model', record :: records)
+        else continue model' record
       in
       if all_steps_known model proj then begin
         (* The whole synthesized part of the counterexample is learned —
@@ -673,7 +678,7 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
             end
             else begin
               assert (gained > 0);
-              `Continue (learn_extras model', { base with test } :: records)
+              continue model' { base with test }
             end)
   in
   let rec iterate model index records =
@@ -712,8 +717,11 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
     in
     let proved_on_closure, unknown_for_real =
       timed check_seconds ~name:"loop.check" (fun () ->
-          let product = Compose.parallel context closure in
-          List.partition (Checker.holds product.Compose.auto) [ weakened; Ctl.deadlock_free ])
+          let product = explore sharding context closure in
+          Fun.protect ~finally:product.close (fun () ->
+              List.partition
+                (Eval.holds_initially (Eval.create product.backend))
+                [ weakened; Ctl.deadlock_free ]))
     in
     Log.warn (fun m ->
         m "degrading after iteration %d: %s (%d of %d obligations proved on the closure)"

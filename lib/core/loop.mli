@@ -32,7 +32,9 @@ type verdict =
       kind : violation_kind;
       formula : Mechaml_logic.Ctl.t;
       witness : Mechaml_ts.Run.t;     (** run of the final iteration's product *)
-      product : Mechaml_ts.Compose.product;
+      product : Mechaml_ts.Compose.product Lazy.t;
+          (** that product, materialized with names and provenance when
+              forced (the witness's state ids are its state ids) *)
       confirmed_by_test : bool;
           (** [false] = fast conflict detection: the violation lies entirely
               in already-learned behaviour *)
@@ -118,7 +120,7 @@ val run :
     compute:(unit -> Mechaml_ts.Automaton.t) ->
     Mechaml_ts.Automaton.t) ->
   ?on_check:
-    (product:Mechaml_ts.Automaton.t ->
+    (product:Mechaml_ts.Automaton.t * Mechaml_ts.Automaton.t ->
     formulas:Mechaml_logic.Ctl.t list ->
     compute:(unit -> Mechaml_mc.Checker.outcome) ->
     Mechaml_mc.Checker.outcome) ->
@@ -156,11 +158,10 @@ val run :
     full input plus a [compute] thunk performing the actual work, and must
     return exactly what [compute] would (e.g. a memoized copy from an
     earlier, structurally identical call — {!Mechaml_engine.Cache} does
-    this across campaign jobs).  Every [on_check] call follows the
-    [on_closure] call of the same iteration and checks context ∥ that
-    closure, so a hook may name the product by the closure it saw (under
-    [sharding] no product exists yet and [product] is the closure).  The
-    default hooks just run [compute].
+    this across campaign jobs).  [on_check]'s input is the operand pair
+    [(context, closure)], the closure being the one the same iteration's
+    [on_closure] call returned, so a hook may also name the product by
+    that closure.  The default hooks just run [compute].
 
     [observe] replaces the raw test-execution step (by default
     [Observation.observe] against [legacy]); {!Mechaml_legacy.Supervisor}'s
@@ -186,9 +187,13 @@ val run :
     iterations: the chaotic closure is patched rather than rebuilt
     ({!Chaos.update}), and the checker's unbounded fixpoints are
     warm-started from the previous iteration's converged sets
-    ({!Mechaml_mc.Sat.create_warm}) wherever a product state's pair and
-    closure row carry over from the previous product.  The product itself
-    is composed afresh every iteration.  Every stage is byte-identical to the
+    ({!Mechaml_mc.Eval.create_warm}) wherever a product state's pair
+    and closure row carry over from the previous product — at any shard
+    count and on a fleet alike.  The product itself is explored afresh
+    every iteration and released (segments, spill files, fleet) when the
+    iteration ends; only its converged sets carry over
+    ({!Mechaml_mc.Eval.seeds}), so one product is open at a time and a
+    [mem_budget] bounds the whole run.  Every stage is byte-identical to the
     from-scratch path — same closures, products, witnesses and verdicts —
     so the flag is purely a performance switch; [incremental_debug]
     additionally recomputes each stage from scratch and raises [Failure] on
@@ -201,15 +206,17 @@ val run :
     machinery engages for the rest of the run (the closure only grows).
     [0] forces it on from the first iteration.
 
-    [sharding] switches the check phase to the partitioned, out-of-core
-    pipeline: the product is explored as per-shard CSR segments
-    ({!Mechaml_ts.Shard}) and the verdict computed by the sharded fixpoint
-    engine ({!Mechaml_mc.Shardsat}), with cold segments spilled to disk
-    under the config's memory budget.  Verdicts, witnesses, trails and
-    canonical reports are byte-identical to the default path for any shard
-    count; the materialized product is only built when a violation needs
-    its witness.  Sharded checks skip the pair correspondence and
-    warm-start machinery (the report's product and seed counters stay 0). *)
+    [sharding] (default {!Mechaml_ts.Shard.config}[ ()], one unbudgeted
+    shard) configures the one check path: the product is explored by
+    {!Mechaml_ts.Shard} and checked by the {!Mechaml_mc.Eval} evaluator
+    over it, and the counterexample's witness (plus any extra ones) is
+    extracted from the same product — state names and edge labels are
+    rebuilt only for the states and edges of a returned run.  Shard count,
+    memory budget and spill dir change how the product is laid out; a
+    [distribution] moves the level expansion and the fixpoints to a
+    worker-process fleet ({!Mechaml_dist.Distshard},
+    {!Mechaml_dist.Distsat}).  Verdicts, witnesses, trails, reuse
+    counters and canonical reports are identical for every choice. *)
 
 val pp_iteration : Format.formatter -> iteration -> unit
 

@@ -54,7 +54,8 @@ val num_transitions : t -> int
 
 val manager : t -> Segment.t
 (** The coordinator's residency manager ([Shard.manager (shard t)]);
-    {!Distsat} banks its converged sets here so they share the budget. *)
+    the checker ({!Mechaml_mc.Shardsat}) banks its converged sets here so
+    they share the budget. *)
 
 val restarts : t -> int
 (** Workers declared dead and replaced over this product's lifetime. *)

@@ -111,12 +111,12 @@ let run_spec_unobserved ?cache ?(incremental = true) ?(incremental_debug = false
       (fun p -> not (Universe.mem spec.context.Automaton.props p))
       (Ctl.props spec.property)
   in
-  (* A check's product is [Compose.parallel context closure] on every tier
-     (the sharded and distributed explorers are byte-identical to it), and
-     the closure is named by the key [on_closure] computed in the same
+  (* A check's input is the operand pair [(context, closure)], and the
+     closure is named by the key [on_closure] computed in the same
      iteration — so the check key carries the context digest and that
-     closure key instead of digesting the product.  Verdicts are
-     byte-identical across tiers, so the tiers share entries. *)
+     closure key instead of digesting either automaton.  Verdicts are
+     byte-identical for every shard layout and fleet, so they share
+     entries. *)
   let closure_key = ref None in
   let on_closure ~model ~compute =
     guard_deadline ();

@@ -1,5 +1,5 @@
-module Automaton = Mechaml_ts.Automaton
 module Ctl = Mechaml_logic.Ctl
+module Bitvec = Mechaml_util.Bitvec
 module Trace = Mechaml_obs.Trace
 module Metrics = Mechaml_obs.Metrics
 
@@ -18,86 +18,51 @@ type outcome =
       complete : bool;
     }
 
-let check_env env ~strategy f =
-  let states = Automaton.num_states (Sat.automaton env) in
+let check_one (sp : Witness.space) ~strategy f =
   Trace.with_span ~name:"mc.check"
-    ~args:[ ("states", Trace.Int states) ]
+    ~args:[ ("states", Trace.Int sp.states) ]
     (fun () ->
       Metrics.incr m_checks;
-      match Sat.failing_initial env f with
+      let v = sp.sat f in
+      match List.find_opt (fun q -> not (Bitvec.get v q)) sp.initial with
       | None -> Holds
       | Some start ->
         Metrics.incr m_violations;
         let psi = Ctl.nnf (Ctl.Not f) in
-        let { Witness.run; explanation; complete } = Witness.witness env ~strategy ~start psi in
+        let { Witness.run; explanation; complete } = Witness.witness sp ~strategy ~start psi in
         Violated { formula = f; witness = run; explanation; complete })
 
-let check ?(strategy = Witness.Bfs_shortest) m f = check_env (Sat.create m) ~strategy f
-
-let check_conjunction_env ?(strategy = Witness.Bfs_shortest) env fs =
+let check_space ?(strategy = Witness.Bfs_shortest) sp fs =
   let rec go = function
     | [] -> Holds
-    | f :: rest -> ( match check_env env ~strategy f with Holds -> go rest | v -> v)
+    | f :: rest -> ( match check_one sp ~strategy f with Holds -> go rest | v -> v)
   in
   go fs
 
-let check_conjunction ?(strategy = Witness.Bfs_shortest) m fs =
-  check_conjunction_env ~strategy (Sat.create m) fs
+let check_conjunction ?strategy m fs = check_space ?strategy (Sat.space m (Sat.create m)) fs
 
-let check_with_deadlock_freedom ?(strategy = Witness.Bfs_shortest) m f =
-  check_conjunction ~strategy m [ Ctl.deadlock_free; f ]
+let check ?strategy m f = check_conjunction ?strategy m [ f ]
+
+let check_with_deadlock_freedom ?strategy m f =
+  check_conjunction ?strategy m [ Ctl.deadlock_free; f ]
 
 let holds m f = match check m f with Holds -> true | Violated _ -> false
 
-(* Is the formula's negation a plain reachability of a state predicate? *)
-let rec state_formula (f : Ctl.t) =
-  match f with
-  | Ctl.True | Ctl.False | Ctl.Prop _ | Ctl.Deadlock -> true
-  | Ctl.Not g -> state_formula g
-  | Ctl.And (a, b) | Ctl.Or (a, b) | Ctl.Implies (a, b) -> state_formula a && state_formula b
-  | _ -> false
-
-let more_witnesses ?(limit = 3) (m : Automaton.t) f =
+let more_witnesses ?(limit = 3) (sp : Witness.space) f =
   match Ctl.nnf (Ctl.Not f) with
-  | Ctl.Ef (None, bad) when state_formula bad ->
-    let env = Sat.create m in
-    let bad_set = Sat.sat env bad in
-    (* One BFS from the initial states; harvest the nearest [limit] bad
-       states in discovery order, then unwind their parent chains. *)
-    let n = Automaton.num_states m in
-    let parent = Array.make n None in
-    let seen = Array.make n false in
-    let queue = Queue.create () in
+  (* the negation is a plain reachability of a state predicate *)
+  | Ctl.Ef (None, bad) when Witness.is_state_formula bad ->
+    let bad_set = sp.sat bad in
+    (* the nearest [limit] bad states in discovery order *)
     let found = ref [] in
-    let consider s = if bad_set.(s) && List.length !found < limit then found := s :: !found in
-    List.iter
-      (fun q ->
-        if not seen.(q) then begin
-          seen.(q) <- true;
-          Queue.add q queue;
-          consider q
-        end)
-      m.Automaton.initial;
-    while List.length !found < limit && not (Queue.is_empty queue) do
-      let s = Queue.pop queue in
-      List.iter
-        (fun (t : Automaton.trans) ->
-          if not seen.(t.dst) then begin
-            seen.(t.dst) <- true;
-            parent.(t.dst) <- Some (s, (t.input, t.output));
-            Queue.add t.dst queue;
-            consider t.dst
-          end)
-        (Automaton.transitions_from m s)
-    done;
+    let parent =
+      Witness.bfs sp ~from:sp.initial ~expand:(fun _ -> true) (fun d ->
+          if List.length !found < limit && Bitvec.get bad_set d then found := d :: !found;
+          List.length !found >= limit)
+    in
     List.rev_map
       (fun target ->
-        let rec unwind s states io =
-          match parent.(s) with
-          | None -> (s :: states, io)
-          | Some (p, ab) -> unwind p (s :: states) (ab :: io)
-        in
-        let states, io = unwind target [] [] in
+        let states, io = Witness.path sp parent target in
         Mechaml_ts.Run.regular ~states ~io)
       !found
   | _ -> []

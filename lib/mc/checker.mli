@@ -26,11 +26,11 @@ val check_conjunction :
     checking the conjunction because satisfaction sets are shared through one
     environment and witnesses stay per-property. *)
 
-val check_conjunction_env :
-  ?strategy:Witness.strategy -> Sat.env -> Mechaml_logic.Ctl.t list -> outcome
-(** {!check_conjunction} against a caller-supplied environment — the hook
-    that lets the synthesis loop pass a {!Sat.create_warm} environment and
-    keep it for the next iteration's warm start. *)
+val check_space :
+  ?strategy:Witness.strategy -> Witness.space -> Mechaml_logic.Ctl.t list -> outcome
+(** {!check_conjunction} on any checked state space — the synthesis loop
+    passes its sharded product with a (possibly warm-started) environment's
+    sets.  The automaton entry points are this over {!Sat.space}. *)
 
 val check_with_deadlock_freedom :
   ?strategy:Witness.strategy -> Mechaml_ts.Automaton.t -> Mechaml_logic.Ctl.t -> outcome
@@ -41,7 +41,7 @@ val holds : Mechaml_ts.Automaton.t -> Mechaml_logic.Ctl.t -> bool
 (** Verdict only. *)
 
 val more_witnesses :
-  ?limit:int -> Mechaml_ts.Automaton.t -> Mechaml_logic.Ctl.t -> Mechaml_ts.Run.t list
+  ?limit:int -> Witness.space -> Mechaml_logic.Ctl.t -> Mechaml_ts.Run.t list
 (** Up to [limit] (default 3) counterexample runs with pairwise distinct
     final states, nearest first — the "several counterexamples per check"
     improvement the paper's conclusion proposes.  Available for violations

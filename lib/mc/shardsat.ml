@@ -1,5 +1,7 @@
 module Ctl = Mechaml_logic.Ctl
 module Shard = Mechaml_ts.Shard
+module Bitvec = Mechaml_util.Bitvec
+module Segment = Mechaml_util.Segment
 module Trace = Mechaml_obs.Trace
 module Metrics = Mechaml_obs.Metrics
 
@@ -15,41 +17,24 @@ let m_sets =
   Metrics.counter "mc_shard_sat_sets_total"
     ~help:"Converged sharded satisfaction sets registered with the segment manager."
 
-(* The sharded backend: every shard is an owned block of the worklist
-   kernel, so nothing is ever emitted.  Sets are global bit vectors, the
-   structure is read one shard view at a time, and converged sets are
-   banked in the product's segment manager so that under a budget they
-   spill alongside the CSR segments. *)
-module Backend = struct
-  type t = { sp : Shard.t; space : Worklist.space }
+type fixpoints = {
+  agg : forall:bool -> Bitvec.t -> Bitvec.t;
+  fixpoint : Eval.fix -> init:Bitvec.t -> guard:Bitvec.t option -> Bitvec.t;
+}
 
-  type slot = Mechaml_util.Segment.slot
-
-  let create sp =
-    {
-      sp;
-      space =
-        Worklist.blocks ~blocking:(Shard.blocking sp) ~owner:(Shard.owner sp)
-          ~local:(Shard.local sp) ~sizes:(Shard.sizes sp)
-          ~owned:(Array.make (Shard.shards sp) true)
-          (Shard.view sp);
-    }
-
-  let num_states t = Shard.num_states t.sp
-
-  let initial t = Shard.initial t.sp
-
-  let prop t p =
-    Eval.prop_of_labels ~where:"the sharded product" (Shard.props t.sp) (Shard.labels t.sp) p
-
-  let blocking t = Shard.blocking t.sp
-
-  let agg t = Worklist.agg t.space
-
-  (* Kernel rounds until quiet: each round visits every shard with pending
-     work once, its view resident for the whole batch. *)
-  let fixpoint t kind ~init ~guard =
-    let r = Worklist.start t.space kind ~init ~guard ~emit:(fun _ -> assert false) in
+(* In process, every shard is an owned block of the worklist kernel, so
+   nothing is ever emitted.  A fixpoint runs kernel rounds until quiet:
+   each round visits every shard with pending work once, its view resident
+   for the whole batch. *)
+let in_process sp =
+  let space =
+    Worklist.blocks ~blocking:(Shard.blocking sp) ~owner:(Shard.owner sp) ~local:(Shard.local sp)
+      ~sizes:(Shard.sizes sp)
+      ~owned:(Array.make (Shard.shards sp) true)
+      (Shard.view sp)
+  in
+  let fixpoint kind ~init ~guard =
+    let r = Worklist.start space kind ~init ~guard ~emit:(fun _ -> assert false) in
     let rounds = ref 0 in
     let rec go () =
       let t0 = if Trace.is_enabled () then Some (Trace.now_us ()) else None in
@@ -69,14 +54,50 @@ module Backend = struct
     Metrics.add m_rounds !rounds;
     Metrics.add m_boundary (Worklist.boundary r);
     Worklist.result r
+  in
+  { agg = Worklist.agg space; fixpoint }
 
-  let bank t v =
+(* Sets are global bit vectors, the structure is read through the product,
+   and converged sets are banked in the product's segment manager so that
+   under a budget they spill alongside the CSR segments.  Bank names only
+   need to be unique within one manager, but several environments may bank
+   into the same product's. *)
+let banked = Atomic.make 0
+
+let backend ?fleet sp =
+  let run = match fleet with Some f -> f | None -> in_process sp in
+  let mgr = Shard.manager sp in
+  let bank v =
     Metrics.incr m_sets;
-    Eval.bank_in (Shard.manager t.sp) v
+    let name = Printf.sprintf "sat%d" (Atomic.fetch_and_add banked 1) in
+    let slot = Segment.add mgr ~name [ ("b", Segment.Bits v) ] in
+    fun () ->
+      match List.assoc_opt "b" (Segment.get mgr slot) with
+      | Some (Segment.Bits b) -> b
+      | _ -> raise (Segment.Spill_error "sat segment field missing")
+  in
+  {
+    Eval.states = Shard.num_states sp;
+    initial = Shard.initial sp;
+    prop =
+      Eval.prop_of_labels ~where:"the sharded product" (Shard.props sp)
+        ~states:(Shard.num_states sp) (Shard.label sp);
+    blocking = Shard.blocking sp;
+    agg = run.agg;
+    fixpoint = run.fixpoint;
+    bank;
+  }
 
-  let fetch t slot = Eval.fetch_from (Shard.manager t.sp) slot
-end
+let create ?fleet sp = Eval.create (backend ?fleet sp)
 
-include Eval.Make (Backend)
+let holds_initially = Eval.holds_initially
 
-let create sp = create (Backend.create sp)
+let space sp ~sat =
+  {
+    Witness.states = Shard.num_states sp;
+    initial = Shard.initial sp;
+    succ = Shard.succ sp;
+    io = Shard.io sp;
+    sat;
+    name = Shard.state_name sp;
+  }

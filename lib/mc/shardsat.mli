@@ -1,5 +1,5 @@
 (** Global CTL satisfaction over a sharded product ({!Mechaml_ts.Shard}):
-    the {!Eval} evaluator over an in-process sharded backend.
+    the {!Eval} evaluator over a sharded backend.
 
     Satisfaction sets are global bit vectors; the structure is read one
     shard view at a time.  Every shard is an owned block of the
@@ -14,32 +14,39 @@
 
     Converged sets are banked in the product's
     {!Mechaml_ts.Shard.manager}, so under a memory budget cold sat sets
-    spill to disk alongside the CSR segments and reload on demand.
-
-    The evaluator's warm-start seeding needs an [old_of]/[dirty] map
-    between consecutive products, which only the materialized pipeline
-    builds, so this interface offers cold environments only. *)
+    spill to disk alongside the CSR segments and reload on demand.  Every
+    check of the synthesis loop, warm starts and witnesses included, runs
+    on this backend; [Mechaml_dist.Distsat.fleet] moves its sweeps and
+    fixpoints to a worker fleet. *)
 
 module Ctl = Mechaml_logic.Ctl
 module Shard = Mechaml_ts.Shard
 
-type env
+type fixpoints = {
+  agg : forall:bool -> Mechaml_util.Bitvec.t -> Mechaml_util.Bitvec.t;
+  fixpoint :
+    Eval.fix ->
+    init:Mechaml_util.Bitvec.t ->
+    guard:Mechaml_util.Bitvec.t option ->
+    Mechaml_util.Bitvec.t;
+}
+(** Where the successor sweep and the unbounded fixpoints run.
+    [Mechaml_dist.Distsat.fleet] runs them on a worker fleet; without
+    [~fleet] they run in this process, shard-batched as described above. *)
 
-val create : Shard.t -> env
-(** An environment over an explored sharded product.  The product must stay
-    open (not {!Mechaml_ts.Shard.close}d) while the env is in use. *)
+val backend : ?fleet:fixpoints -> Shard.t -> Eval.backend
+(** The product as the evaluator reads it.  The product must stay open
+    (not {!Mechaml_ts.Shard.close}d) while an environment over it is in
+    use; a damaged spill file surfaces as {!Mechaml_util.Segment.Spill_error}
+    from the environment's queries. *)
 
-val sat_vec : env -> Ctl.t -> Mechaml_util.Bitvec.t
-(** The global satisfaction set, bit-identical to {!Sat.sat_vec} on the
-    materialized product.  Callers must not mutate the result.  Raises
-    {!Mechaml_util.Segment.Spill_error} if a spilled segment cannot be read
-    back. *)
+val create : ?fleet:fixpoints -> Shard.t -> Eval.env
+(** [Eval.create (backend ?fleet sp)]. *)
 
-val holds_initially : env -> Ctl.t -> bool
-(** Whether every initial product state satisfies the formula — identical
-    to {!Sat.holds_initially} on the materialized product.  Raises
-    {!Mechaml_util.Segment.Spill_error} if a spilled segment cannot be read
-    back. *)
+val holds_initially : Eval.env -> Ctl.t -> bool
+(** {!Eval.holds_initially}. *)
 
-val failing_initial : env -> Ctl.t -> int option
-(** First initial state (in initial-list order) violating the formula. *)
+val space : Shard.t -> sat:(Ctl.t -> Mechaml_util.Bitvec.t) -> Witness.space
+(** The product as {!Witness} and {!Checker} read it, with [sat] the sets
+    of the environment that checked it: successors from the shard views,
+    state names and edge labels rebuilt from the pair keys on demand. *)

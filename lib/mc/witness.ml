@@ -1,13 +1,24 @@
-module Automaton = Mechaml_ts.Automaton
 module Run = Mechaml_ts.Run
 module Ctl = Mechaml_logic.Ctl
+module Bitvec = Mechaml_util.Bitvec
 
 type strategy = Bfs_shortest | Dfs_first
 
 type t = { run : Run.t; explanation : string; complete : bool }
 
+type space = {
+  states : int;
+  initial : int list;
+  succ : int array -> int array array;
+  io : int -> int -> Run.io;
+  sat : Ctl.t -> Bitvec.t;
+  name : int -> string;
+}
+
+let successors (sp : space) s = (sp.succ [| s |]).(0)
+
 (* A path fragment: states s₀ … sₙ with the interactions between them. *)
-type frag = { states : Automaton.state list; io : Run.io list }
+type frag = { states : int list; io : Run.io list }
 
 let single s = { states = [ s ]; io = [] }
 
@@ -20,59 +31,67 @@ let join a b =
     assert (last_state a = first);
     { states = a.states @ rest; io = a.io @ b.io }
 
-let step s io t = { states = [ s; t ]; io = [ io ] }
+(* The [k]-th transition out of [s], labelled *)
+let step (sp : space) s k t = { states = [ s; t ]; io = [ sp.io s k ] }
+
+let bfs (sp : space) ~from ~expand stop =
+  let parent = Array.make sp.states None and seen = Array.make sp.states false in
+  let stopped = ref false and next = Queue.create () in
+  let discover p d =
+    seen.(d) <- true;
+    parent.(d) <- p;
+    if stop d then stopped := true else if expand d then Queue.add d next
+  in
+  List.iter (fun q -> if not (!stopped || seen.(q)) then discover None q) from;
+  while not (!stopped || Queue.is_empty next) do
+    let level = Array.of_seq (Queue.to_seq next) in
+    Queue.clear next;
+    Array.iter2
+      (fun s succ ->
+        Array.iteri (fun k d -> if not (!stopped || seen.(d)) then discover (Some (s, k)) d) succ)
+      level (sp.succ level)
+  done;
+  parent
+
+let path (sp : space) parent s =
+  let rec unwind s states io =
+    match parent.(s) with
+    | None -> (s :: states, io)
+    | Some (p, k) -> unwind p (s :: states) (sp.io p k :: io)
+  in
+  unwind s [] []
 
 (* Search a path from [from] to a state satisfying [target]; intermediate
-   states (excluding the target) must satisfy [via]. *)
-let search env strategy ~from ~via ~target =
-  let auto = Sat.automaton env in
-  let n = Automaton.num_states auto in
-  if target from then Some (single from)
-  else if not (via from) then None
-  else begin
-    let parent = Array.make n None in
-    let seen = Array.make n false in
-    seen.(from) <- true;
-    let found = ref None in
-    (match strategy with
-    | Bfs_shortest ->
-      let queue = Queue.create () in
-      Queue.add from queue;
-      while !found = None && not (Queue.is_empty queue) do
-        let s = Queue.pop queue in
-        List.iter
-          (fun (t : Automaton.trans) ->
-            if !found = None && not seen.(t.dst) then begin
-              seen.(t.dst) <- true;
-              parent.(t.dst) <- Some (s, (t.input, t.output));
-              if target t.dst then found := Some t.dst
-              else if via t.dst then Queue.add t.dst queue
-            end)
-          (Automaton.transitions_from auto s)
-      done
+   states (excluding the target) must satisfy [via].  Parents record the
+   transition's position, so only the returned path's labels are asked
+   for. *)
+let search (sp : space) strategy ~from ~via ~target =
+  let found = ref None in
+  let hit d = target d && (found := Some d; true) in
+  let parent =
+    match strategy with
+    | Bfs_shortest -> bfs sp ~from:[ from ] ~expand:via hit
     | Dfs_first ->
+      let parent = Array.make sp.states None and seen = Array.make sp.states false in
       let rec go s =
-        List.iter
-          (fun (t : Automaton.trans) ->
-            if !found = None && not seen.(t.dst) then begin
-              seen.(t.dst) <- true;
-              parent.(t.dst) <- Some (s, (t.input, t.output));
-              if target t.dst then found := Some t.dst else if via t.dst then go t.dst
+        Array.iteri
+          (fun k d ->
+            if !found = None && not seen.(d) then begin
+              seen.(d) <- true;
+              parent.(d) <- Some (s, k);
+              if (not (hit d)) && via d then go d
             end)
-          (Automaton.transitions_from auto s)
+          (successors sp s)
       in
-      go from);
-    match !found with
-    | None -> None
-    | Some tgt ->
-      let rec unwind s states io =
-        match parent.(s) with
-        | None -> (s :: states, io)
-        | Some (p, ab) -> unwind p (s :: states) (ab :: io)
-      in
-      let states, io = unwind tgt [] [] in
-      Some { states; io }
-  end
+      seen.(from) <- true;
+      if (not (hit from)) && via from then go from;
+      parent
+  in
+  Option.map
+    (fun tgt ->
+      let states, io = path sp parent tgt in
+      { states; io })
+    !found
 
 let rec is_state_formula (f : Ctl.t) =
   match f with
@@ -81,9 +100,12 @@ let rec is_state_formula (f : Ctl.t) =
   | And (a, b) | Or (a, b) | Implies (a, b) -> is_state_formula a && is_state_formula b
   | Ax _ | Ex _ | Af _ | Ef _ | Ag _ | Eg _ | Au _ | Eu _ -> false
 
-let witness env ~strategy ~start psi =
-  let auto = Sat.automaton env in
-  let holds f s = (Sat.sat env f).(s) in
+let witness (sp : space) ~strategy ~start psi =
+  (* [holds f] fetches the set once; the predicate is then a bit test *)
+  let holds f =
+    let v = sp.sat f in
+    fun s -> Bitvec.get v s
+  in
   if not (holds psi start) then
     invalid_arg "Witness.witness: formula does not hold at the start state";
   let notes = ref [] in
@@ -100,9 +122,17 @@ let witness env ~strategy ~start psi =
     residual why;
     single s
   in
+  (* the first transition out of [s] into a [pred] state *)
   let succ_with s pred =
-    List.find_opt (fun (t : Automaton.trans) -> pred t.dst) (Automaton.transitions_from auto s)
+    let succ = successors sp s in
+    let rec go k =
+      if k >= Array.length succ then None
+      else if pred succ.(k) then Some (k, succ.(k))
+      else go (k + 1)
+    in
+    go 0
   in
+  let blocking s = Array.length (successors sp s) = 0 in
   let rec gen s (f : Ctl.t) =
     match f with
     | Deadlock ->
@@ -118,22 +148,22 @@ let witness env ~strategy ~start psi =
       else begin
         residual
           (Printf.sprintf "conjunct %s holds at %s but is not unfolded in this witness"
-             (Ctl.to_string b) (Automaton.state_name auto s));
+             (Ctl.to_string b) (sp.name s));
         gen s a
       end
     | Or (a, b) -> if holds a s then gen s a else gen s b
     | Implies (a, b) -> if holds (Ctl.Not a) s then single s else gen s b
     | Ex g -> (
       match succ_with s (holds g) with
-      | Some t -> join (step s (t.input, t.output) t.dst) (gen t.dst g)
+      | Some (k, t) -> join (step sp s k t) (gen t g)
       | None -> fallback s "EX witness: no successor found (inconsistent sat set)")
     | Ef (None, g) -> (
-      match search env strategy ~from:s ~via:(fun _ -> true) ~target:(holds g) with
+      match search sp strategy ~from:s ~via:(fun _ -> true) ~target:(holds g) with
       | Some frag -> join frag (gen (last_state frag) g)
       | None -> fallback s "EF witness: target unreachable (inconsistent sat set)")
     | Ef (Some b, g) -> bounded_walk s b ~f:Ctl.True ~g ~exist:`F
     | Eu (None, f1, g) -> (
-      match search env strategy ~from:s ~via:(holds f1) ~target:(holds g) with
+      match search sp strategy ~from:s ~via:(holds f1) ~target:(holds g) with
       | Some frag -> join frag (gen (last_state frag) g)
       | None -> fallback s "EU witness: target unreachable (inconsistent sat set)")
     | Eu (Some b, f1, g) -> bounded_walk s b ~f:f1 ~g ~exist:`F
@@ -151,26 +181,21 @@ let witness env ~strategy ~start psi =
      revisit.  A closed loop is complete evidence (it repeats forever); a
      blocking end is a residual claim about missing behaviour. *)
   and lasso s g =
-    let inside = Sat.sat env (Ctl.Eg (None, g)) in
+    let inside = holds (Ctl.Eg (None, g)) in
     let seen = Hashtbl.create 16 in
     let rec go s acc =
-      if Automaton.is_blocking auto s then begin
-        residual
-          (Printf.sprintf "EG evidence ends at the blocking state %s"
-             (Automaton.state_name auto s));
+      if blocking s then begin
+        residual (Printf.sprintf "EG evidence ends at the blocking state %s" (sp.name s));
         acc
       end
       else if Hashtbl.mem seen s then begin
-        note (Printf.sprintf "loop closes at state %s" (Automaton.state_name auto s));
+        note (Printf.sprintf "loop closes at state %s" (sp.name s));
         acc
       end
       else begin
         Hashtbl.add seen s ();
-        match
-          List.find_opt (fun (t : Automaton.trans) -> inside.(t.dst))
-            (Automaton.transitions_from auto s)
-        with
-        | Some t -> go t.dst (join acc (step s (t.input, t.output) t.dst))
+        match succ_with s inside with
+        | Some (k, t) -> go t (join acc (step sp s k t))
         | None ->
           residual "EG evidence stops without a qualifying successor";
           acc
@@ -194,7 +219,7 @@ let witness env ~strategy ~start psi =
         let goal = match exist with `F -> k >= lo && holds g s | `G -> false in
         if goal then join acc (gen s g)
         else if k >= hi then acc
-        else if Automaton.is_blocking auto s then begin
+        else if blocking s then begin
           (match exist with
           | `F ->
             residual "bounded eventuality evidence stops at a blocking state"
@@ -202,12 +227,12 @@ let witness env ~strategy ~start psi =
             if k < hi then
               residual
                 (Printf.sprintf "bounded EG evidence ends early at the blocking state %s"
-                   (Automaton.state_name auto s)));
+                   (sp.name s)));
           acc
         end
         else begin
-          match succ_with s (fun t -> (Sat.sat env (residual_formula (k + 1))).(t)) with
-          | Some t -> go (k + 1) t.dst (join acc (step s (t.input, t.output) t.dst))
+          match succ_with s (holds (residual_formula (k + 1))) with
+          | Some (j, t) -> go (k + 1) t (join acc (step sp s j t))
           | None ->
             residual "bounded evidence stops without a qualifying successor";
             acc

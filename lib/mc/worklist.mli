@@ -1,5 +1,6 @@
 (** The one worklist kernel: the four unbounded fixpoints of {!Eval.fix}
-    and the successor sweep behind {!Eval.BACKEND.agg}, for every backend.
+    and the successor sweep behind an {!Eval.backend}'s [agg], for every
+    backend.
 
     States are partitioned into {e blocks}, each read through a
     {!Mechaml_ts.Shard.view}; global [owner]/[local] maps say where each

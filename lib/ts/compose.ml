@@ -359,34 +359,31 @@ let bfs_product (left : Automaton.t) (right : Automaton.t) =
   in
   { auto; left; right; pairs }
 
-let observe_product ~start_us (p : product) =
-  if start_us <> None || Metrics.enabled () then begin
-    let states = Automaton.num_states p.auto in
-    (* the transition count walks every adjacency list — worth it for the
-       size histograms, too slow for the per-span fast path when only
-       tracing is on *)
-    if Metrics.enabled () then begin
-      Metrics.observe m_product_states (float_of_int states);
-      Metrics.observe m_product_transitions
-        (float_of_int (Automaton.num_transitions p.auto))
-    end;
-    match start_us with
-    | Some start_us ->
-      Trace.complete ~name:"ts.compose" ~start_us
-        ~args:
-          [
-            ("left", Trace.Str p.left.Automaton.name);
-            ("right", Trace.Str p.right.Automaton.name);
-            ("states", Trace.Int states);
-          ]
-        ()
-    | None -> ()
-  end
+let record ~start_us ~left ~right ~states ~transitions =
+  (* the transition count may walk every adjacency list — worth it for the
+     size histograms, too slow for the per-span fast path when only tracing
+     is on *)
+  if Metrics.enabled () then begin
+    Metrics.observe m_product_states (float_of_int states);
+    Metrics.observe m_product_transitions (float_of_int (transitions ()))
+  end;
+  match start_us with
+  | Some start_us ->
+    Trace.complete ~name:"ts.compose" ~start_us
+      ~args:
+        [
+          ("left", Trace.Str left.Automaton.name);
+          ("right", Trace.Str right.Automaton.name);
+          ("states", Trace.Int states);
+        ]
+      ()
+  | None -> ()
 
 let parallel left right =
-  let t0 = if Trace.is_enabled () then Some (Trace.now_us ()) else None in
+  let start_us = if Trace.is_enabled () then Some (Trace.now_us ()) else None in
   let p = bfs_product left right in
-  observe_product ~start_us:t0 p;
+  record ~start_us ~left ~right ~states:(Automaton.num_states p.auto) ~transitions:(fun () ->
+      Automaton.num_transitions p.auto);
   p
 
 let parallel_many = function
@@ -398,24 +395,26 @@ let left_state p s = fst p.pairs.(s)
 
 let right_state p s = snd p.pairs.(s)
 
-let project side (p : product) (r : Run.t) =
-  let target = match side with `Left -> p.left | `Right -> p.right in
+(* Product signals are the left operand's followed by the right's, the
+   layout of [bfs_product] and of [Shard.explore]. *)
+let project_pairs side ~(left : Automaton.t) ~(right : Automaton.t) ~pair (r : Run.t) =
+  let target = match side with `Left -> left | `Right -> right in
   let pick = match side with `Left -> fst | `Right -> snd in
-  let states = List.map (fun s -> pick p.pairs.(s)) (Run.state_sequence r) in
+  let inputs = Universe.union left.inputs right.inputs
+  and outputs = Universe.union left.outputs right.outputs in
+  let states = List.map (fun s -> pick (pair s)) (Run.state_sequence r) in
   let io =
     List.map
       (fun (a, b) ->
-        ( Universe.restrict p.auto.Automaton.inputs ~to_:target.Automaton.inputs a,
-          Universe.restrict p.auto.Automaton.outputs ~to_:target.Automaton.outputs b ))
+        ( Universe.restrict inputs ~to_:target.Automaton.inputs a,
+          Universe.restrict outputs ~to_:target.Automaton.outputs b ))
       (Run.trace r)
   in
   if r.Run.deadlock then Run.deadlocking ~states ~io else Run.regular ~states ~io
 
+let project side (p : product) r =
+  project_pairs side ~left:p.left ~right:p.right ~pair:(fun s -> p.pairs.(s)) r
+
 let project_left p r = project `Left p r
 
 let project_right p r = project `Right p r
-
-let find_pair p pair =
-  let n = Array.length p.pairs in
-  let rec go i = if i >= n then None else if p.pairs.(i) = pair then Some i else go (i + 1) in
-  go 0

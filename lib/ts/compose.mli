@@ -21,6 +21,18 @@ val parallel : Automaton.t -> Automaton.t -> product
 (** Raises [Invalid_argument] when the operands are not composable
     ([I ∩ I' ≠ ∅] or [O ∩ O' ≠ ∅]) or their proposition universes overlap. *)
 
+val record :
+  start_us:float option ->
+  left:Automaton.t ->
+  right:Automaton.t ->
+  states:int ->
+  transitions:(unit -> int) ->
+  unit
+(** Report one finished product of [left] and [right], whichever explorer
+    built it: a [ts.compose] trace span from [start_us] when tracing was on, and the
+    [ts_product_states] / [ts_product_transitions] histograms when metrics
+    are on ([transitions] is only called then). *)
+
 val parallel_many : Automaton.t list -> Automaton.t
 (** Left fold of {!parallel} over two or more automata, discarding
     provenance. *)
@@ -32,12 +44,21 @@ val project_left : product -> Run.t -> Run.t
 
 val project_right : product -> Run.t -> Run.t
 
+val project_pairs :
+  [ `Left | `Right ] ->
+  left:Automaton.t ->
+  right:Automaton.t ->
+  pair:(Automaton.state -> Automaton.state * Automaton.state) ->
+  Run.t ->
+  Run.t
+(** {!project_left} / {!project_right} for a run of any product of [left]
+    and [right] laid out as {!parallel}'s (the left operand's signals, then
+    the right's), without materializing it: [pair] maps a product state to
+    its operand states, e.g. [Shard.pair]. *)
+
 val left_state : product -> Automaton.state -> Automaton.state
 
 val right_state : product -> Automaton.state -> Automaton.state
-
-val find_pair : product -> Automaton.state * Automaton.state -> Automaton.state option
-(** Product state for a (left, right) pair if that pair is reachable. *)
 
 type join
 (** The joint-move kernel of one operand pair: what {!parallel} and the

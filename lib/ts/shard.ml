@@ -68,12 +68,15 @@ type view = {
 
 type t = {
   config : config;
+  left : Automaton.t;
+  right : Automaton.t;
+  join : Compose.join Lazy.t;
   n : int;
   transitions : int;
   initial : int list;
+  keys : int array; (* packed pair key per state *)
   owner : int array;
   local : int array;
-  labels : Bitset.t array;
   props : Universe.t;
   blocking : Bitvec.t;
   sizes : int array;
@@ -183,11 +186,10 @@ type expand = int array array -> (int array * int array) array
    more than it shares.  [config.workers = Some w] fans every level out to
    a crew of [min shards w] domains.  Returns the transport, where it runs
    (the [fanout] trace arg), and the function that stops the crew. *)
-let local_expand config left right =
+let local_expand config join right =
   let shards = config.shards in
   let nr = Automaton.num_states right in
   let size = match config.workers with Some w -> min shards w | None -> 1 in
-  let join = Compose.join left right in
   let succ = Array.init shards (fun _ -> Ivec.create ()) in
   let out = Array.make shards ([||], [||]) in
   let expand_shard frontier k =
@@ -245,13 +247,16 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
     invalid_arg "Shard.explore: proposition universes overlap";
   let shards = config.shards in
   let props = Universe.union left.Automaton.props right.Automaton.props in
-  let lp_size = Universe.size left.Automaton.props in
   let nr = Automaton.num_states right in
   (* The partition: a 64-bit mix of the packed pair key, so structured
      state spaces (pair keys are [l * nr + r]) spread evenly over any shard
      count.  Pure arithmetic — identical across runs, transports and
      budgets. *)
   let shard_of key = if shards = 1 then 0 else Itbl.mix key mod shards in
+  (* the in-process transport forces the kernel up front; a fleet's
+     coordinator only needs it to label a witness's edges *)
+  let join = lazy (Compose.join left right) in
+  let start_us = if Trace.is_enabled () then Some (Trace.now_us ()) else None in
   let mgr =
     Segment.create ?budget:config.mem_budget ?dir:config.spill_dir
       ~on_spill:(fun bytes ->
@@ -269,9 +274,9 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
     let edges = Array.init shards (fun _ -> Ivec.create ()) in
     let echunks = Array.make shards [] in
     (* global discovery-order state *)
+    let keys = Ivec.create () in
     let owner = Ivec.create () in
     let local = Ivec.create () in
-    let labs = Ivec.create () in
     let intern key =
       let fresh = Ivec.length owner in
       let id = Itbl.find_or_add tbl key fresh in
@@ -279,15 +284,11 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
         if fresh = max_states then
           invalid_arg "Shard.explore: the product exceeds 2^31 states";
         let k = shard_of key in
+        Ivec.push keys key;
         Ivec.push owner k;
         Ivec.push local (Ivec.length members.(k));
         Ivec.push members.(k) id;
-        Ivec.push frontier.(k) key;
-        Ivec.push labs
-          (Bitset.to_int
-             (Bitset.union
-                (Automaton.label left (key / nr))
-                (Bitset.shift lp_size (Automaton.label right (key mod nr)))))
+        Ivec.push frontier.(k) key
       end;
       id
     in
@@ -299,7 +300,7 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
     let expand, fanout, stop_expand =
       match expand with
       | Some f -> (f, "fleet", ignore)
-      | None -> local_expand config left right
+      | None -> local_expand config (Lazy.force join) right
     in
     (* Edge and scatter buffers are flushed to scratch chunk files once they
        pass half the budget: construction keeps the same watermark
@@ -389,9 +390,9 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
     Metrics.add m_build_rounds !round;
     Itbl.reset tbl;
     let n = Ivec.length owner in
+    let keys = Ivec.to_array keys in
     let owner = Ivec.to_array owner in
     let local = Ivec.to_array local in
-    let labels = Array.init n (fun i -> Bitset.of_int_unsafe (Ivec.get labs i)) in
     let sizes = Array.map Ivec.length members in
     (* Finalization in one pass over the forward CSR: while a shard's
        [row]/[dst] are in hand, count each destination's predecessors (into
@@ -473,14 +474,18 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
             ~name:(Printf.sprintf "pred%d" k)
             [ ("prow", Segment.Ints prow); ("psrc", Segment.Ints psrc) ])
     in
+    Compose.record ~start_us ~left ~right ~states:n ~transitions:(fun () -> !transitions);
     {
       config;
+      left;
+      right;
+      join;
       n;
       transitions = !transitions;
       initial;
+      keys;
       owner;
       local;
-      labels;
       props;
       blocking;
       sizes;
@@ -506,8 +511,6 @@ let owner t = t.owner
 
 let local t = t.local
 
-let labels t = t.labels
-
 let props t = t.props
 
 let blocking t = t.blocking
@@ -522,6 +525,50 @@ let view t k =
     prow = ints pp "prow";
     psrc = ints pp "psrc";
   }
+
+let pair t s =
+  let nr = Automaton.num_states t.right in
+  (t.keys.(s) / nr, t.keys.(s) mod nr)
+
+(* the packing of [Compose.parallel]'s labels *)
+let label t s =
+  let l, r = pair t s in
+  Bitset.union (Automaton.label t.left l)
+    (Bitset.shift (Universe.size t.left.Automaton.props) (Automaton.label t.right r))
+
+let state_name t s =
+  let l, r = pair t s in
+  Automaton.state_name t.left l ^ "," ^ Automaton.state_name t.right r
+
+(* shard by shard, so a batch reads each segment once *)
+let succ t states =
+  let out = Array.make (Array.length states) [||] in
+  Array.iteri
+    (fun k slot ->
+      if Array.exists (fun s -> t.owner.(s) = k) states then begin
+        let pf = Segment.get t.mgr slot in
+        let row = ints pf "row" and dst = ints pf "dst" in
+        Array.iteri
+          (fun i s ->
+            let m = t.local.(s) in
+            if t.owner.(s) = k then out.(i) <- Array.sub dst row.(m) (row.(m + 1) - row.(m)))
+          states
+      end)
+    t.fwd_slots;
+  out
+
+(* The [k]-th joint move out of [s]: the kernel enumerates moves in the
+   order the build stored the edges. *)
+let io t s k =
+  let l, r = pair t s in
+  let i = ref 0 and found = ref None in
+  ignore
+    (Compose.moves (Lazy.force t.join) l r (fun a b _ _ ->
+         if !i = k then found := Some (a, b);
+         incr i));
+  match !found with
+  | Some io -> io
+  | None -> invalid_arg (Printf.sprintf "Shard.io: state %d has no transition %d" s k)
 
 let manager t = t.mgr
 

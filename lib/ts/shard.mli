@@ -21,10 +21,11 @@
     Under a memory budget the per-shard segments live in a {!Segment}
     manager: cold shards spill to disk and reload on demand, bounding
     resident memory by the watermark instead of the product size.  The
-    sharded product deliberately stores no state names and no transition
-    labels — just enough structure (labels, CSR in both directions,
-    blocking set) for the global model checker; witness extraction falls
-    back to the materialized product. *)
+    sharded product stores no state names and no transition labels: a
+    state's name ({!state_name}) and an edge's label ({!io}) are rebuilt on
+    demand from the packed pair key every state keeps, which is all the
+    witness of a counterexample needs.  Every check of the synthesis loop
+    runs on this product — one unbudgeted shard by default. *)
 
 module Bitset = Mechaml_util.Bitset
 module Bitvec = Mechaml_util.Bitvec
@@ -132,16 +133,37 @@ val owner : t -> int array
 val local : t -> int array
 (** Global state id -> local index within its owning shard. *)
 
-val labels : t -> Bitset.t array
-(** Global state id -> proposition labels (left labels, then right labels
-    shifted past the left proposition universe — {!Compose.parallel}'s
-    packing). *)
+val label : t -> int -> Bitset.t
+(** A state's proposition label, computed from its pair: left labels, then
+    right labels shifted past the left proposition universe —
+    {!Compose.parallel}'s packing. *)
 
 val props : t -> Universe.t
 (** The product's proposition universe (left ∪ right). *)
 
 val blocking : t -> Bitvec.t
 (** Global bit per state: no outgoing joint move. *)
+
+val pair : t -> int -> int * int
+(** Global state id -> its (left state, right state) pair, from the packed
+    key kept per state (resident, like {!owner}). *)
+
+val state_name : t -> int -> string
+(** ["l,r"] from the operands' state names — {!Compose.parallel}'s name
+    for the same state. *)
+
+val succ : t -> int array -> int array array
+(** Each state's successors in adjacency order ({!Compose.parallel}'s
+    [transitions_from] order), read from the shards' views one shard at a
+    time, so a batch reads each segment once (a breadth-first search that
+    asks for a whole level does not thrash a spilling budget); raises
+    {!Segment.Spill_error} on a damaged spill file. *)
+
+val io : t -> int -> int -> Mechaml_util.Bitset.t * Mechaml_util.Bitset.t
+(** [io t s k] is the combined interaction label of the [k]-th transition
+    out of [s] in {!succ} order, recomputed with {!Compose.moves} (the
+    join kernel is built on first use).  Raises [Invalid_argument] when
+    [s] has fewer than [k + 1] transitions. *)
 
 val view : t -> int -> view
 (** The shard's segment, reloading from spill files as needed; raises

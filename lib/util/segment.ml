@@ -98,6 +98,22 @@ let total_spills () = Atomic.get g_spills
 
 let total_reloads () = Atomic.get g_reloads
 
+(* resident bytes of every open manager, and their high-water mark as left
+   by each budget enforcement *)
+let g_resident = Atomic.make 0
+
+let g_peak = Atomic.make 0
+
+let total_resident () = Atomic.get g_resident
+
+let peak_resident () = Atomic.get g_peak
+
+let reset_peak () = Atomic.set g_peak (Atomic.get g_resident)
+
+let rec note_peak () =
+  let cur = Atomic.get g_resident and p = Atomic.get g_peak in
+  if cur > p && not (Atomic.compare_and_set g_peak p cur) then note_peak ()
+
 type slot = {
   s_name : string;
   s_bytes : int;
@@ -168,6 +184,10 @@ let scratch_path t ~name =
   t.scratch <- t.scratch + 1;
   Filename.concat d (Printf.sprintf "scratch-%d-%s.seg" t.scratch name)
 
+let account t bytes =
+  t.resident <- t.resident + bytes;
+  if not t.closed then ignore (Atomic.fetch_and_add g_resident bytes)
+
 let touch t s =
   t.tick <- t.tick + 1;
   s.s_tick <- t.tick
@@ -183,7 +203,7 @@ let evict t s =
       save ~path p;
       s.s_path <- Some path);
     s.s_payload <- None;
-    t.resident <- t.resident - s.s_bytes;
+    account t (-s.s_bytes);
     t.n_spills <- t.n_spills + 1;
     Atomic.incr g_spills;
     t.on_spill s.s_bytes
@@ -217,8 +237,9 @@ let add t ~name p =
   in
   touch t s;
   t.slots <- s :: t.slots;
-  t.resident <- t.resident + s.s_bytes;
+  account t s.s_bytes;
   enforce_budget t ~keep:s;
+  note_peak ();
   s
 
 let get t s =
@@ -235,11 +256,12 @@ let get t s =
     | Error m -> raise (Spill_error m)
     | Ok p ->
       s.s_payload <- Some p;
-      t.resident <- t.resident + s.s_bytes;
+      account t s.s_bytes;
       t.n_reloads <- t.n_reloads + 1;
       Atomic.incr g_reloads;
       t.on_reload s.s_bytes;
       enforce_budget t ~keep:s;
+      note_peak ();
       p)
 
 let resident_bytes t = t.resident
@@ -251,6 +273,7 @@ let reloads t = t.n_reloads
 let spill_dir t = t.dir
 
 let close t =
+  if not t.closed then ignore (Atomic.fetch_and_add g_resident (-t.resident));
   t.closed <- true;
   List.iter
     (fun s ->

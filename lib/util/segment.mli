@@ -97,9 +97,20 @@ val close : t -> unit
 
 (** {1 Process-wide counters}
 
-    Monotonic totals across all managers — observable without enabling the
-    metrics registry (tests assert spill engagement through these). *)
+    Totals across all managers — observable without enabling the metrics
+    registry (tests assert spill engagement and residency through these).
+    The spill and reload counts are monotonic. *)
 
 val total_spills : unit -> int
 
 val total_reloads : unit -> int
+
+val total_resident : unit -> int
+(** Resident bytes of every manager not yet {!close}d. *)
+
+val peak_resident : unit -> int
+(** The highest {!total_resident} after an {!add} or a reload since
+    {!reset_peak} restarted it from the current one.  Never above the budget
+    while only one budgeted manager is open. *)
+
+val reset_peak : unit -> unit

@@ -13,7 +13,12 @@
 #      budget, submit a campaign, require /v1/stats to report the sharding
 #      block with engaged spills and the streamed verdicts to match the
 #      local reference, then SIGTERM it and require the drain to leave the
-#      spill directory empty as well.
+#      spill directory empty as well;
+#   4. export the bundled automata and run one counterexample-producing
+#      `run` (protocol receiver against the fire-and-forget sender) as is
+#      and under --shards 4 --mem-budget 1K: stdout, the rendered
+#      Counterexample listing included, must be byte-identical, and the
+#      spill directory empty afterwards.
 #
 # The binary is the dune-built mechaverify; override BIN/DIR to point
 # elsewhere.  Any failing step fails the script (set -e).
@@ -123,4 +128,23 @@ DAEMON_PID=
 left=$(spill_leftovers)
 [ -z "$left" ] || fail "daemon drain left spill scratch behind: $left"
 
-echo "shard-smoke: OK (canonicals identical across shard counts, spills engaged and cleaned up)"
+# -- 4: a rendered counterexample, identical under sharding -------------------
+
+"$BIN" export --dir "$DIR/export" >/dev/null || fail "export failed"
+run_cex() {
+  # exit 1 is the verdict (a real violation), not a failure
+  status=0
+  "$BIN" run --context "$DIR/export/protocol_receiver.aut" \
+    --legacy "$DIR/export/protocol_sender_fire_and_forget.aut" --property true \
+    "$@" >"$out" 2>"$out.err" || status=$?
+  [ "$status" -eq 1 ] || fail "run $* exited $status, expected 1: $(cat "$out.err")"
+}
+out="$DIR/cex.out" run_cex
+out="$DIR/cex-sharded.out" run_cex --shards 4 --mem-budget 1K --spill-dir "$DIR/spill"
+grep -q '^Counterexample:' "$DIR/cex.out" || fail "run printed no counterexample"
+cmp -s "$DIR/cex.out" "$DIR/cex-sharded.out" \
+  || fail "sharded run's output differs: $(diff "$DIR/cex.out" "$DIR/cex-sharded.out")"
+left=$(spill_leftovers)
+[ -z "$left" ] || fail "sharded run left spill scratch behind: $left"
+
+echo "shard-smoke: OK (canonicals and a rendered counterexample identical across shard counts, spills engaged and cleaned up)"

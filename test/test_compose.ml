@@ -33,9 +33,7 @@ let unit_tests =
     test "provenance maps product states to pairs" (fun () ->
         let p = Compose.parallel (left ()) (right ()) in
         check_int "left of initial" 0 (Compose.left_state p 0);
-        check_int "right of initial" 0 (Compose.right_state p 0);
-        Alcotest.(check (option int)) "find_pair" (Some 0) (Compose.find_pair p (0, 0));
-        Alcotest.(check (option int)) "unreachable pair" None (Compose.find_pair p (0, 1)));
+        check_int "right of initial" 0 (Compose.right_state p 0));
     test "mismatched handshake deadlocks" (fun () ->
         (* right that never answers: the pair (l1, stuck) is a deadlock *)
         let mute =

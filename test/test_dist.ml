@@ -10,6 +10,7 @@ module Automaton = Mechaml_ts.Automaton
 module Compose = Mechaml_ts.Compose
 module Shard = Mechaml_ts.Shard
 module Sat = Mechaml_mc.Sat
+module Eval = Mechaml_mc.Eval
 module Ctl = Mechaml_logic.Ctl
 module Bitset = Mechaml_util.Bitset
 module Bitvec = Mechaml_util.Bitvec
@@ -62,7 +63,7 @@ let check_structure product dp =
   check_int "states" n (Distshard.num_states dp);
   check_int "transitions" (Automaton.num_transitions auto) (Distshard.num_transitions dp);
   Alcotest.(check (list int)) "initial" auto.Automaton.initial (Shard.initial sp);
-  let labels = Shard.labels sp in
+  let labels = Array.init (Shard.num_states sp) (Shard.label sp) in
   for s = 0 to n - 1 do
     if not (Mechaml_util.Bitset.equal (Automaton.label auto s) labels.(s)) then
       Alcotest.failf "label mismatch at state %d" s
@@ -91,11 +92,11 @@ let check_verdicts ?(formulas = structural_formulas) product dp =
   List.iter
     (fun f ->
       let name = Fmt.to_to_string Ctl.pp f in
-      if not (Bitvec.equal (Sat.sat_vec env f) (Distsat.sat_vec senv f)) then
+      if not (Bitvec.equal (Eval.sat_vec env f) (Eval.sat_vec senv f)) then
         Alcotest.failf "sat set mismatch on %s" name;
-      if Sat.holds_initially env f <> Distsat.holds_initially senv f then
+      if Eval.holds_initially env f <> Distsat.holds_initially senv f then
         Alcotest.failf "verdict mismatch on %s" name;
-      if Sat.failing_initial env f <> Distsat.failing_initial senv f then
+      if Eval.failing_initial env f <> Eval.failing_initial senv f then
         Alcotest.failf "failing-initial mismatch on %s" name)
     formulas
 
@@ -381,7 +382,9 @@ let same_product a b =
   && Shard.owner a = Shard.owner b
   && Shard.local a = Shard.local b
   && Shard.sizes a = Shard.sizes b
-  && Array.for_all2 Bitset.equal (Shard.labels a) (Shard.labels b)
+  && Array.for_all2 Bitset.equal
+       (Array.init (Shard.num_states a) (Shard.label a))
+       (Array.init (Shard.num_states b) (Shard.label b))
   && Bitvec.equal (Shard.blocking a) (Shard.blocking b)
   && List.for_all (fun k -> Shard.view a k = Shard.view b k) (List.init (Shard.shards a) Fun.id)
 

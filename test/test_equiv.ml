@@ -229,6 +229,73 @@ let sharded_loop_equivalence_prop shards seed =
       shards;
   true
 
+(* Warm start is a property of the loop, not of the shard count: the pair
+   keys every [Shard.t] keeps give each layout the same [old_of]/dirty map,
+   so a job past the incremental gate reuses the same product states and
+   seeds the same fixpoints at 1, 3 and 8 shards (8 spilling), every seeded
+   fixpoint re-checked cold by [incremental_debug]. *)
+let warm_start_test =
+  test "warm start reuses the same states at shards 1/3/8, spilling included" (fun () ->
+      let spec =
+        List.find
+          (fun (s : Campaign.spec) -> s.Campaign.id = "lock/n96-d48/locked/bfs")
+          (Campaign.bundled ())
+      in
+      let go sharding =
+        let r =
+          Loop.run ~strategy:spec.strategy ~label_of:spec.label_of ~incremental_debug:true
+            ~sharding ~context:spec.context ~property:spec.property
+            ~legacy:(spec.make_box ()) ()
+        in
+        ( verdict_tag r.Loop.verdict,
+          List.map iteration_signature r.Loop.iterations,
+          r.Loop.product_states_reused,
+          r.Loop.sat_seed_hit_rate )
+      in
+      let ((_, _, reused, rate) as reference) = go (Shard.config ()) in
+      check_bool "states reused" true (reused > 0);
+      check_bool "fixpoints seeded" true (rate > 0.);
+      List.iter
+        (fun (what, sharding) ->
+          let verdict, trail, reused', rate' = go sharding in
+          let verdict0, trail0, _, _ = reference in
+          check_string (what ^ ": verdict") verdict0 verdict;
+          Alcotest.(check (list string)) (what ^ ": trail") trail0 trail;
+          check_int (what ^ ": product_states_reused") reused reused';
+          Alcotest.(check (float 0.)) (what ^ ": sat_seed_hit_rate") rate rate')
+        [
+          ("3 shards", Shard.config ~shards:3 ());
+          ("8 shards, spilling", Shard.config ~shards:8 ~mem_budget:1024 ());
+        ])
+
+(* A product is released when its iteration ends, so an incremental run
+   under a budget never holds the segments of two products: what is
+   resident across every open manager stays within one budget, while the
+   run still reuses states from product to product. *)
+let one_budget_test =
+  test "an incremental 8-shard run stays within one memory budget" (fun () ->
+      let spec =
+        List.find
+          (fun (s : Campaign.spec) -> s.Campaign.id = "lock/n96-d48/locked/bfs")
+          (Campaign.bundled ())
+      in
+      let budget = 8 * 1024 in
+      let base = Segment.total_resident () and spills = Segment.total_spills () in
+      Segment.reset_peak ();
+      let r =
+        Loop.run ~strategy:spec.strategy ~label_of:spec.label_of
+          ~sharding:(Shard.config ~shards:8 ~mem_budget:budget ())
+          ~context:spec.context ~property:spec.property ~legacy:(spec.make_box ()) ()
+      in
+      check_bool "states reused" true (r.Loop.product_states_reused > 0);
+      check_bool "spills engaged" true (Segment.total_spills () > spills);
+      check_bool
+        (Printf.sprintf "peak %d bytes above the %d at the start, budget %d"
+           (Segment.peak_resident () - base) base budget)
+        true
+        (Segment.peak_resident () - base <= budget);
+      check_int "nothing left resident" base (Segment.total_resident ()))
+
 let sharding_tests =
   [
     test "sharded full matrix reproduces the canonical report (shards 2, jobs 4)"
@@ -239,6 +306,8 @@ let sharding_tests =
              (Campaign.run ~jobs:4
                 ~sharding:(Shard.config ~shards:2 ())
                 (Campaign.bundled ()))));
+    warm_start_test;
+    one_budget_test;
     test "shards 1/2/8 x jobs 1/4, spilling on and off, agree on the tiny matrix"
       (fun () ->
         let reference =

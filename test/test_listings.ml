@@ -58,6 +58,7 @@ let unit_tests =
         let r = Railcab.run_conflicting () in
         match r.Loop.verdict with
         | Loop.Real_violation { witness; product; _ } ->
+          let product = Lazy.force product in
           check_string "golden"
             "shuttle1.noConvoy::default, shuttle2.noConvoy\n\
              shuttle2.convoyProposal!, shuttle1.convoyProposal?\n\

@@ -44,6 +44,7 @@ let unit_tests =
         let r = Railcab.run_conflicting () in
         match r.Loop.verdict with
         | Loop.Real_violation { kind = Loop.Property; confirmed_by_test; witness; product; _ } ->
+          let product = Lazy.force product in
           check_bool "found without a final test" false confirmed_by_test;
           (* the witness really is a run of the last abstraction's product *)
           check_bool "witness is a product run" true (Run.is_run_of product.Compose.auto witness);
@@ -104,6 +105,7 @@ let unit_tests =
         let r = Protocol.run_fire_and_forget () in
         match r.Loop.verdict with
         | Loop.Real_violation { witness; product; _ } ->
+          let product = Lazy.force product in
           (* Project to the legacy side and replay on the component: every
              step must be accepted with the same outputs. *)
           let side = product.Compose.right in

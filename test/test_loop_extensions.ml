@@ -11,6 +11,8 @@ module Automaton = Mechaml_ts.Automaton
 open Mechaml_scenarios
 open Helpers
 
+let space m = Mechaml_mc.Sat.(space m (create m))
+
 let unit_tests =
   [
     test "more_witnesses returns distinct nearest violations" (fun () ->
@@ -28,7 +30,9 @@ let unit_tests =
               ]
             ~initial:[ "s" ] ()
         in
-        let runs = Checker.more_witnesses ~limit:3 m (Mechaml_logic.Parser.parse_exn "AG (not bad)") in
+        let runs =
+          Checker.more_witnesses ~limit:3 (space m) (Mechaml_logic.Parser.parse_exn "AG (not bad)")
+        in
         check_int "two bad states found" 2 (List.length runs);
         let finals = List.map (fun r -> Automaton.state_name m (Run.final_state r)) runs in
         Alcotest.(check (list string)) "nearest first" [ "bad1"; "bad2" ]
@@ -37,7 +41,7 @@ let unit_tests =
     test "more_witnesses is empty when the property holds" (fun () ->
         let m = automaton ~inputs:[] ~outputs:[] ~trans:[ ("s", [], [], "s") ] ~initial:[ "s" ] () in
         check_int "none" 0
-          (List.length (Checker.more_witnesses m (Mechaml_logic.Parser.parse_exn "AG true"))));
+          (List.length (Checker.more_witnesses (space m) (Mechaml_logic.Parser.parse_exn "AG true"))));
     test "more_witnesses covers deadlock freedom" (fun () ->
         let m =
           automaton ~inputs:[] ~outputs:[]
@@ -45,7 +49,7 @@ let unit_tests =
             ~initial:[ "s" ] ()
         in
         check_int "both deadlocks" 2
-          (List.length (Checker.more_witnesses m Mechaml_logic.Ctl.deadlock_free)));
+          (List.length (Checker.more_witnesses (space m) Mechaml_logic.Ctl.deadlock_free)));
     test "grey-box knowledge reduces iterations" (fun () ->
         let baseline = Railcab.run_correct () in
         (* seed with half the component's transitions, as if documented *)

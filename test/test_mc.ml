@@ -1,4 +1,7 @@
 module Sat = Mechaml_mc.Sat
+
+(* the characteristic vector as booleans *)
+let sat env f = Mechaml_util.Bitvec.to_bool_array (Mechaml_mc.Eval.sat_vec env f)
 module Checker = Mechaml_mc.Checker
 module Ctl = Mechaml_logic.Ctl
 module Parser = Mechaml_logic.Parser
@@ -20,7 +23,7 @@ let loop_with_exit () =
 
 let sat m f =
   let env = Sat.create m in
-  Array.to_list (Sat.sat env (Parser.parse_exn f))
+  Array.to_list (sat env (Parser.parse_exn f))
 
 let holds m f = Checker.holds m (Parser.parse_exn f)
 

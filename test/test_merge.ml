@@ -29,6 +29,7 @@ let unit_tests =
         let r = Merge.run_pushy () in
         match r.Loop.verdict with
         | Loop.Real_violation { kind = Loop.Property; witness; product; _ } ->
+          let product = Lazy.force product in
           let final = Run.final_state witness in
           check_bool "both merging" true
             (Automaton.has_prop product.Mechaml_ts.Compose.auto final "feederA.merging"

@@ -12,6 +12,9 @@ module Refinement = Mechaml_ts.Refinement
 module Simulation = Mechaml_ts.Simulation
 module Ctl = Mechaml_logic.Ctl
 module Sat = Mechaml_mc.Sat
+
+(* the characteristic vector as booleans *)
+let sat env f = Mechaml_util.Bitvec.to_bool_array (Mechaml_mc.Eval.sat_vec env f)
 module Checker = Mechaml_mc.Checker
 module Prng = Mechaml_util.Prng
 module Incomplete = Mechaml_core.Incomplete
@@ -242,33 +245,33 @@ let property_tests =
         let m = random_auto seed in
         let env = Sat.create m in
         let p = Ctl.Prop "p" in
-        Sat.sat env (Ctl.ag p)
-        = Array.map not (Sat.sat env (Ctl.Ef (None, Ctl.Not p))));
+        sat env (Ctl.ag p)
+        = Array.map not (sat env (Ctl.Ef (None, Ctl.Not p))));
     qcheck ~count:60 "AF duality with EG over maximal runs" seed_arb (fun seed ->
         let m = random_auto seed in
         let env = Sat.create m in
         let p = Ctl.Prop "q" in
-        Sat.sat env (Ctl.af p) = Array.map not (Sat.sat env (Ctl.Eg (None, Ctl.Not p))));
+        sat env (Ctl.af p) = Array.map not (sat env (Ctl.Eg (None, Ctl.Not p))));
     qcheck ~count:60 "bounded EF windows are monotone" seed_arb (fun seed ->
         let m = random_auto seed in
         let env = Sat.create m in
         let p = Ctl.Prop "p" in
-        let upto k = Sat.sat env (Ctl.Ef (Some (Ctl.bounds 0 k), p)) in
+        let upto k = sat env (Ctl.Ef (Some (Ctl.bounds 0 k), p)) in
         let a = upto 2 and b = upto 3 in
         Array.for_all Fun.id (Array.mapi (fun i x -> (not x) || b.(i)) a));
     qcheck ~count:60 "unbounded EF dominates every bounded window" seed_arb (fun seed ->
         let m = random_auto seed in
         let env = Sat.create m in
         let p = Ctl.Prop "q" in
-        let bounded = Sat.sat env (Ctl.Ef (Some (Ctl.bounds 0 4), p)) in
-        let unbounded = Sat.sat env (Ctl.Ef (None, p)) in
+        let bounded = sat env (Ctl.Ef (Some (Ctl.bounds 0 4), p)) in
+        let unbounded = sat env (Ctl.Ef (None, p)) in
         Array.for_all Fun.id (Array.mapi (fun i x -> (not x) || unbounded.(i)) bounded));
     qcheck ~count:60 "nnf preserves satisfaction" seed_arb (fun seed ->
         let m = random_auto seed in
         let env = Sat.create m in
         let phi = random_actl seed in
-        Sat.sat env phi = Sat.sat env (Ctl.nnf phi)
-        && Sat.sat env (Ctl.Not phi) = Sat.sat env (Ctl.nnf (Ctl.Not phi)));
+        sat env phi = sat env (Ctl.nnf phi)
+        && sat env (Ctl.Not phi) = sat env (Ctl.nnf (Ctl.Not phi)));
     qcheck ~count:60 "printer/parser roundtrip on random ACTL" seed_arb (fun seed ->
         let phi = random_actl seed in
         match Mechaml_logic.Parser.parse (Ctl.to_string phi) with

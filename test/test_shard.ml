@@ -7,7 +7,10 @@ module Automaton = Mechaml_ts.Automaton
 module Compose = Mechaml_ts.Compose
 module Shard = Mechaml_ts.Shard
 module Sat = Mechaml_mc.Sat
+module Eval = Mechaml_mc.Eval
 module Shardsat = Mechaml_mc.Shardsat
+module Checker = Mechaml_mc.Checker
+module Witness = Mechaml_mc.Witness
 module Ctl = Mechaml_logic.Ctl
 module Bitvec = Mechaml_util.Bitvec
 module Segment = Mechaml_util.Segment
@@ -33,7 +36,7 @@ let check_structure product sp =
   check_int "states" n (Shard.num_states sp);
   check_int "transitions" (Automaton.num_transitions auto) (Shard.num_transitions sp);
   Alcotest.(check (list int)) "initial" auto.Automaton.initial (Shard.initial sp);
-  let labels = Shard.labels sp in
+  let labels = Array.init (Shard.num_states sp) (Shard.label sp) in
   for s = 0 to n - 1 do
     if not (Mechaml_util.Bitset.equal (Automaton.label auto s) labels.(s)) then
       Alcotest.failf "label mismatch at state %d" s
@@ -62,11 +65,11 @@ let check_verdicts ?(formulas = structural_formulas) product sp =
   List.iter
     (fun f ->
       let name = Fmt.to_to_string Ctl.pp f in
-      if not (Bitvec.equal (Sat.sat_vec env f) (Shardsat.sat_vec senv f)) then
+      if not (Bitvec.equal (Eval.sat_vec env f) (Eval.sat_vec senv f)) then
         Alcotest.failf "sat set mismatch on %s" name;
-      if Sat.holds_initially env f <> Shardsat.holds_initially senv f then
+      if Eval.holds_initially env f <> Eval.holds_initially senv f then
         Alcotest.failf "verdict mismatch on %s" name;
-      if Sat.failing_initial env f <> Shardsat.failing_initial senv f then
+      if Eval.failing_initial env f <> Eval.failing_initial senv f then
         Alcotest.failf "failing-initial mismatch on %s" name)
     formulas
 
@@ -173,7 +176,7 @@ let spill_tests =
               (Sys.readdir sub);
             let senv = Shardsat.create sp in
             match
-              List.iter (fun f -> ignore (Shardsat.holds_initially senv f)) structural_formulas
+              List.iter (fun f -> ignore (Eval.holds_initially senv f)) structural_formulas
             with
             | exception Segment.Spill_error _ -> ()
             | () ->
@@ -197,7 +200,7 @@ let snapshot sp =
   {
     owner = Shard.owner sp;
     local = Shard.local sp;
-    labels = Array.map Mechaml_util.Bitset.to_int (Shard.labels sp);
+    labels = Array.init (Shard.num_states sp) (fun s -> Mechaml_util.Bitset.to_int (Shard.label sp s));
     blocking = Bitvec.copy (Shard.blocking sp);
     views = Array.init (Shard.shards sp) (Shard.view sp);
   }
@@ -281,6 +284,83 @@ let fanout_tests =
                 Alcotest.(check bool) "some rounds" true (levels > 0);
                 Alcotest.(check int) "crew levels" (if all_crew then levels else 0) crewed)
               [ (None, false); (Some 1, false); (Some 2, true) ]));
+  ]
+
+(* -- witnesses on the sharded product ---------------------------------------
+
+   The loop extracts its counterexamples from the [Shard.t] it checked:
+   successors from the shard views, names and edge labels rebuilt from the
+   pair keys.  Whatever the shard count or budget, the outcome must be the
+   record [Checker.check] returns on the materialized product — run states,
+   labels, explanation and [complete] — and so must the extra witnesses.
+   The pairs are open on both sides: the left reads an environment input
+   and the right drives an unconnected output, so the join kernel both
+   binary-searches and scans. *)
+
+let witness_formulas =
+  let p = Ctl.Prop "l.p" and q = Ctl.Prop "r.p" in
+  let b = Some (Ctl.bounds 1 4) in
+  [
+    Ctl.Ag (None, Ctl.Not q) (* EF *);
+    Ctl.Not (Ctl.Eu (None, p, q)) (* EU *);
+    Ctl.Af (None, Ctl.Not p) (* EG lasso *);
+    Ctl.Ag (b, Ctl.Not q) (* bounded EF *);
+    Ctl.Not (Ctl.Eu (b, p, q)) (* bounded EU *);
+    Ctl.Af (b, Ctl.Not p) (* bounded EG *);
+    Ctl.Au (None, p, q) (* not AU *);
+    Ctl.deadlock_free;
+    Ctl.Ax (Ctl.Not p) (* EX *);
+    Ctl.Or (Ctl.Ag (None, Ctl.Not p), Ctl.Af (None, Ctl.Not q)) (* two temporal conjuncts *);
+  ]
+
+let witness_configs =
+  [
+    ("1 shard", Shard.config ());
+    ("3 shards", Shard.config ~shards:3 ());
+    ("8 shards", Shard.config ~shards:8 ());
+    ("8 shards, spilling", Shard.config ~shards:8 ~mem_budget:1 ());
+  ]
+
+let witness_identity_prop (seed, strategy) =
+  let rng = Prng.create ~seed in
+  let left =
+    random_automaton rng ~name:"l" ~inputs:[ "a"; "e" ] ~outputs:[ "x" ] ~fanout:4
+      ~states:(1 + Prng.int rng 10) ()
+  in
+  let right =
+    random_automaton rng ~name:"r" ~inputs:[ "x" ] ~outputs:[ "a"; "z" ] ~fanout:4
+      ~states:(1 + Prng.int rng 10) ()
+  in
+  let auto = (Compose.parallel left right).Compose.auto in
+  let reference = Sat.space auto (Sat.create auto) in
+  List.iter
+    (fun (what, config) ->
+      let sp = Shard.explore ~config left right in
+      Fun.protect
+        ~finally:(fun () -> Shard.close sp)
+        (fun () ->
+          let env = Shardsat.create sp in
+          let space = Shardsat.space sp ~sat:(Eval.sat_vec env) in
+          List.iter
+            (fun f ->
+              let name = Ctl.to_string f in
+              if Checker.check ~strategy auto f <> Checker.check_space ~strategy space [ f ] then
+                QCheck.Test.fail_reportf "seed %d, %s: outcome differs on %s" seed what name;
+              if
+                Checker.more_witnesses ~limit:4 reference f
+                <> Checker.more_witnesses ~limit:4 space f
+              then QCheck.Test.fail_reportf "seed %d, %s: more_witnesses differ on %s" seed what name)
+            witness_formulas;
+          if config.Shard.mem_budget <> None && Shard.spills sp = 0 then
+            QCheck.Test.fail_reportf "seed %d, %s: the budget never spilled" seed what))
+    witness_configs;
+  true
+
+let witness_tests =
+  [
+    qcheck ~count:150 "Checker on the Shard.t = Checker.check on Compose.parallel, 1/3/8 shards"
+      QCheck.(pair (int_range 0 100_000) (oneofl Witness.[ Bfs_shortest; Dfs_first ]))
+      witness_identity_prop;
   ]
 
 (* -- the worklist kernel against a sweep-to-convergence reference -------- *)
@@ -459,5 +539,6 @@ let () =
       ("spill", spill_tests);
       ("identity", identity_tests);
       ("fanout", fanout_tests);
+      ("witness", witness_tests);
       ("kernel", kernel_tests);
     ]

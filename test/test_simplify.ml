@@ -2,6 +2,9 @@ module Ctl = Mechaml_logic.Ctl
 module Simplify = Mechaml_logic.Simplify
 module Parser = Mechaml_logic.Parser
 module Sat = Mechaml_mc.Sat
+
+(* the characteristic vector as booleans *)
+let sat env f = Mechaml_util.Bitvec.to_bool_array (Mechaml_mc.Eval.sat_vec env f)
 module Prng = Mechaml_util.Prng
 open Helpers
 
@@ -100,7 +103,7 @@ let property_tests =
         let m = random_auto seed in
         let f = random_formula seed in
         let env = Sat.create m in
-        Sat.sat env f = Sat.sat env (Simplify.simplify f));
+        sat env f = sat env (Simplify.simplify f));
     qcheck ~count:200 "simplification never grows the formula" seed_arb (fun seed ->
         let f = random_formula seed in
         Ctl.size (Simplify.simplify f) <= Ctl.size f);

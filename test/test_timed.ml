@@ -44,6 +44,7 @@ let unit_tests =
         let r = Watchdog.run_sluggish () in
         match r.Loop.verdict with
         | Loop.Real_violation { kind = Loop.Property; witness; product; _ } ->
+          let product = Lazy.force product in
           let final = Mechaml_ts.Run.final_state witness in
           check_bool "ends starved" true
             (Automaton.has_prop product.Compose.auto final "watchdog.starved")
@@ -80,6 +81,7 @@ let unit_tests =
         let r = Remote.run ~lossy:true ~property:Remote.response_property () in
         match r.Loop.verdict with
         | Loop.Real_violation { kind = Loop.Property; witness; product; _ } ->
+          let product = Lazy.force product in
           (* the counterexample replays on the component *)
           let tc =
             Mechaml_testing.Testcase.of_projected_run product.Compose.right

@@ -22,7 +22,9 @@ let diamond () =
 
 let witness ?(strategy = Witness.Bfs_shortest) m f =
   let env = Sat.create m in
-  Witness.witness env ~strategy ~start:(List.hd m.Automaton.initial) (Parser.parse_exn f)
+  Witness.witness (Sat.space m env) ~strategy
+    ~start:(List.hd m.Automaton.initial)
+    (Parser.parse_exn f)
 
 let unit_tests =
   [
