@@ -1,5 +1,5 @@
 # Tier-1 gate: build, tests, and a campaign smoke run.
-.PHONY: all build test smoke check faults-smoke kill-resume obs-smoke serve-smoke serve-chaos shard-smoke dist-smoke perf-smoke bench bench-check clean
+.PHONY: all build test smoke check faults-smoke kill-resume obs-smoke serve-smoke serve-chaos shard-smoke dist-smoke perf-smoke bench clean
 
 all: build
 
@@ -99,18 +99,6 @@ perf-smoke: build
 
 bench:
 	dune exec bench/main.exe
-
-# Bench regression check: rerun the machine-readable benchmarks and compare
-# against the committed baseline with 25% slack.  Only slowdowns beyond the
-# slack fail; speedups and new benchmarks are informational (CI runs this
-# non-blocking — shared runners are too noisy for a hard gate).  The run
-# covers every group, so the hard assertions inside groups (t18_sharded's
-# shards:1 overhead and spill engagement, t19_dist's verdict identity and
-# coordinator residency) run here too.
-bench-check: build
-	dune exec bench/main.exe -- --json _build/BENCH_run.json
-	dune exec bench/bench_check.exe -- compare bench/BENCH_baseline.json \
-	  _build/BENCH_run.json --slack 0.25
 
 clean:
 	dune clean

@@ -1,11 +1,5 @@
 (* bench_check — CI-side validation of the observability artefacts:
 
-     bench_check compare BASE NEW [--slack 0.25]
-       Diff two bench --json files: a benchmark present in both that got
-       slower than BASE * (1 + slack) is a regression (exit 1).  Speedups,
-       new and vanished benchmarks are reported but never fail the check,
-       so the baseline only needs refreshing when benchmarks are added.
-
      bench_check validate-trace FILE
        FILE must parse as JSON and be a top-level array of trace_event
        objects, each with a string "name"/"ph" and a numeric "ts" — the
@@ -31,44 +25,6 @@ let parse_file path =
   match Json.parse (read_file path) with
   | Ok v -> v
   | Error m -> fail "%s: %s" path m
-
-(* -- compare -------------------------------------------------------------- *)
-
-let benchmarks path json =
-  match Bench_check_lib.benchmarks json with
-  | Ok rows -> rows
-  | Error m -> fail "%s: %s" path m
-
-let human_ns = Bench_check_lib.human_ns
-
-let compare_cmd base_path new_path slack =
-  let base = benchmarks base_path (parse_file base_path) in
-  let fresh = benchmarks new_path (parse_file new_path) in
-  let regressions = ref 0 in
-  List.iter
-    (fun ((group, name), was) ->
-      match List.assoc_opt (group, name) fresh with
-      | None -> Printf.printf "gone     %s/%s (in baseline only)\n" group name
-      | Some now when was > 0. && now > was *. (1. +. slack) ->
-        incr regressions;
-        Printf.printf "SLOWER   %s/%s: %s -> %s (%+.0f%%, slack %.0f%%)\n" group name
-          (human_ns was) (human_ns now)
-          (100. *. ((now /. was) -. 1.))
-          (100. *. slack)
-      | Some now when was > 0. && now < was /. (1. +. slack) ->
-        Printf.printf "faster   %s/%s: %s -> %s (%+.0f%%)\n" group name (human_ns was)
-          (human_ns now)
-          (100. *. ((now /. was) -. 1.))
-      | Some _ -> ())
-    base;
-  List.iter
-    (fun ((group, name), _) ->
-      if not (List.mem_assoc (group, name) base) then
-        Printf.printf "new      %s/%s (not in baseline)\n" group name)
-    fresh;
-  if !regressions > 0 then fail "%d benchmark(s) regressed beyond the slack" !regressions;
-  Printf.printf "ok: %d benchmarks within %.0f%% of %s\n" (List.length fresh)
-    (100. *. slack) base_path
 
 (* -- validate-trace ------------------------------------------------------- *)
 
@@ -127,24 +83,12 @@ let validate_metrics path =
 
 let usage () =
   prerr_endline
-    "usage: bench_check compare BASE NEW [--slack FRACTION]\n\
-    \       bench_check validate-trace FILE\n\
+    "usage: bench_check validate-trace FILE\n\
     \       bench_check validate-metrics FILE";
   exit 2
 
 let () =
   match Array.to_list Sys.argv with
-  | _ :: "compare" :: base :: fresh :: rest ->
-    let slack =
-      match rest with
-      | [] -> 0.25
-      | [ "--slack"; s ] -> (
-        match float_of_string_opt s with
-        | Some f when f >= 0. -> f
-        | _ -> fail "--slack needs a non-negative number, got %S" s)
-      | _ -> usage ()
-    in
-    compare_cmd base fresh slack
   | [ _; "validate-trace"; path ] -> validate_trace path
   | [ _; "validate-metrics"; path ] -> validate_metrics path
   | _ -> usage ()

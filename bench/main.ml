@@ -36,68 +36,6 @@ module Segment = Mechaml_util.Segment
 module Distshard = Mechaml_dist.Distshard
 module Distsat = Mechaml_dist.Distsat
 
-(* -- machine-readable output --------------------------------------------- *)
-
-(* with [--json PATH] every Bechamel estimate, scalar metric and per-group
-   wall clock also lands in a BENCH_*.json file, so CI can diff runs against
-   the committed bench/BENCH_baseline.json instead of eyeballing tables *)
-let json_path : string option ref = ref None
-
-let current_group = ref ""
-
-(* (group, name, value) rows; benchmarks are ns/run, metrics are unitless *)
-let json_benchmarks : (string * string * float) list ref = ref []
-
-let json_metrics : (string * string * float) list ref = ref []
-
-let json_groups : (string * float) list ref = ref []
-
-let json_metric name value =
-  json_metrics := (!current_group, name, value) :: !json_metrics
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_number v =
-  if Float.is_nan v then "null" else Printf.sprintf "%.6g" v
-
-let write_json path =
-  let triples rows =
-    String.concat ",\n"
-      (List.map
-         (fun (group, name, value) ->
-           Printf.sprintf "    {\"group\": \"%s\", \"name\": \"%s\", \"value\": %s}"
-             (json_escape group) (json_escape name) (json_number value))
-         (List.rev rows))
-  in
-  let groups =
-    String.concat ",\n"
-      (List.map
-         (fun (group, wall) ->
-           Printf.sprintf "    {\"id\": \"%s\", \"wall_s\": %s}" (json_escape group)
-             (json_number wall))
-         (List.rev !json_groups))
-  in
-  (* the obs registry collected counters/histograms across every group run
-     (--json enables it); its JSON export nests verbatim — it is an object *)
-  let obs = String.trim (Mechaml_obs.Metrics.to_json ()) in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n  \"schema\": \"mechaml-bench 1\",\n  \"groups\": [\n%s\n  ],\n  \"benchmarks_ns_per_run\": [\n%s\n  ],\n  \"metrics\": [\n%s\n  ],\n  \"obs\": %s\n}\n"
-    groups (triples !json_benchmarks) (triples !json_metrics) obs;
-  close_out oc;
-  Printf.printf "\nwrote %s\n" path
-
 (* -- timing helpers ------------------------------------------------------ *)
 
 let measure_tests name tests =
@@ -116,9 +54,6 @@ let measure_tests name tests =
       results []
     |> List.sort compare
   in
-  List.iter
-    (fun (n, ns) -> json_benchmarks := (!current_group, n, ns) :: !json_benchmarks)
-    rows;
   print_endline
     (Pp.table ~header:[ "operation"; "time/run" ]
        (List.map
@@ -289,10 +224,6 @@ let exp_fig7 () =
   Printf.printf "verdict: %s; learned %d/%d states; %d tests (%d steps)\n"
     (verdict_string r.Loop.verdict) r.Loop.states_learned r.Loop.legacy_state_bound
     r.Loop.tests_executed r.Loop.test_steps_executed;
-  json_metric "iterations" (float_of_int (List.length r.Loop.iterations));
-  json_metric "tests_executed" (float_of_int r.Loop.tests_executed);
-  json_metric "test_steps" (float_of_int r.Loop.test_steps_executed);
-  json_metric "states_learned" (float_of_int r.Loop.states_learned);
   bench1 "loop(correct shuttle)" (fun () -> ignore (Railcab.run_correct ()))
 
 (* -- EXP-T1: ours vs whole-component learning ---------------------------- *)
@@ -733,8 +664,6 @@ let exp_t13 () =
             (0, 0, 0, 0) outcomes
         in
         let hits = ch + kh and lookups = ch + cm + kh + km in
-        json_metric (name ^ ": cache hits") (float_of_int hits);
-        json_metric (name ^ ": cache lookups") (float_of_int lookups);
         [
           name;
           Printf.sprintf "%.1f ms" (wall *. 1e3);
@@ -798,8 +727,6 @@ let exp_t13 () =
   Mechaml_obs.Trace.disable ();
   Mechaml_obs.Trace.reset ();
   let overhead_pct = 100. *. (!traced -. !untraced) /. !untraced in
-  json_metric "tracing overhead pct" overhead_pct;
-  json_metric "tracing spans per campaign" (float_of_int spans);
   print_endline
     (Pp.table
        ~header:[ "bundled matrix, jobs=2"; "wall clock (best of 3)"; "spans recorded" ]
@@ -884,11 +811,6 @@ let exp_t14 () =
          ];
          [ "speedup (min of 3 interleaved)"; Printf.sprintf "%.2fx" !min_ratio; "-"; "-" ];
        ]);
-  json_metric "incremental speedup" !min_ratio;
-  json_metric "iterations" (float_of_int (iters r_on));
-  json_metric "closure delta edges" (float_of_int r_on.Loop.closure_delta_edges);
-  json_metric "product states reused" (float_of_int r_on.Loop.product_states_reused);
-  json_metric "sat seed hit rate" r_on.Loop.sat_seed_hit_rate;
   measure_tests "loop_incremental"
     [
       Test.make ~name:"loop(widelock12, incremental)"
@@ -975,12 +897,7 @@ let exp_t15 () =
                Printf.sprintf "%.1f ms" (conc_total *. 1e3);
                Printf.sprintf "%.1f" (rps conc_total (2 * n)) ];
            ]);
-      Printf.printf "\nwarm cache requests/sec gain over cold: %.2fx\n" (cold /. warm);
-      json_metric "cold lock submission s" cold;
-      json_metric "warm lock submission s" warm;
-      json_metric "warm speedup vs cold" (cold /. warm);
-      json_metric "warm requests per sec" (rps tiny_total n);
-      json_metric "concurrent requests per sec" (rps conc_total (2 * n)))
+      Printf.printf "\nwarm cache requests/sec gain over cold: %.2fx\n" (cold /. warm))
 
 (* -- EXP-T16: resilience overhead ------------------------------------------- *)
 
@@ -1062,9 +979,6 @@ let exp_t16 () =
                Printf.sprintf "%.1f" (rps !best_on) ];
              [ "overhead"; Printf.sprintf "%.3fx" overhead; "-" ];
            ]);
-      json_metric "resilience overhead ratio" overhead;
-      json_metric "bare requests per sec" (rps !best_off);
-      json_metric "guarded requests per sec" (rps !best_on);
       (* the watchdog ticks off-path and the WAL appends without fsync: when
          nothing fails, self-healing must cost noise, not throughput *)
       if overhead > 1.05 then
@@ -1166,9 +1080,6 @@ let exp_t17 () =
                Printf.sprintf "%.1f" (rps !best_on) ];
              [ "overhead"; Printf.sprintf "%.3fx" overhead; "-" ];
            ]);
-      json_metric "observability overhead ratio" overhead;
-      json_metric "silenced requests per sec" (rps !best_off);
-      json_metric "instrumented requests per sec" (rps !best_on);
       (* spans are two clock reads and a buffer push, flight events one
          fetch-and-add and a CAS: full instrumentation must cost noise *)
       if overhead > 1.05 then
@@ -1231,9 +1142,9 @@ let exp_t18 () =
       Automaton.num_states p.Compose.auto,
       Automaton.num_transitions p.Compose.auto )
   in
-  let sharded ?mem_budget ?workers shards =
+  let sharded ?mem_budget shards =
     let sp =
-      Shard.explore ~config:(Shard.config ~shards ?mem_budget ?workers ()) left right
+      Shard.explore ~config:(Shard.config ~shards ?mem_budget ()) left right
     in
     Fun.protect
       ~finally:(fun () -> Shard.close sp)
@@ -1249,16 +1160,12 @@ let exp_t18 () =
   let rows = ref [] in
   let row name t = rows := [ name; Printf.sprintf "%.2f s" t ] :: !rows in
   row "materialized compose + check" t_ref;
-  json_metric "product states" (float_of_int ref_states);
-  json_metric "product transitions" (float_of_int ref_trans);
-  json_metric "materialized wall s" t_ref;
   (* every shard count reproduces the materialized verdict and sizes *)
   List.iter
     (fun k ->
       let (holds, states, trans), t = time (fun () -> sharded k) in
       assert (holds = ref_holds && states = ref_states && trans = ref_trans);
-      row (Printf.sprintf "sharded, %d shard(s)" k) t;
-      json_metric (Printf.sprintf "sharded %d wall s" k) t)
+      row (Printf.sprintf "sharded, %d shard(s)" k) t)
     [ 1; 2; 8 ];
   (* out of core: an 8 MiB residency budget is ~8x below the live segment
      size of this product, so the run must spill — and still agree *)
@@ -1270,9 +1177,6 @@ let exp_t18 () =
   let spilled = Segment.total_spills () - spills_before in
   assert (spilled > 0);
   row "sharded x8, 8 MiB budget (spilling)" t_spill;
-  json_metric "spilled segments" (float_of_int spilled);
-  json_metric "reloads" (float_of_int (Segment.total_reloads ()));
-  json_metric "sharded x8 budgeted wall s" t_spill;
   (* shards:1 overhead vs the materialized pipeline: interleaved best-of-3
      pairs from compacted heaps (the exp_t14 protocol), so one GC slice or
      preemption cannot manufacture a ratio *)
@@ -1290,21 +1194,6 @@ let exp_t18 () =
     if t_s /. t_m < !min_overhead then min_overhead := t_s /. t_m
   done;
   rows := [ "overhead, --shards 1 (min of 3)"; Printf.sprintf "%.3fx" !min_overhead ] :: !rows;
-  json_metric "shards1 overhead ratio" !min_overhead;
-  (* worker scaling at fixed shards needs real cores; single-core CI runners
-     would only measure timesharing, so the assertion gates on the machine *)
-  (if Domain.recommended_domain_count () >= 4 then begin
-     let _, t1 = time (fun () -> sharded ~workers:1 8) in
-     let _, t4 = time (fun () -> sharded ~workers:4 8) in
-     let speedup = t1 /. t4 in
-     rows := [ "workers 1 -> 4 speedup (8 shards)"; Printf.sprintf "%.2fx" speedup ] :: !rows;
-     json_metric "workers4 speedup" speedup;
-     if speedup < 2.0 then
-       Printf.printf "\nWARNING: workers:4 speedup %.2fx below the 2x floor\n" speedup;
-     assert (speedup >= 1.5)
-   end
-   else
-     print_endline "(workers-scaling assertion skipped: fewer than 4 cores)");
   print_endline (Pp.table ~header:[ "configuration"; "result" ] (List.rev !rows));
   if !min_overhead > 1.05 then
     Printf.printf "\nWARNING: --shards 1 overhead %.3fx exceeds the 1.05x budget\n"
@@ -1375,8 +1264,6 @@ let exp_t19 () =
   let rows = ref [] in
   let row name t = rows := [ name; Printf.sprintf "%.2f s" t ] :: !rows in
   row "in-process sharded x8" t_ref;
-  json_metric "product states" (float_of_int ref_states);
-  json_metric "in-process sharded x8 wall s" t_ref;
   (* two forked workers reproduce the in-process verdict and sizes exactly;
      the wire totals below are what that byte-identity costs in traffic *)
   let rounds0 = Distshard.total_rounds () in
@@ -1384,12 +1271,14 @@ let exp_t19 () =
   let (verdict, _), t_dist2 = time (fun () -> distributed ~workers:2 8) in
   assert (verdict = (ref_holds, ref_states, ref_trans));
   row "distributed, 2 fork workers, x8" t_dist2;
-  json_metric "distributed 2-worker wall s" t_dist2;
-  json_metric "wire rounds" (float_of_int (Distshard.total_rounds () - rounds0));
-  json_metric "wire MiB tx"
-    (float_of_int (Distshard.total_bytes_tx () - tx0) /. (1024. *. 1024.));
-  json_metric "wire MiB rx"
-    (float_of_int (Distshard.total_bytes_rx () - rx0) /. (1024. *. 1024.));
+  let mib bytes = Printf.sprintf "%.1f MiB" (float_of_int bytes /. (1024. *. 1024.)) in
+  rows :=
+    [
+      "  wire tx / rx";
+      mib (Distshard.total_bytes_tx () - tx0) ^ " / " ^ mib (Distshard.total_bytes_rx () - rx0);
+    ]
+    :: [ "  wire rounds"; string_of_int (Distshard.total_rounds () - rounds0) ]
+    :: !rows;
   (* out of core on the coordinator: a larger mesh under an 8 MiB residency
      budget must spill, and the coordinator's live segment bytes must stay
      at or under the budget even though every worker streams full segment
@@ -1405,13 +1294,8 @@ let exp_t19 () =
   assert (spilled > 0);
   assert (resident <= budget);
   row "distributed x8, larger mesh, 8 MiB budget (spilling)" t_budget;
-  json_metric "budgeted mesh states" (float_of_int (1283 * 1152));
-  json_metric "spilled segments" (float_of_int spilled);
-  json_metric "coordinator resident MiB" (float_of_int resident /. (1024. *. 1024.));
-  json_metric "budgeted distributed wall s" t_budget;
   (* multi-process scaling needs real cores: on a single-core runner forked
-     workers only timeshare, so the assertion gates on the machine exactly
-     like EXP-T18's in-process worker scaling *)
+     workers only timeshare, so the assertion gates on the machine *)
   (if Domain.recommended_domain_count () >= 4 then begin
      let _, t1 = time (fun () -> distributed ~workers:1 8) in
      let _, t4 = time (fun () -> distributed ~workers:4 8) in
@@ -1419,7 +1303,6 @@ let exp_t19 () =
      rows :=
        [ "fork workers 1 -> 4 speedup (8 shards)"; Printf.sprintf "%.2fx" speedup ]
        :: !rows;
-     json_metric "fork workers4 speedup" speedup;
      if speedup < 2.0 then
        Printf.printf "\nWARNING: fork workers:4 speedup %.2fx below the 2x floor\n"
          speedup;
@@ -1461,21 +1344,8 @@ let groups =
   ]
 
 let () =
-  let rec parse_args = function
-    | [] -> []
-    | "--json" :: path :: rest ->
-      json_path := Some path;
-      (* machine-readable runs also collect the obs registry (counters,
-         histograms) and embed it in the output under "obs" *)
-      Mechaml_obs.Metrics.set_enabled true;
-      parse_args rest
-    | [ "--json" ] ->
-      Printf.eprintf "--json needs a path, e.g. --json BENCH_run.json\n";
-      exit 2
-    | name :: rest -> name :: parse_args rest
-  in
   let selected =
-    match parse_args (List.tl (Array.to_list Sys.argv)) with
+    match List.tl (Array.to_list Sys.argv) with
     | [] -> List.map fst groups
     | names -> names
   in
@@ -1483,16 +1353,12 @@ let () =
     (fun name ->
       match List.assoc_opt name groups with
       | Some f ->
-        current_group := name;
         (* full-suite hygiene: don't let one group's garbage (chaos closures,
            big products) skew the GC behaviour measured in the next *)
         Gc.compact ();
-        let t0 = Unix.gettimeofday () in
-        f ();
-        json_groups := (name, Unix.gettimeofday () -. t0) :: !json_groups
+        f ()
       | None ->
         Printf.eprintf "unknown group %S; available: %s\n" name
           (String.concat ", " (List.map fst groups));
         exit 2)
-    selected;
-  Option.iter write_json !json_path
+    selected

@@ -39,11 +39,6 @@ val max_alphabet : int
     is what lets the cap sit at the {!Mechaml_util.Bitset.all_subsets}
     guard rather than the former 16. *)
 
-val subsets : string list -> string list list
-(** Power set of a name list, in the closure's interaction enumeration
-    order (increasing bit pattern over list positions).  Debug/inspection
-    helper — the closure itself never materializes name lists. *)
-
 val chaotic_automaton :
   name:string -> inputs:string list -> outputs:string list -> Mechaml_ts.Automaton.t
 (** Definition 8 / Fig. 3.  Raises [Invalid_argument] when
@@ -73,14 +68,16 @@ val origin : string -> origin
 
 (** {2 Incremental closure}
 
-    The synthesis loop re-derives [chaos(M)] every iteration even though one
-    iteration changes only a handful of facts.  An {!inc} handle keeps the
-    construction's indexes (state positions, known/refused input patterns,
-    adjacency rows) alive so that {!update} patches the previous closure:
-    only the copies of states that gained a fact are rebuilt (a known edge
-    appears, escapes to [s_∀]/[s_δ] disappear), everything else is shared —
-    including the CSR index, spliced via {!Mechaml_ts.Automaton.patch}.  The
-    result is structurally identical to a fresh {!closure} (state numbering,
+    The synthesis loop needs [chaos(M)] every iteration even though one
+    iteration changes only a handful of facts.  Every closure is built
+    through an {!inc} handle: its index (state positions, known edges and
+    answered input patterns per state, propositions) is extended by the
+    model's append-only delta, and only the rows of the copies of states
+    that gained a fact are built (a known edge appears, escapes to
+    [s_∀]/[s_δ] disappear).  A fresh closure extends an empty index and
+    builds every row; an {!update} carries the other rows over and splices
+    the CSR index via {!Mechaml_ts.Automaton.patch}.  Either way the result
+    is structurally identical to a fresh {!closure} (state numbering,
     adjacency order, labels), which keeps witnesses, products and therefore
     verdicts byte-for-byte independent of incremental mode. *)
 
@@ -89,7 +86,7 @@ type inc
 
 val inc_closure :
   ?label_of:(string -> string list) -> ?extra_props:string list -> Incomplete.t -> inc
-(** Build the closure from scratch (exactly {!closure}) and wrap it in a
+(** The closure of the model ({!closure} is [auto (inc_closure m)]) in a
     handle for later {!update}s. *)
 
 val update : ?debug:bool -> inc -> Incomplete.t -> unit
@@ -109,30 +106,25 @@ val adopt :
   Incomplete.t ->
   Mechaml_ts.Automaton.t ->
   inc
-(** Rebuild a handle around an existing closure automaton of the given model
-    — the memo-cache path, where a hook returned the automaton without
-    running the construction.  With [prev] (the handle for the model before
-    this iteration) the dirty-state delta is still computed exactly, so
-    warm-started fixpoints compose with cache replay; without it every state is
-    conservatively dirty.  [label_of]/[extra_props] are only consulted when
-    [prev] is [None]. *)
+(** A handle around an existing closure automaton of the given model — the
+    memo-cache path, where a hook returned the automaton without running
+    the construction.  With [prev] (the handle for the model before this
+    iteration, which is extended in place and returned) only the index is
+    extended by the delta and the dirty states are those {!update} would
+    report, so warm-started fixpoints compose with cache replay; without it
+    a new index is built and every core copy is dirty.
+    [label_of]/[extra_props] are only consulted when [prev] is [None]. *)
 
 val auto : inc -> Mechaml_ts.Automaton.t
 (** The handle's current closure. *)
 
 val delta_edges : inc -> int
-(** Transitions rebuilt by the last {!update} (0 after a fresh build, an
+(** Transitions built by the last {!update} (0 after a fresh build, an
     {!adopt}, or an empty delta). *)
 
-val total_delta_edges : inc -> int
-(** Sum of {!delta_edges} over the handle's lifetime. *)
-
 val dirty_states : inc -> int list
-(** Closure states whose adjacency rows changed in the last {!update} (or
-    every core copy after a fresh build / conservative {!adopt}), sorted.
-    Indices of core copies are stable across updates, which is what lets
-    {!Loop} relate consecutive products state by state for warm-started
+(** Closure states whose adjacency rows changed in the last {!update} or
+    {!adopt} (every core copy after a fresh build), sorted.  Indices of
+    core copies are stable across updates, which is what lets {!Loop}
+    relate consecutive products state by state for warm-started
     fixpoints. *)
-
-val grew : inc -> bool
-(** The last {!update} added core states (shifting [s_∀]/[s_δ]). *)

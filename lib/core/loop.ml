@@ -190,9 +190,8 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
     ?initial_knowledge ?(counterexamples_per_iteration = 1)
     ?(on_closure = fun ~model:_ ~compute -> compute ())
     ?(on_check = fun ~product:_ ~formulas:_ ~compute -> compute ()) ?observe:observe_hook
-    ?journal ?resume ?snapshot ?(incremental = true) ?(incremental_threshold = 128)
-    ?(incremental_debug = false) ?sharding ~(context : Automaton.t) ~property
-    ~(legacy : Blackbox.t) () =
+    ?journal ?resume ?snapshot ?(incremental = true) ?(incremental_debug = false) ?sharding
+    ~(context : Automaton.t) ~property ~(legacy : Blackbox.t) () =
   if not (Ctl.is_compositional property) then
     invalid_arg
       (Printf.sprintf
@@ -373,11 +372,6 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
     prev_pairs := ids;
     (old_of, !dirty)
   in
-  (* Below [incremental_threshold] closure transitions a from-scratch rebuild
-     is cheaper than maintaining the caches, so the machinery stays dormant
-     until the state space outgrows the gate — and then stays on (the closure
-     only grows).  Either path produces identical results. *)
-  let inc_live = ref (incremental_threshold <= 0) in
   let delta_edges_total = ref 0 in
   let product_reused_total = ref 0 in
   let seed_hits = ref 0 and seed_total = ref 0 in
@@ -387,42 +381,48 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
      predecessor's span).  Returns [`Done] with the finished run or
      [`Continue] with the enriched model. *)
   let step model index records =
+    (* The handle moves to [model] at most once per iteration, however often
+       the hook calls [compute]; a later call returns the same closure. *)
+    let computed = ref None in
+    let compute () =
+      match !computed with
+      | Some closure -> closure
+      | None ->
+        let closure =
+          if not incremental then Chaos.closure ~label_of ~extra_props:legacy_props model
+          else begin
+            let inc =
+              match !chaos_inc with
+              | Some inc ->
+                Chaos.update ~debug:incremental_debug inc model;
+                inc
+              | None -> Chaos.inc_closure ~label_of ~extra_props:legacy_props model
+            in
+            chaos_inc := Some inc;
+            Chaos.auto inc
+          end
+        in
+        computed := Some closure;
+        closure
+    in
     let closure =
       timed closure_seconds ~name:"loop.closure"
         ~args:[ ("iteration", Trace.Int index) ]
-        (fun () ->
-          on_closure ~model
-            ~compute:(fun () ->
-              if not (incremental && !inc_live) then
-                Chaos.closure ~label_of ~extra_props:legacy_props model
-              else begin
-                let inc =
-                  match !chaos_inc with
-                  | Some inc ->
-                    Chaos.update ~debug:incremental_debug inc model;
-                    inc
-                  | None -> Chaos.inc_closure ~label_of ~extra_props:legacy_props model
-                in
-                chaos_inc := Some inc;
-                Chaos.auto inc
-              end))
+        (fun () -> on_closure ~model ~compute)
     in
     if incremental then begin
-      if (not !inc_live) && Automaton.num_transitions closure >= incremental_threshold then
-        inc_live := true;
-      if !inc_live then begin
-        (* When the [on_closure] hook replayed a memoized closure (or the
-           gate just flipped), [compute] never ran the handle — rebuild it
-           around the existing automaton, keeping the previous handle so the
-           dirty delta stays exact. *)
-        let inc =
-          match !chaos_inc with
-          | Some inc when Chaos.auto inc == closure -> inc
-          | prev -> Chaos.adopt ~label_of ~extra_props:legacy_props ~prev model closure
-        in
-        chaos_inc := Some inc;
-        delta_edges_total := !delta_edges_total + Chaos.delta_edges inc
-      end
+      (* When the [on_closure] hook replayed a memoized closure, [compute]
+         never ran the handle — extend it by the delta around the replayed
+         automaton, so the dirty set stays exact.  A hook may also return
+         an equal copy of what [compute] built: the handle is then current
+         already. *)
+      let inc =
+        match (!chaos_inc, !computed) with
+        | Some inc, Some _ -> inc
+        | prev, _ -> Chaos.adopt ~label_of ~extra_props:legacy_props ~prev model closure
+      in
+      chaos_inc := Some inc;
+      delta_edges_total := !delta_edges_total + Chaos.delta_edges inc
     end;
     (* Equation (7): φ ∧ ¬δ.  The property is checked first so that a
        genuine integration conflict surfaces as a property counterexample
@@ -437,7 +437,7 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
       let outcome =
         on_check ~product:(context, closure) ~formulas ~compute:(fun () ->
             let env =
-              match (incremental && !inc_live, !chaos_inc) with
+              match (incremental, !chaos_inc) with
               | true, Some inc -> (
                 let old_of, dirty = correspond inc closure product.sp in
                 match !prev with
@@ -582,13 +582,13 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
       in
       (* Before the product is released, keep the sets that can seed the
          next check, extra witnesses' included: a memoized verdict leaves
-         no environment, and below the size gate no pair index relates
+         no environment, and without [incremental] no pair index relates
          this product's states to the next one's. *)
       let continue model record =
         let model = learn_extras model in
         (prev :=
            match env_used with
-           | Some env when incremental && !inc_live -> Some (Eval.seeds env)
+           | Some env when incremental -> Some (Eval.seeds env)
            | _ -> None);
         `Continue (model, record :: records)
       in

@@ -131,7 +131,6 @@ val run :
   ?resume:string ->
   ?snapshot:string ->
   ?incremental:bool ->
-  ?incremental_threshold:int ->
   ?incremental_debug:bool ->
   ?sharding:Mechaml_ts.Shard.config ->
   context:Mechaml_ts.Automaton.t ->
@@ -158,10 +157,12 @@ val run :
     full input plus a [compute] thunk performing the actual work, and must
     return exactly what [compute] would (e.g. a memoized copy from an
     earlier, structurally identical call — {!Mechaml_engine.Cache} does
-    this across campaign jobs).  [on_check]'s input is the operand pair
-    [(context, closure)], the closure being the one the same iteration's
-    [on_closure] call returned, so a hook may also name the product by
-    that closure.  The default hooks just run [compute].
+    this across campaign jobs).  Within one iteration [on_closure]'s
+    [compute] does its work once: a later call returns the same closure.
+    [on_check]'s input is the operand pair [(context, closure)], the
+    closure being the one the same iteration's [on_closure] call returned,
+    so a hook may also name the product by that closure.  The default
+    hooks just run [compute].
 
     [observe] replaces the raw test-execution step (by default
     [Observation.observe] against [legacy]); {!Mechaml_legacy.Supervisor}'s
@@ -198,13 +199,6 @@ val run :
     so the flag is purely a performance switch; [incremental_debug]
     additionally recomputes each stage from scratch and raises [Failure] on
     any divergence (for tests).
-
-    [incremental_threshold] (default 128) keeps the incremental machinery
-    dormant while the closure has fewer transitions than this — on tiny
-    state spaces a from-scratch rebuild is cheaper than maintaining the
-    caches.  Once some iteration's closure reaches the threshold the
-    machinery engages for the rest of the run (the closure only grows).
-    [0] forces it on from the first iteration.
 
     [sharding] (default {!Mechaml_ts.Shard.config}[ ()], one unbudgeted
     shard) configures the one check path: the product is explored by

@@ -66,7 +66,7 @@ type fleet = {
   fork : bool;
   session : (string * Json.t) list;  (* the open request's fields *)
   scratch : Segment.t;  (* hosts the forked workers' sockets *)
-  crew : Shard.Crew.t;
+  crew : Crew.t;
   workers : worker array;
   place : int array;  (* shard -> worker index *)
   mutable restarts : int;
@@ -227,7 +227,7 @@ let stop_fleet f =
         with _ -> ());
       if f.fork then kill_worker ww)
     f.workers;
-  (try Shard.Crew.stop f.crew with _ -> ());
+  (try Crew.stop f.crew with _ -> ());
   Segment.close f.scratch
 
 (* -- parallel dispatch ------------------------------------------------------
@@ -240,7 +240,7 @@ let dispatch f (reqs : (string * Wire.msg) list array) : (Wire.msg list, exn) re
   let nw = Array.length f.workers in
   let res = Array.make nw (Ok []) in
   let txa = Array.make nw 0 and rxa = Array.make nw 0 in
-  Shard.Crew.round f.crew (fun w ->
+  Crew.round f.crew (fun w ->
       match reqs.(w) with
       | [] -> ()
       | rs ->
@@ -443,7 +443,7 @@ let explore ?(config = Shard.config ()) ?chaos_die_after (left : Automaton.t)
         ]
         @ (match config.Shard.mem_budget with Some b -> [ ("budget", Wire.num b) ] | None -> []);
       scratch = Segment.create ?dir:config.Shard.spill_dir ~name:"dist" ();
-      crew = Shard.Crew.create nw;
+      crew = Crew.create nw;
       workers;
       place = Array.init shards (fun k -> k mod nw);
       restarts = 0;

@@ -412,38 +412,39 @@ let map_signals m ~inputs ~outputs =
     index = redigested m;
   }
 
+(* The checks [of_packed] and [patch] share: every array is [n] long, the
+   initial set is non-empty and in range, and so are the destinations of
+   the rows [fresh] selects. *)
+let validate fn ~name ~n ~lengths ~initial ~trans ~fresh =
+  let fail fmt =
+    Printf.ksprintf (fun m -> invalid_arg (Printf.sprintf "Automaton.%s: %s in %s" fn m name)) fmt
+  in
+  if List.exists (fun l -> l <> n) lengths then fail "array lengths disagree";
+  if initial = [] then fail "no initial state";
+  List.iter (fun q -> if q < 0 || q >= n then fail "initial state %d out of range" q) initial;
+  Array.iteri
+    (fun s ts ->
+      if fresh s then
+        List.iter
+          (fun t -> if t.dst < 0 || t.dst >= n then fail "destination %d out of range" t.dst)
+          ts)
+    trans
+
 let of_packed ?(assume_unique_names = false) ~name ~inputs ~outputs ~props ~state_names ~labels
     ~trans ~initial () =
   let n = Array.length state_names in
-  if Array.length labels <> n || Array.length trans <> n then
-    invalid_arg (Printf.sprintf "Automaton.of_packed: array lengths disagree in %s" name);
-  if initial = [] then
-    invalid_arg (Printf.sprintf "Automaton.of_packed: %s has no initial state" name);
-  List.iter
-    (fun q ->
-      if q < 0 || q >= n then
-        invalid_arg (Printf.sprintf "Automaton.of_packed: initial state %d out of range in %s" q name))
-    initial;
-  Array.iter
-    (List.iter (fun t ->
-         if t.dst < 0 || t.dst >= n then
-           invalid_arg
-             (Printf.sprintf "Automaton.of_packed: destination %d out of range in %s" t.dst name)))
-    trans;
+  validate "of_packed" ~name ~n
+    ~lengths:[ Array.length labels; Array.length trans ]
+    ~initial ~trans ~fresh:(fun _ -> true);
   make ~dup_ok:assume_unique_names ~name ~inputs ~outputs ~props ~state_names ~labels ~trans
     ~initial
 
 let patch ~old ~name ~props ~state_names ~labels ~trans ~initial ~dirty ~old_of ~dst_map () =
   let n = Array.length state_names in
-  if Array.length labels <> n || Array.length trans <> n || Array.length dirty <> n
-     || Array.length old_of <> n
-  then invalid_arg (Printf.sprintf "Automaton.patch: array lengths disagree in %s" name);
-  if initial = [] then invalid_arg (Printf.sprintf "Automaton.patch: %s has no initial state" name);
-  List.iter
-    (fun q ->
-      if q < 0 || q >= n then
-        invalid_arg (Printf.sprintf "Automaton.patch: initial state %d out of range in %s" q name))
-    initial;
+  (* clean rows were checked when [old] was built and are remapped wholesale *)
+  validate "patch" ~name ~n
+    ~lengths:[ Array.length labels; Array.length trans; Array.length dirty; Array.length old_of ]
+    ~initial ~trans ~fresh:(fun s -> dirty.(s));
   let old_n = num_states old in
   Array.iteri
     (fun s o ->
@@ -451,18 +452,6 @@ let patch ~old ~name ~props ~state_names ~labels ~trans ~initial ~dirty ~old_of 
         invalid_arg
           (Printf.sprintf "Automaton.patch: clean state %d has no valid old index in %s" s name))
     old_of;
-  (* only dirty rows carry unvalidated destinations; clean rows were checked
-     when [old] was built and are remapped wholesale *)
-  Array.iteri
-    (fun s ts ->
-      if dirty.(s) then
-        List.iter
-          (fun t ->
-            if t.dst < 0 || t.dst >= n then
-              invalid_arg
-                (Printf.sprintf "Automaton.patch: destination %d out of range in %s" t.dst name))
-          ts)
-    trans;
   let c = patch_csr ~old_csr:(csr old) ~n ~trans ~dirty ~old_of ~dst_map in
   let index =
     { name_cell = Atomic.make None; csr_cell = Atomic.make (Some c); digest_cell = Atomic.make None }

@@ -126,8 +126,10 @@ val of_packed :
     enumeration order of {!transitions_from}).  Raises [Invalid_argument] on
     mismatched array lengths, out-of-range states, an empty initial list, or
     duplicate state names.  [assume_unique_names] skips the duplicate check
-    (and defers building the name lookup table to first use) for callers
-    that guarantee uniqueness themselves, e.g. by generating the names. *)
+    (and defers building the name lookup table to first use): names may
+    then repeat, and {!state_index} finds the first state of a name
+    ({!Compose.parallel} relies on this when operand names contain
+    [',']). *)
 
 val patch :
   old:t ->
@@ -159,10 +161,10 @@ val patch :
     sorted order may therefore differ from a fresh {!of_packed} build;
     both are internal to the index — adjacency lists, state numbering and
     all set-valued queries are identical.  Like
-    [of_packed ~assume_unique_names:true], state-name uniqueness is the
-    caller's obligation.  Raises [Invalid_argument] on length mismatches,
-    out-of-range dirty destinations or initial states, or a clean state
-    whose [old_of] is out of range. *)
+    [of_packed ~assume_unique_names:true], state names are not checked for
+    duplicates.  Raises [Invalid_argument] like {!of_packed} (the same
+    validation, over the dirty rows' destinations only), or on a clean
+    state whose [old_of] is out of range. *)
 
 val interaction_id : t -> Mechaml_util.Bitset.t -> Mechaml_util.Bitset.t -> int option
 (** Interned id of the interaction [(A, B)], if any transition of the

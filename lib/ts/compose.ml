@@ -310,52 +310,13 @@ let bfs_product (left : Automaton.t) (right : Automaton.t) =
   let labels = Array.sub !labs 0 count in
   let pairs = Array.init count (fun i -> (!pl.(i), !pr.(i))) in
   let trans = Array.sub !outs 0 count in
-  let auto : Automaton.t =
-    (* Product names split unambiguously at the first ',' when no left
-       operand name contains one, so uniqueness of the (s, s') pairs carries
-       over to the concatenated names and [of_packed] can skip its duplicate
-       check (and eager name-table build) entirely.  Otherwise let it
-       validate — a collision falls through to the Builder merge below. *)
-    let assume_unique_names =
-      not (Array.exists (fun nm -> String.contains nm ',') left.Automaton.state_names)
-    in
-    match
-      Automaton.of_packed ~assume_unique_names
-        ~name:(left.Automaton.name ^ "||" ^ right.Automaton.name)
-        ~inputs ~outputs ~props ~state_names ~labels ~trans ~initial ()
-    with
-    | auto -> auto
-    | exception Invalid_argument _ -> begin
-      (* Distinct pairs can concatenate to the same name (only when operand
-         names themselves contain ','); the Builder interns by name and
-         merges such states, which is what this constructor always did —
-         keep that behaviour on the slow path. *)
-      let builder =
-        Automaton.Builder.create
-          ~name:(left.Automaton.name ^ "||" ^ right.Automaton.name)
-          ~inputs:(Universe.to_list inputs) ~outputs:(Universe.to_list outputs)
-          ~props:(Universe.to_list props) ()
-      in
-      Array.iteri
-        (fun i name ->
-          ignore
-            (Automaton.Builder.add_state builder
-               ~props:(Universe.names_of_set props labels.(i))
-               name))
-        state_names;
-      Array.iteri
-        (fun src ts ->
-          List.iter
-            (fun (t : Automaton.trans) ->
-              Automaton.Builder.add_trans builder ~src:state_names.(src)
-                ~inputs:(Universe.names_of_set inputs t.input)
-                ~outputs:(Universe.names_of_set outputs t.output)
-                ~dst:state_names.(t.dst) ())
-            ts)
-        trans;
-      Automaton.Builder.set_initial builder (List.map (fun i -> state_names.(i)) initial);
-      Automaton.Builder.build builder
-    end
+  (* Every pair is its own state, numbered as [Shard.explore] numbers it,
+     even when operand names containing ',' make two "l,r" names collide;
+     [state_index] then finds the first. *)
+  let auto =
+    Automaton.of_packed ~assume_unique_names:true
+      ~name:(left.Automaton.name ^ "||" ^ right.Automaton.name)
+      ~inputs ~outputs ~props ~state_names ~labels ~trans ~initial ()
   in
   { auto; left; right; pairs }
 

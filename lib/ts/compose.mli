@@ -18,8 +18,12 @@ type product = private {
 }
 
 val parallel : Automaton.t -> Automaton.t -> product
-(** Raises [Invalid_argument] when the operands are not composable
-    ([I ∩ I' ≠ ∅] or [O ∩ O' ≠ ∅]) or their proposition universes overlap. *)
+(** Every reachable pair is one state, numbered in breadth-first discovery
+    order exactly as {!Shard.explore} numbers it, and named ["l,r"]; when
+    operand names containing [','] make two names collide, both states
+    stay and {!Automaton.state_index} finds the first.  Raises
+    [Invalid_argument] when the operands are not composable ([I ∩ I' ≠ ∅]
+    or [O ∩ O' ≠ ∅]) or their proposition universes overlap. *)
 
 val record :
   start_us:float option ->

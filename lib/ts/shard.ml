@@ -22,10 +22,6 @@ let m_build_rounds =
   Metrics.counter "mc_shard_build_rounds_total"
     ~help:"Level-synchronized BFS rounds across sharded product constructions."
 
-let m_crew_levels =
-  Metrics.counter "mc_shard_crew_levels_total"
-    ~help:"BFS levels of in-process sharded builds expanded on a worker-domain crew."
-
 type dist_mode =
   | Fork of int
   | Connect of string list
@@ -47,16 +43,12 @@ type config = {
   shards : int;
   mem_budget : int option;
   spill_dir : string option;
-  workers : int option;
   distribution : distribution option;
 }
 
-let config ?(shards = 1) ?mem_budget ?spill_dir ?workers ?distribution () =
+let config ?(shards = 1) ?mem_budget ?spill_dir ?distribution () =
   if shards < 1 then invalid_arg "Shard.config: shards must be >= 1";
-  (match workers with
-  | Some w when w < 1 -> invalid_arg "Shard.config: workers must be >= 1"
-  | _ -> ());
-  { shards; mem_budget; spill_dir; workers; distribution }
+  { shards; mem_budget; spill_dir; distribution }
 
 type view = {
   members : int array;
@@ -85,90 +77,6 @@ type t = {
   pred_slots : Segment.slot array; (* prow / psrc per shard *)
 }
 
-(* -- round-synchronized worker crew ----------------------------------------
-
-   Expansion within a BFS level is embarrassingly parallel once each shard
-   owns its join closure and output buffers: worker [w] processes exactly
-   the shards [k] with [k mod workers = w], so no two domains ever touch
-   the same buffer, and the serial merge that follows consumes the buffers
-   in global id order — scheduling cannot leak into the numbering.  The
-   crew is persistent across rounds (a BFS can run thousands of levels;
-   spawning domains per level would dominate). *)
-
-module Crew = struct
-  type t = {
-    m : Mutex.t;
-    cv : Condition.t;
-    size : int;
-    mutable generation : int;
-    mutable fn : int -> unit;
-    mutable finished : int;
-    mutable quit : bool;
-    mutable err : exn option;
-    mutable domains : unit Domain.t array;
-  }
-
-  let create size =
-    let t =
-      {
-        m = Mutex.create ();
-        cv = Condition.create ();
-        size;
-        generation = 0;
-        fn = ignore;
-        finished = 0;
-        quit = false;
-        err = None;
-        domains = [||];
-      }
-    in
-    let worker w () =
-      let seen = ref 0 in
-      Mutex.lock t.m;
-      while not t.quit do
-        while t.generation = !seen && not t.quit do
-          Condition.wait t.cv t.m
-        done;
-        if not t.quit then begin
-          seen := t.generation;
-          let fn = t.fn in
-          Mutex.unlock t.m;
-          let r = try Ok (fn w) with e -> Error e in
-          Mutex.lock t.m;
-          (match r with
-          | Ok () -> ()
-          | Error e -> if t.err = None then t.err <- Some e);
-          t.finished <- t.finished + 1;
-          Condition.broadcast t.cv
-        end
-      done;
-      Mutex.unlock t.m
-    in
-    t.domains <- Array.init size (fun w -> Domain.spawn (worker w));
-    t
-
-  let round t fn =
-    Mutex.lock t.m;
-    t.fn <- fn;
-    t.finished <- 0;
-    t.err <- None;
-    t.generation <- t.generation + 1;
-    Condition.broadcast t.cv;
-    while t.finished < t.size do
-      Condition.wait t.cv t.m
-    done;
-    let err = t.err in
-    Mutex.unlock t.m;
-    match err with None -> () | Some e -> raise e
-
-  let stop t =
-    Mutex.lock t.m;
-    t.quit <- true;
-    Condition.broadcast t.cv;
-    Mutex.unlock t.m;
-    Array.iter Domain.join t.domains
-end
-
 let ints payload name =
   match List.assoc_opt name payload with
   | Some (Segment.Ints a) -> a
@@ -176,59 +84,29 @@ let ints payload name =
 
 type expand = int array array -> (int array * int array) array
 
-(* The default transport: expansion in this process.  The join kernel is
-   read-only once built, so every crew member shares it; member [w] expands
-   exactly the shards [k] with [k mod size = w].  By default every level
-   runs inline in the calling domain: a crew pays for its spawn, a cold
-   first round, a wake-up per level and a cross-domain barrier on every
-   minor collection of the serial merge, which on the [wide_sharded] tori
-   (widest level about 3k keys) and on meshes (one state per level) costs
-   more than it shares.  [config.workers = Some w] fans every level out to
-   a crew of [min shards w] domains.  Returns the transport, where it runs
-   (the [fanout] trace arg), and the function that stops the crew. *)
-let local_expand config join right =
-  let shards = config.shards in
+(* The default transport: every level expanded inline in the calling
+   domain, shard by shard. *)
+let local_expand shards join right =
   let nr = Automaton.num_states right in
-  let size = match config.workers with Some w -> min shards w | None -> 1 in
   let succ = Array.init shards (fun _ -> Ivec.create ()) in
   let out = Array.make shards ([||], [||]) in
-  let expand_shard frontier k =
-    if Array.length frontier.(k) = 0 then out.(k) <- ([||], [||])
-    else begin
-      let keys = succ.(k) in
-      Ivec.clear keys;
-      let counts =
-        Array.map
-          (fun key ->
-            Compose.moves join (key / nr) (key mod nr) (fun _ _ l r ->
-                Ivec.push keys ((l * nr) + r)))
-          frontier.(k)
-      in
-      out.(k) <- (counts, Ivec.to_array keys)
-    end
-  in
-  if size = 1 then
-    ( (fun frontier ->
-        for k = 0 to shards - 1 do
-          expand_shard frontier k
-        done;
-        out),
-      "inline",
-      ignore )
-  else begin
-    let crew = Crew.create size in
-    ( (fun frontier ->
-        Crew.round crew (fun w ->
-            let k = ref w in
-            while !k < shards do
-              expand_shard frontier !k;
-              k := !k + size
-            done);
-        Metrics.incr m_crew_levels;
-        out),
-      "crew",
-      fun () -> Crew.stop crew )
-  end
+  fun frontier ->
+    for k = 0 to shards - 1 do
+      if Array.length frontier.(k) = 0 then out.(k) <- ([||], [||])
+      else begin
+        let keys = succ.(k) in
+        Ivec.clear keys;
+        let counts =
+          Array.map
+            (fun key ->
+              Compose.moves join (key / nr) (key mod nr) (fun _ _ l r ->
+                  Ivec.push keys ((l * nr) + r)))
+            frontier.(k)
+        in
+        out.(k) <- (counts, Ivec.to_array keys)
+      end
+    done;
+    out
 
 (* A predecessor pair packs the local destination above the global source
    id, each in as many bits as the state count needs, so the product is
@@ -297,10 +175,10 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
         (fun q -> List.map (fun q' -> intern ((q * nr) + q')) right.Automaton.initial)
         left.Automaton.initial
     in
-    let expand, fanout, stop_expand =
+    let expand, fanout =
       match expand with
-      | Some f -> (f, "fleet", ignore)
-      | None -> local_expand config (Lazy.force join) right
+      | Some f -> (f, "fleet")
+      | None -> (local_expand shards (Lazy.force join) right, "inline")
     in
     (* Edge and scatter buffers are flushed to scratch chunk files once they
        pass half the budget: construction keeps the same watermark
@@ -337,56 +215,55 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
     let round = ref 0 in
     (* per-shard read cursors into a level's answer *)
     let ccur = Array.make shards 0 and kcur = Array.make shards 0 in
-    Fun.protect ~finally:stop_expand (fun () ->
-        let lo = ref 0 in
-        while !lo < Ivec.length owner do
-          let hi = Ivec.length owner in
-          let t0 = if Trace.is_enabled () then Some (Trace.now_us ()) else None in
-          (* expand: each shard's frontier, in discovery order *)
-          let level =
-            Array.map
-              (fun f ->
-                if Ivec.length f = 0 then [||]
-                else begin
-                  let a = Ivec.to_array f in
-                  Ivec.clear f;
-                  a
-                end)
-              frontier
-          in
-          let out = expand level in
-          (* merge: serial, in global id order — the boundary exchange.  The
-             numbering this hands out is exactly the single-queue BFS order,
-             whatever the shard count, transport or scheduling. *)
-          Array.fill ccur 0 shards 0;
-          Array.fill kcur 0 shards 0;
-          for gid = !lo to hi - 1 do
-            let k = Ivec.get owner gid in
-            let counts, keys = out.(k) in
-            let c = counts.(ccur.(k)) in
-            ccur.(k) <- ccur.(k) + 1;
-            Ivec.push deg.(k) c;
-            let base = kcur.(k) in
-            for j = base to base + c - 1 do
-              Ivec.push edges.(k) (intern keys.(j))
-            done;
-            kcur.(k) <- base + c
-          done;
-          flush ~what:"e" edges echunks;
-          incr round;
-          (match t0 with
-          | Some start_us ->
-            Trace.complete ~name:"ts.shard.round" ~start_us
-              ~args:
-                [
-                  ("round", Trace.Int !round);
-                  ("frontier", Trace.Int (hi - !lo));
-                  ("fanout", Trace.Str fanout);
-                ]
-              ()
-          | None -> ());
-          lo := hi
-        done);
+    let lo = ref 0 in
+    while !lo < Ivec.length owner do
+      let hi = Ivec.length owner in
+      let t0 = if Trace.is_enabled () then Some (Trace.now_us ()) else None in
+      (* expand: each shard's frontier, in discovery order *)
+      let level =
+        Array.map
+          (fun f ->
+            if Ivec.length f = 0 then [||]
+            else begin
+              let a = Ivec.to_array f in
+              Ivec.clear f;
+              a
+            end)
+          frontier
+      in
+      let out = expand level in
+      (* merge: serial, in global id order — the boundary exchange.  The
+         numbering this hands out is exactly the single-queue BFS order,
+         whatever the shard count, transport or scheduling. *)
+      Array.fill ccur 0 shards 0;
+      Array.fill kcur 0 shards 0;
+      for gid = !lo to hi - 1 do
+        let k = Ivec.get owner gid in
+        let counts, keys = out.(k) in
+        let c = counts.(ccur.(k)) in
+        ccur.(k) <- ccur.(k) + 1;
+        Ivec.push deg.(k) c;
+        let base = kcur.(k) in
+        for j = base to base + c - 1 do
+          Ivec.push edges.(k) (intern keys.(j))
+        done;
+        kcur.(k) <- base + c
+      done;
+      flush ~what:"e" edges echunks;
+      incr round;
+      (match t0 with
+      | Some start_us ->
+        Trace.complete ~name:"ts.shard.round" ~start_us
+          ~args:
+            [
+              ("round", Trace.Int !round);
+              ("frontier", Trace.Int (hi - !lo));
+              ("fanout", Trace.Str fanout);
+            ]
+          ()
+      | None -> ());
+      lo := hi
+    done;
     Metrics.add m_build_rounds !round;
     Itbl.reset tbl;
     let n = Ivec.length owner in

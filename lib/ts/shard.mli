@@ -11,8 +11,7 @@
     to the single-shard construction for any shard count.
 
     Where a level's expansion runs is the caller's choice of {!expand}
-    transport: by default in this process (inline, or on worker domains
-    when a level is wide enough to pay for them), or — through
+    transport: by default inline in the calling domain, or — through
     [Mechaml_dist.Distshard] — on a fleet of worker processes.  Interning,
     the merge, spill accounting and the forward/predecessor CSR
     finalization always run here, so every transport builds the identical
@@ -56,26 +55,20 @@ type config = {
   shards : int;  (** number of partitions, >= 1 *)
   mem_budget : int option;  (** residency watermark in bytes; [None] = never spill *)
   spill_dir : string option;  (** parent directory for spill files *)
-  workers : int option;
-      (** [None] (the default) expands every level inline in the calling
-          domain.  [Some w] fans every level out to a crew of
-          [min shards w] worker domains (inline when that is 1). *)
   distribution : distribution option;
       (** when set, the pipeline runs the build and the fixpoints on a
-          worker-process fleet instead of in-process worker domains *)
+          worker-process fleet instead of in this process *)
 }
 
 val config :
   ?shards:int ->
   ?mem_budget:int ->
   ?spill_dir:string ->
-  ?workers:int ->
   ?distribution:distribution ->
   unit ->
   config
-(** Defaults: [shards = 1], no budget, system temp dir, inline expansion,
-    no distribution.  Raises [Invalid_argument] on [shards < 1] or
-    [workers < 1]. *)
+(** Defaults: [shards = 1], no budget, system temp dir, no distribution.
+    Raises [Invalid_argument] on [shards < 1]. *)
 
 type t
 
@@ -107,13 +100,11 @@ val explore : ?config:config -> ?expand:expand -> Automaton.t -> Automaton.t -> 
     Same preconditions as {!Compose.parallel} (composability, disjoint
     proposition universes); raises [Invalid_argument] otherwise, and when
     the product exceeds 2{^31} states.  Without [expand], levels are
-    expanded in process ([config.distribution] is ignored here): inline by
-    default, or on a crew of [config.workers] domains for every level when
-    [workers] is given.  The choice never changes the product: the merge
-    is serial in discovery order either way.  Each level's
-    [ts.shard.round] trace span says where it ran ([fanout]: [inline],
-    [crew], or [fleet] for a caller's [expand]), and
-    [mc_shard_crew_levels_total] counts the levels that ran on a crew. *)
+    expanded inline in the calling domain ([config.distribution] is ignored
+    here).  The choice never changes the product: the merge is serial in
+    discovery order either way.  Each level's [ts.shard.round] trace span
+    says where it ran ([fanout]: [inline], or [fleet] for a caller's
+    [expand]). *)
 
 val num_states : t -> int
 
@@ -179,19 +170,3 @@ val reloads : t -> int
 
 val close : t -> unit
 (** Remove every spill file.  Idempotent. *)
-
-(** The persistent, round-synchronized domain crew behind the in-process
-    transport's parallel expansion — reused by the distributed coordinator to
-    overlap its per-worker round trips. *)
-module Crew : sig
-  type t
-
-  val create : int -> t
-  (** Spawn a crew of N domains. *)
-
-  val round : t -> (int -> unit) -> unit
-  (** Run [fn w] on every crew member [w] in parallel; returns when all are
-      done, re-raising the first exception. *)
-
-  val stop : t -> unit
-end

@@ -96,6 +96,32 @@ let unit_tests =
         let lrun = Compose.project_left p run and rrun = Compose.project_right p run in
         check_bool "left projection is a run of L" true (Run.is_run_of p.Compose.left lrun);
         check_bool "right projection is a run of R" true (Run.is_run_of p.Compose.right rrun));
+    test "colliding pair names stay two states, as in Shard.explore" (fun () ->
+        (* (a, "b,c") and ("a,b", c) are both named "a,b,c" *)
+        let l =
+          automaton ~name:"L" ~inputs:[] ~outputs:[]
+            ~trans:[ ("a", [], [], "a,b"); ("a,b", [], [], "a") ]
+            ~initial:[ "a" ] ()
+        in
+        let r =
+          automaton ~name:"R" ~inputs:[] ~outputs:[]
+            ~trans:[ ("b,c", [], [], "c"); ("c", [], [], "b,c") ]
+            ~initial:[ "b,c" ] ()
+        in
+        let p = Compose.parallel l r in
+        let sp = Mechaml_ts.Shard.explore l r in
+        Fun.protect
+          ~finally:(fun () -> Mechaml_ts.Shard.close sp)
+          (fun () ->
+            let n = Mechaml_ts.Shard.num_states sp in
+            check_int "2 states" 2 n;
+            check_int "same state count" n (Automaton.num_states p.Compose.auto);
+            Alcotest.(check (list (pair int int)))
+              "same pairs"
+              (List.init n (Mechaml_ts.Shard.pair sp))
+              (List.init n (fun s -> (Compose.left_state p s, Compose.right_state p s)));
+            check_int "the first state of a name" 0
+              (Automaton.state_index p.Compose.auto "a,b,c")));
     test "parallel_many composes a chain" (fun () ->
         let m = Compose.parallel_many [ left (); right () ] in
         check_int "same as binary product" 2 (Automaton.num_states m));

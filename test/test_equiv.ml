@@ -119,31 +119,65 @@ let same_auto (a : Automaton.t) (b : Automaton.t) =
 (* A random learning sequence: grow an incomplete automaton fact by fact the
    way the loop does (append-only transitions and refusals), skipping facts
    that would contradict recorded knowledge. *)
-let chaos_update_chain_prop seed =
-  let rng = Prng.create ~seed in
+let label_of s = if s = "s1" then [ "odd" ] else []
+
+let extra_props = [ "odd" ]
+
+(* One learning fact drawn from [rng] added to [m], unless it contradicts
+   recorded knowledge. *)
+let grow rng m =
   let pool = [| "s0"; "s1"; "s2"; "s3"; "s4" |] in
   let subset l = List.filter (fun _ -> Prng.bool rng) l in
-  let label_of s = if s = "s1" then [ "odd" ] else [] in
-  let extra_props = [ "odd" ] in
-  let m =
-    ref
-      (Incomplete.create ~name:"q" ~inputs:[ "a"; "b" ] ~outputs:[ "x" ]
-         ~initial_state:"s0")
-  in
+  try
+    let src = pool.(Prng.int rng (Array.length pool)) in
+    let inputs = subset [ "a"; "b" ] in
+    if Prng.bool rng then
+      let dst = pool.(Prng.int rng (Array.length pool)) in
+      let outputs = subset [ "x" ] in
+      Incomplete.add_transition m ~src (Incomplete.interaction ~inputs ~outputs) ~dst
+    else Incomplete.add_refusal m ~state:src ~inputs
+  with Invalid_argument _ -> m
+
+let chain_start () =
+  Incomplete.create ~name:"q" ~inputs:[ "a"; "b" ] ~outputs:[ "x" ] ~initial_state:"s0"
+
+let chaos_update_chain_prop seed =
+  let rng = Prng.create ~seed in
+  let m = ref (chain_start ()) in
   let inc = Chaos.inc_closure ~label_of ~extra_props !m in
   for _ = 1 to 12 do
-    (try
-       let src = pool.(Prng.int rng (Array.length pool)) in
-       let inputs = subset [ "a"; "b" ] in
-       if Prng.bool rng then
-         let dst = pool.(Prng.int rng (Array.length pool)) in
-         let outputs = subset [ "x" ] in
-         m := Incomplete.add_transition !m ~src (Incomplete.interaction ~inputs ~outputs) ~dst
-       else m := Incomplete.add_refusal !m ~state:src ~inputs
-     with Invalid_argument _ -> (* contradicts recorded knowledge: skip *) ());
+    m := grow rng !m;
     Chaos.update ~debug:true inc !m;
     if not (same_auto (Chaos.auto inc) (Chaos.closure ~label_of ~extra_props !m)) then
       QCheck.Test.fail_reportf "patched closure diverged from fresh closure (seed %d)" seed
+  done;
+  true
+
+(* A memo replay along the same kind of chain: a second handle either
+   adopts the automaton the first one's [update] produced — and must then
+   report the same dirty states — or is updated itself, checked against a
+   fresh closure by [~debug]. *)
+let chaos_adopt_chain_prop seed =
+  let rng = Prng.create ~seed in
+  let m = ref (chain_start ()) in
+  let inc = Chaos.inc_closure ~label_of ~extra_props !m in
+  let replayed = ref (Chaos.adopt ~label_of ~extra_props ~prev:None !m (Chaos.auto inc)) in
+  if Chaos.dirty_states !replayed <> Chaos.dirty_states inc then
+    QCheck.Test.fail_reportf "adopted fresh handle reports other dirty states (seed %d)" seed;
+  for step = 1 to 12 do
+    m := grow rng !m;
+    Chaos.update ~debug:true inc !m;
+    if Prng.bool rng then begin
+      replayed := Chaos.adopt ~prev:(Some !replayed) !m (Chaos.auto inc);
+      if Chaos.dirty_states !replayed <> Chaos.dirty_states inc then
+        QCheck.Test.fail_reportf "adopt and update dirty different states (seed %d, step %d)"
+          seed step
+    end
+    else begin
+      Chaos.update ~debug:true !replayed !m;
+      if not (same_auto (Chaos.auto !replayed) (Chaos.auto inc)) then
+        QCheck.Test.fail_reportf "update after adopt diverged (seed %d, step %d)" seed step
+    end
   done;
   true
 
@@ -170,13 +204,9 @@ let loop_equivalence_prop seed =
     Families.random_context ~seed ~states:(6 + (seed mod 7)) ~legacy_inputs:inputs
       ~legacy_outputs:outputs
   in
-  (* threshold 0 forces the caches on from the first iteration — the random
-     scenarios are small, and the size gate must not quietly turn the
-     machinery under test back into the scratch path *)
   let go incremental =
     Loop.run ~label_of:(fun _ -> []) ~context ~property:Ctl.deadlock_free
-      ~legacy:(Blackbox.of_automaton ~port:"p" legacy) ~incremental
-      ~incremental_threshold:0 ()
+      ~legacy:(Blackbox.of_automaton ~port:"p" legacy) ~incremental ()
   in
   let on_ = go true and off = go false in
   let trail r = List.map iteration_signature r.Loop.iterations in
@@ -191,6 +221,8 @@ let property_tests =
   [
     qcheck ~count:40 "Chaos.update chain is structurally a fresh closure"
       QCheck.small_nat chaos_update_chain_prop;
+    qcheck ~count:40 "Chaos.adopt around a replayed update dirties the same states"
+      QCheck.small_nat chaos_adopt_chain_prop;
     qcheck ~count:15 "incremental Loop.run matches scratch Loop.run"
       QCheck.small_nat loop_equivalence_prop;
   ]
@@ -234,6 +266,44 @@ let sharded_loop_equivalence_prop shards seed =
    so a job past the incremental gate reuses the same product states and
    seeds the same fixpoints at 1, 3 and 8 shards (8 spilling), every seeded
    fixpoint re-checked cold by [incremental_debug]. *)
+(* [on_closure] may hand back an equal copy of what [compute] built, or
+   call [compute] more than once: neither may change which product states
+   the next check treats as clean.  [incremental_debug] re-checks every
+   seeded fixpoint cold, so a stale dirty set raises. *)
+let closure_hook_test =
+  test "a closure hook that copies or recomputes keeps warm starts exact" (fun () ->
+      let spec =
+        List.find
+          (fun (s : Campaign.spec) -> s.Campaign.id = "lock/n96-d48/locked/bfs")
+          (Campaign.bundled ())
+      in
+      let go on_closure =
+        let r =
+          Loop.run ~strategy:spec.strategy ~label_of:spec.label_of ~incremental_debug:true
+            ~on_closure ~context:spec.context ~property:spec.property
+            ~legacy:(spec.make_box ()) ()
+        in
+        ( verdict_tag r.Loop.verdict,
+          List.map iteration_signature r.Loop.iterations,
+          r.Loop.product_states_reused )
+      in
+      let reference = go (fun ~model:_ ~compute -> compute ()) in
+      let _, _, reused = reference in
+      check_bool "states reused" true (reused > 0);
+      List.iter
+        (fun (what, on_closure) ->
+          if go on_closure <> reference then Alcotest.failf "%s: run differs" what)
+        [
+          ( "an equal copy",
+            fun ~model:_ ~compute ->
+              let a = compute () in
+              Automaton.rename a a.Automaton.name );
+          ( "compute called twice",
+            fun ~model:_ ~compute ->
+              ignore (compute ());
+              compute () );
+        ])
+
 let warm_start_test =
   test "warm start reuses the same states at shards 1/3/8, spilling included" (fun () ->
       let spec =
@@ -516,7 +586,7 @@ let () =
   Alcotest.run "equiv"
     [
       ("unit", unit_tests);
-      ("incremental-neutrality", neutrality_tests);
+      ("incremental-neutrality", neutrality_tests @ [ closure_hook_test ]);
       ("incremental-properties", property_tests);
       ("sharding-neutrality", sharding_tests @ sharding_property_tests);
       ("distribution-neutrality", distribution_tests);

@@ -128,11 +128,6 @@ let spill_tests =
         scenario ~seed:4 ~config:(Shard.config ~shards:4 ~mem_budget:1024 ~spill_dir:dir ()) ();
         check_bool "no leftovers" true (Sys.readdir dir = [||]);
         Unix.rmdir dir);
-    test "two worker domains produce the identical product" (fun () ->
-        (* explicit workers:2 exercises the parallel expansion path even on
-           single-core runners (domains timeshare) *)
-        scenario ~seed:5 ~config:(Shard.config ~shards:4 ~workers:2 ()) ();
-        scenario ~seed:6 ~config:(Shard.config ~shards:8 ~workers:2 ~mem_budget:2048 ()) ());
     test "corrupt spill file raises Spill_error, never a wrong answer" (fun () ->
         let dir = Filename.temp_file "mechashard-test" "" in
         Sys.remove dir;
@@ -223,9 +218,8 @@ let same_snapshot what a b =
 
 let torus = torus_pair ~n:5 ~h:3 ~steps:[| 1; 2; 1; 1 |]
 
-(* Per shard count, the inline default, [~workers:1] (inline too) and a
-   two-domain crew ([~workers:2]), each with no budget and with one
-   so tight that every segment spills, must expose the same product as the
+(* Per shard count, a second unbudgeted build and one under a budget so
+   tight that every segment spills must expose the same product as the
    unbudgeted default — and that one must be [Compose.parallel]'s. *)
 let identity_tests =
   List.concat_map
@@ -233,12 +227,10 @@ let identity_tests =
       let product = Compose.parallel left right in
       List.map
         (fun shards ->
-          test (Printf.sprintf "%s, %d shard(s): default, workers 1/2, budgets" label shards)
+          test (Printf.sprintf "%s, %d shard(s): default, worst-case 1 KiB budget" label shards)
             (fun () ->
-              let run ?workers ?mem_budget ?(on_explored = ignore) () =
-                let sp =
-                  Shard.explore ~config:(Shard.config ~shards ?workers ?mem_budget ()) left right
-                in
+              let run ?mem_budget ?(on_explored = ignore) () =
+                let sp = Shard.explore ~config:(Shard.config ~shards ?mem_budget ()) left right in
                 Fun.protect
                   ~finally:(fun () -> Shard.close sp)
                   (fun () ->
@@ -247,44 +239,14 @@ let identity_tests =
               in
               let reference, _ = run ~on_explored:(check_structure product) () in
               List.iter
-                (fun (workers, wname) ->
-                  List.iter
-                    (fun (mem_budget, bname) ->
-                      let snap, spills = run ?workers ?mem_budget () in
-                      let what = Printf.sprintf "%s, %s" wname bname in
-                      same_snapshot what reference snap;
-                      if mem_budget <> None && spills = 0 then
-                        Alcotest.failf "%s: the tight budget never spilled" what)
-                    [ (None, "no budget"); (Some 1024, "1 KiB budget") ])
-                [ (None, "default"); (Some 1, "workers 1"); (Some 2, "workers 2") ]))
+                (fun (mem_budget, what) ->
+                  let snap, spills = run ?mem_budget () in
+                  same_snapshot what reference snap;
+                  if mem_budget <> None && spills = 0 then
+                    Alcotest.failf "%s: the tight budget never spilled" what)
+                [ (None, "no budget"); (Some 1024, "1 KiB budget") ]))
         [ 1; 3; 8 ])
     [ ("torus 5^4x3", torus); ("mesh 23x16", mesh) ]
-
-(* Where levels run: inline by default and with [~workers:1], on the crew
-   for every level with [~workers:2] — as counted by
-   [mc_shard_crew_levels_total] against [mc_shard_build_rounds_total]. *)
-let fanout_tests =
-  let module Metrics = Mechaml_obs.Metrics in
-  let crew = Metrics.counter ~help:"" "mc_shard_crew_levels_total" in
-  let rounds = Metrics.counter ~help:"" "mc_shard_build_rounds_total" in
-  [
-    test "default and workers 1 inline, workers 2 on the crew" (fun () ->
-        let was = Metrics.enabled () in
-        Metrics.set_enabled true;
-        Fun.protect
-          ~finally:(fun () -> Metrics.set_enabled was)
-          (fun () ->
-            let left, right = torus in
-            List.iter
-              (fun (workers, all_crew) ->
-                let c0 = Metrics.counter_value crew and r0 = Metrics.counter_value rounds in
-                Shard.close (Shard.explore ~config:(Shard.config ~shards:3 ?workers ()) left right);
-                let levels = Metrics.counter_value rounds - r0 in
-                let crewed = Metrics.counter_value crew - c0 in
-                Alcotest.(check bool) "some rounds" true (levels > 0);
-                Alcotest.(check int) "crew levels" (if all_crew then levels else 0) crewed)
-              [ (None, false); (Some 1, false); (Some 2, true) ]));
-  ]
 
 (* -- witnesses on the sharded product ---------------------------------------
 
@@ -538,7 +500,6 @@ let () =
       ("equivalence", equivalence_tests);
       ("spill", spill_tests);
       ("identity", identity_tests);
-      ("fanout", fanout_tests);
       ("witness", witness_tests);
       ("kernel", kernel_tests);
     ]
