@@ -55,7 +55,7 @@ let () =
   let a0 = Chaos.closure ~label_of:Railcab.label_of ~extra_props:legacy_props m0 in
   Format.printf "M_a^0 = chaos(M_l^0): %d states, %d transitions@."
     (Automaton.num_states a0) (Automaton.num_transitions a0);
-  save_figure "fig4b_initial_closure" (Dot.of_automaton a0);
+  save_figure "fig4b_initial_closure" (Dot.of_automaton (Chaos.materialize a0));
   save_figure "fig3_chaotic_automaton"
     (Dot.of_automaton
        (Chaos.chaotic_automaton ~name:"chaos" ~inputs:Railcab.front_to_rear

@@ -16,7 +16,7 @@ let m_closure_transitions =
 
 let m_delta_edges =
   Metrics.counter "core_closure_delta_edges_total"
-    ~help:"Transitions rebuilt by incremental closure updates (dirty rows only)."
+    ~help:"Row entries (explicit transitions and excluded input patterns) rebuilt by incremental closure updates (dirty rows only)."
 
 let m_updates =
   Metrics.counter "core_closure_updates_total"
@@ -40,64 +40,85 @@ let origin name =
 
 let max_alphabet = 30
 
-let check_alphabet inputs outputs =
-  let width = List.length inputs + List.length outputs in
-  if width > max_alphabet then
-    invalid_arg
-      (Printf.sprintf
-         "Chaos: |I| + |O| = %d is too large to enumerate the interaction powerset" width)
+let check_width ~what ~cap inputs outputs =
+  let width = Universe.size inputs + Universe.size outputs in
+  if width > cap then
+    invalid_arg (Printf.sprintf "Chaos: |I| + |O| = %d is too large to %s" width what)
 
-(* The T_c row (Definition 8): every interaction of ℘(I) × ℘(O) whose input
-   pattern is not [answered], to [all] and then to [delta], inputs outer
-   and outputs inner in increasing bit pattern, in front of [tail].  Pattern
-   [k] of a signal list is the bitset its [Universe.of_list] interns, so no
-   name list is ever materialized. *)
-let tc_row ?(answered = fun _ -> false) ~n_in ~n_out ~all ~delta tail =
-  let acc = ref tail in
+(* The escape's rows (Definition 8's T_c minus the excluded inputs): every
+   interaction of ℘(I) × ℘(O) whose input pattern [e] covers, to each of
+   its destinations, inputs outer and outputs inner in increasing bit
+   pattern.  Pattern [k] of a signal list is the bitset its
+   [Universe.of_list] interns, so no name list is ever materialized. *)
+let expand_escape ~n_in ~n_out (e : Automaton.escape) =
+  let acc = ref [] in
   for a = n_in - 1 downto 0 do
-    if not (answered a) then begin
+    if Automaton.escapes_input e a then begin
       let input = Bitset.of_int_unsafe a in
       for o = n_out - 1 downto 0 do
         let output = Bitset.of_int_unsafe o in
         acc :=
-          { Automaton.input; output; dst = all } :: { Automaton.input; output; dst = delta }
-          :: !acc
+          List.fold_right
+            (fun dst acc -> { Automaton.input; output; dst } :: acc)
+            e.Automaton.dsts !acc
       done
     end
   done;
   !acc
 
+let materialize (a : Automaton.t) =
+  if not (Automaton.has_escapes a) then a
+  else begin
+    check_width ~what:"enumerate the interaction powerset" ~cap:max_alphabet a.Automaton.inputs
+      a.Automaton.outputs;
+    let n_in = 1 lsl Universe.size a.Automaton.inputs
+    and n_out = 1 lsl Universe.size a.Automaton.outputs in
+    Automaton.of_packed ~assume_unique_names:true ~name:a.Automaton.name ~inputs:a.Automaton.inputs
+      ~outputs:a.Automaton.outputs ~props:a.Automaton.props ~state_names:a.Automaton.state_names
+      ~labels:a.Automaton.labels
+      ~trans:
+        (Array.mapi
+           (fun s row ->
+             match Automaton.escape a s with
+             | Some e -> row @ expand_escape ~n_in ~n_out e
+             | None -> row)
+           a.Automaton.trans)
+      ~initial:a.Automaton.initial ()
+  end
+
+(* [s_∀] (state [all]) escapes to itself and to [s_δ] on everything. *)
+let to_chaos all = { Automaton.excluded = [||]; dsts = [ all; all + 1 ] }
+
 let chaotic_automaton ~name ~inputs ~outputs =
-  check_alphabet inputs outputs;
   let inputs_u = Universe.of_list inputs and outputs_u = Universe.of_list outputs in
   let props_u = Universe.of_list [ chaos_prop ] in
   let chaos_label = Universe.set_of_names props_u [ chaos_prop ] in
-  let row =
-    tc_row ~n_in:(1 lsl Universe.size inputs_u) ~n_out:(1 lsl Universe.size outputs_u) ~all:0
-      ~delta:1 []
-  in
-  Automaton.of_packed ~assume_unique_names:true ~name ~inputs:inputs_u ~outputs:outputs_u
-    ~props:props_u
-    ~state_names:[| s_all; s_delta |]
-    ~labels:[| chaos_label; chaos_label |]
-    ~trans:[| row; [] |] ~initial:[ 0; 1 ] ()
+  materialize
+    (Automaton.of_packed ~assume_unique_names:true ~name ~inputs:inputs_u ~outputs:outputs_u
+       ~props:props_u
+       ~state_names:[| s_all; s_delta |]
+       ~labels:[| chaos_label; chaos_label |]
+       ~trans:[| []; [] |]
+       ~escapes:[| Some (to_chaos 0); None |]
+       ~initial:[ 0; 1 ] ())
 
 (* -- the closure handle ------------------------------------------------------
 
    Core state [k] of the model becomes closure states [2k], its open copy
    (named like the state), and [2k+1], its closed copy; [s_∀] and [s_δ]
-   come last.  The index keeps what the rows are built from, per core
-   state: its known edges and the input patterns it has answered (known or
-   refused).  The model is append-only (states, transitions and refusals
-   grow at the tail), so [extend] reads the delta between two models from
-   element counts, and a fresh closure extends an empty index. *)
+   come last.  Both copies carry [k]'s known edges explicitly; the open copy
+   and [s_∀] escape to [s_∀]/[s_δ] on every input they do not exclude —
+   the open copy excludes the input patterns [k] has answered (known or
+   refused), [s_∀] nothing.  The index keeps what the rows are built from,
+   per core state: its known edges and its answered patterns.  The model
+   is append-only (states, transitions and refusals grow at the tail), so
+   [extend] reads the delta between two models from element counts, and a
+   fresh closure extends an empty index. *)
 type index = {
   label_of : string -> string list;
   extra_props : string list;
   inputs_u : Universe.t;
   outputs_u : Universe.t;
-  n_in : int;
-  n_out : int;
   pos : (string, int) Hashtbl.t;
   mutable rev_props : string list; (* the proposition universe, reversed *)
   mutable props : Universe.t;
@@ -123,9 +144,9 @@ let delta_edges inc = inc.delta_edges
 let dirty_states inc = inc.dirty
 
 let index ~label_of ~extra_props (m : Incomplete.t) =
-  check_alphabet m.Incomplete.input_signals m.Incomplete.output_signals;
   let inputs_u = Universe.of_list m.Incomplete.input_signals in
   let outputs_u = Universe.of_list m.Incomplete.output_signals in
+  check_width ~what:"pack into one word" ~cap:Bitset.max_width inputs_u outputs_u;
   (* declared propositions first, then label propositions in order of first
      mention over the states *)
   let declared = chaos_prop :: List.filter (fun p -> p <> chaos_prop) extra_props in
@@ -134,8 +155,6 @@ let index ~label_of ~extra_props (m : Incomplete.t) =
     extra_props;
     inputs_u;
     outputs_u;
-    n_in = 1 lsl Universe.size inputs_u;
-    n_out = 1 lsl Universe.size outputs_u;
     pos = Hashtbl.create 16;
     rev_props = List.rev declared;
     props = Universe.of_list declared;
@@ -207,50 +226,39 @@ let extend ix (m : Incomplete.t) =
   (old_n_core, fresh, dirty)
 
 (* Core state [k]'s known edges in the model's order, each to both copies of
-   its target (Definition 9's four ⊎-components over T), in front of
-   [tail]. *)
-let known ix k tail =
+   its target (Definition 9's four ⊎-components over T). *)
+let known ix k =
   List.fold_left
     (fun acc (input, output, d) ->
       { Automaton.input; output; dst = 2 * d } :: { Automaton.input; output; dst = (2 * d) + 1 }
       :: acc)
-    tail ix.edges.(k)
+    [] ix.edges.(k)
 
-(* The closure of [m] once [extend] has returned [delta].  A dirty closed
-   copy's row is its known edges; a dirty open copy's row continues with an
-   escape to chaos on every interaction whose input pattern it has not
-   answered.  Without [prev] every row is dirty and the automaton is packed
-   afresh; with [prev], the closure before the delta, clean rows are carried
-   over (destinations past its core shifted with [s_∀]/[s_δ]) and its index
-   is spliced by [Automaton.patch].  Returns the closure and the number of
-   transitions built. *)
+(* The closure of [m] once [extend] has returned [delta].  Only dirty rows
+   are rebuilt: a copy's known edges, and an open copy's excluded inputs.
+   With [prev], the closure before the delta, clean rows and the names and
+   labels of old states are carried over; known edges never point at
+   [s_∀]/[s_δ], so a grown closure moves only the escapes' destinations.
+   Returns the closure and the number of row entries (explicit
+   transitions and excluded patterns) built. *)
 let build ix ?prev (m : Incomplete.t) (old_n_core, fresh, dirty) =
   let n = (2 * ix.n_core) + 2 in
   let all = n - 2 and old_all = 2 * old_n_core in
-  let shift = all - old_all in
   let chaos_label = Universe.set_of_names ix.props [ chaos_prop ] in
   let state_names = Array.make n s_delta and labels = Array.make n chaos_label in
   state_names.(all) <- s_all;
-  let trans = Array.make n [] in
-  let carry row =
-    if shift = 0 then row
-    else
-      List.map
-        (fun (t : Automaton.trans) ->
-          if t.dst >= old_all then { t with dst = t.dst + shift } else t)
-        row
-  in
+  let trans = Array.make n [] and excluded = Array.make ix.n_core [||] in
   (match prev with
   | Some (p : Automaton.t) ->
     Array.blit p.Automaton.state_names 0 state_names 0 old_all;
     Array.blit p.Automaton.labels 0 labels 0 old_all;
-    (* only open copies and [s_∀] move to chaos *)
-    for s = 0 to old_all - 1 do
-      if not dirty.(s) then
-        trans.(s) <- (if s land 1 = 0 then carry p.Automaton.trans.(s) else p.Automaton.trans.(s))
-    done;
-    trans.(all) <- carry p.Automaton.trans.(old_all)
-  | None -> trans.(all) <- tc_row ~n_in:ix.n_in ~n_out:ix.n_out ~all ~delta:(all + 1) []);
+    Array.blit p.Automaton.trans 0 trans 0 old_all;
+    for k = 0 to old_n_core - 1 do
+      Option.iter
+        (fun (e : Automaton.escape) -> excluded.(k) <- e.excluded)
+        (Automaton.escape p (2 * k))
+    done
+  | None -> ());
   List.iteri
     (fun j (s, ps) ->
       let k = old_n_core + j in
@@ -261,18 +269,31 @@ let build ix ?prev (m : Incomplete.t) (old_n_core, fresh, dirty) =
       labels.((2 * k) + 1) <- l)
     fresh;
   let built = ref 0 in
-  let set s row =
-    trans.(s) <- row;
-    built := !built + List.length row
-  in
   for k = 0 to ix.n_core - 1 do
-    if dirty.(2 * k) then
-      set (2 * k)
-        (known ix k
-           (tc_row ~answered:(Hashtbl.mem ix.answered.(k)) ~n_in:ix.n_in ~n_out:ix.n_out ~all
-              ~delta:(all + 1) []));
-    if dirty.((2 * k) + 1) then set ((2 * k) + 1) (known ix k [])
+    if dirty.(2 * k) || dirty.((2 * k) + 1) then begin
+      let row = known ix k in
+      let len = List.length row in
+      if dirty.(2 * k) then begin
+        trans.(2 * k) <- row;
+        excluded.(k) <-
+          Array.of_list
+            (List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) ix.answered.(k) []));
+        built := !built + len + Array.length excluded.(k)
+      end;
+      if dirty.((2 * k) + 1) then begin
+        trans.((2 * k) + 1) <- row;
+        built := !built + len
+      end
+    end
   done;
+  let dsts = (to_chaos all).Automaton.dsts in
+  let escapes =
+    Array.init n (fun s ->
+        if s = all then Some (to_chaos all)
+        else if s < all && s land 1 = 0 then
+          Some { Automaton.excluded = excluded.(s / 2); dsts }
+        else None)
+  in
   let initial =
     List.concat_map
       (fun q ->
@@ -280,22 +301,13 @@ let build ix ?prev (m : Incomplete.t) (old_n_core, fresh, dirty) =
         [ 2 * k; (2 * k) + 1 ])
       m.Incomplete.initial
   in
-  let name = "chaos(" ^ m.Incomplete.name ^ ")" in
+  (* names are unique: the model's are, and [check_name] keeps them apart
+     from the copies' and the chaos states' *)
   let auto =
-    match prev with
-    | None ->
-      (* names are unique: the model's are, and [check_name] keeps them
-         apart from the copies' and the chaos states' *)
-      Automaton.of_packed ~assume_unique_names:true ~name ~inputs:ix.inputs_u
-        ~outputs:ix.outputs_u ~props:ix.props ~state_names ~labels ~trans ~initial ()
-    | Some old ->
-      let old_of =
-        Array.init n (fun s -> if s < old_all then s else if s >= all then s - shift else -1)
-      in
-      Automaton.patch ~old ~name ~props:ix.props ~state_names ~labels ~trans ~initial ~dirty
-        ~old_of
-        ~dst_map:(fun d -> if d >= old_all then d + shift else d)
-        ()
+    Automaton.of_packed ~assume_unique_names:true
+      ~name:("chaos(" ^ m.Incomplete.name ^ ")")
+      ~inputs:ix.inputs_u ~outputs:ix.outputs_u ~props:ix.props ~state_names ~labels ~trans
+      ~escapes ~initial ()
   in
   (auto, !built)
 
@@ -318,39 +330,6 @@ let adopt ?(label_of = fun _ -> []) ?(extra_props = []) ~prev (m : Incomplete.t)
   inc.dirty <- dirty_list dirty;
   inc
 
-let structurally_equal (a : Automaton.t) (b : Automaton.t) =
-  a.Automaton.state_names = b.Automaton.state_names
-  && a.Automaton.labels = b.Automaton.labels
-  && a.Automaton.trans = b.Automaton.trans
-  && a.Automaton.initial = b.Automaton.initial
-  && Universe.to_list a.Automaton.props = Universe.to_list b.Automaton.props
-  && Universe.to_list a.Automaton.inputs = Universe.to_list b.Automaton.inputs
-  && Universe.to_list a.Automaton.outputs = Universe.to_list b.Automaton.outputs
-
-(* The patched index against a fresh one's, up to interaction-id renaming:
-   [a]'s segments are sorted by [a]'s ids, and each one, renamed into [b]'s
-   ids by label and stably re-sorted, is [b]'s segment (labels, dsts);
-   adjacency-order labels agree. *)
-let same_index (a : Automaton.t) (b : Automaton.t) =
-  let module C = Automaton.Csr in
-  let row = C.row a in
-  let segment m s f = List.init (row.(s + 1) - row.(s)) (fun j -> f m (row.(s) + j)) in
-  let id m k = (C.inter m).(k) and dst m k = (C.dst m).(k) in
-  let adj_label m k = Automaton.interaction_io m (C.adj_inter m).(k) in
-  let renamed m k =
-    let i, o = Automaton.interaction_io m (id m k) in
-    (Automaton.interaction_id b i o, dst m k)
-  in
-  row = C.row b
-  && List.for_all
-       (fun s ->
-         let ids = segment a s id in
-         ids = List.sort compare ids
-         && List.stable_sort (fun (x, _) (y, _) -> compare x y) (segment a s renamed)
-            = segment b s (fun m k -> (Some (id m k), dst m k))
-         && segment a s adj_label = segment b s adj_label)
-       (List.init (Automaton.num_states a) Fun.id)
-
 let update ?(debug = false) inc (m : Incomplete.t) =
   let t0 = if Trace.is_enabled () then Some (Trace.now_us ()) else None in
   let ((_, _, dirty) as delta) = extend inc.ix m in
@@ -364,7 +343,7 @@ let update ?(debug = false) inc (m : Incomplete.t) =
     Metrics.incr m_updates;
     if debug then begin
       let fresh = inc_closure ~label_of:inc.ix.label_of ~extra_props:inc.ix.extra_props m in
-      if not (structurally_equal a fresh.auto && same_index a fresh.auto) then
+      if not (Automaton.equal a fresh.auto) then
         failwith "Chaos.update: incremental closure diverged from the fresh construction"
     end
   end;

@@ -14,7 +14,13 @@
     response to [A] is already known (with a different [B]), or whose input
     set [A] is recorded as refused, do not lead to chaos — an
     input-deterministic component cannot exhibit them.  This is what makes
-    every failed test strictly shrink the unknown region (Theorem 2). *)
+    every failed test strictly shrink the unknown region (Theorem 2).
+
+    A closure stores what is known and what is excluded, not the
+    interactions that lead to chaos: the chaotic rows of the open copies and
+    of [s_∀] are {!Mechaml_ts.Automaton.escape}s, which the join kernel
+    ({!Mechaml_ts.Compose.moves}) reads directly.  {!materialize} expands
+    them where explicit rows are wanted (figures, refinement checks). *)
 
 val chaos_prop : string
 (** The fresh proposition [p'] labelling the chaotic states (Section 2.7).
@@ -32,18 +38,24 @@ val closed_suffix : string
     original state name. *)
 
 val max_alphabet : int
-(** Largest supported [|I| + |O|] (currently 30): the closure materializes
-    [℘(I) × ℘(O)] transitions out of every chaotic state, so the alphabet
-    width is capped to bound that blow-up.  Interactions are generated
-    directly as bit patterns against the interned interaction table, which
-    is what lets the cap sit at the {!Mechaml_util.Bitset.all_subsets}
-    guard rather than the former 16. *)
+(** Largest [|I| + |O|] (currently 30) that {!chaotic_automaton} and
+    {!materialize} accept: they write out [℘(I) × ℘(O)] transitions per
+    chaotic row, so the width is capped to bound that blow-up (the
+    {!Mechaml_util.Bitset.all_subsets} guard).  {!closure} and the
+    incremental handle enumerate nothing and accept any alphabet whose
+    [|I| + |O|] fits {!Mechaml_util.Bitset.max_width}. *)
 
 val chaotic_automaton :
   name:string -> inputs:string list -> outputs:string list -> Mechaml_ts.Automaton.t
-(** Definition 8 / Fig. 3.  Raises [Invalid_argument] when
-    [|I| + |O| > max_alphabet] — the construction enumerates
-    [℘(I) × ℘(O)]. *)
+(** Definition 8 / Fig. 3, with explicit rows.  Raises [Invalid_argument]
+    when [|I| + |O| > max_alphabet]. *)
+
+val materialize : Mechaml_ts.Automaton.t -> Mechaml_ts.Automaton.t
+(** The same automaton with every escape written out as explicit
+    transitions after the state's own, in the escape's order — for a
+    closure, Definition 9's rows with every chaotic interaction listed.  An
+    automaton without escapes is returned as is.  Raises
+    [Invalid_argument] when [|I| + |O| > max_alphabet]. *)
 
 val closure :
   ?label_of:(string -> string list) ->
@@ -56,8 +68,9 @@ val closure :
     [extra_props] declares propositions in the universe even when no learned
     state carries them yet — the synthesis loop seeds it with the property's
     legacy-side propositions so that checking is well-defined from iteration
-    0 on.  Raises [Invalid_argument] when a state is named like a chaos state
-    or when the signal alphabet is too large. *)
+    0 on.  The chaotic rows are escapes (see above).  Raises
+    [Invalid_argument] when a state is named like a chaos state or when
+    [|I| + |O|] exceeds {!Mechaml_util.Bitset.max_width}. *)
 
 type origin =
   | Core of string  (** copy of a known state (either copy), original name *)
@@ -73,13 +86,13 @@ val origin : string -> origin
     through an {!inc} handle: its index (state positions, known edges and
     answered input patterns per state, propositions) is extended by the
     model's append-only delta, and only the rows of the copies of states
-    that gained a fact are built (a known edge appears, escapes to
-    [s_∀]/[s_δ] disappear).  A fresh closure extends an empty index and
-    builds every row; an {!update} carries the other rows over and splices
-    the CSR index via {!Mechaml_ts.Automaton.patch}.  Either way the result
-    is structurally identical to a fresh {!closure} (state numbering,
-    adjacency order, labels), which keeps witnesses, products and therefore
-    verdicts byte-for-byte independent of incremental mode. *)
+    that gained a fact are rebuilt: their known edges and their escapes'
+    excluded inputs.  A fresh closure extends an empty index and builds
+    every row; an {!update} carries the other rows over.  Either way the
+    result is equal ({!Mechaml_ts.Automaton.equal}) to a fresh {!closure}
+    (state numbering, adjacency order, escapes, labels), which keeps
+    witnesses, products and therefore verdicts byte-for-byte independent of
+    incremental mode. *)
 
 type inc
 (** Mutable incremental-closure handle for one growing incomplete model. *)
@@ -94,10 +107,9 @@ val update : ?debug:bool -> inc -> Incomplete.t -> unit
     the same one the handle was built from, extended append-only (as
     {!Incomplete.add_transition}/[add_refusal] do — the loop's only mutation
     path); the delta is recovered from element counts.  With [debug] a fresh
-    closure is also built and compared structurally, and the patched CSR
-    index against the fresh one's up to interaction-id renaming (per
-    segment, each label's destinations in the same order) — [Failure] on
-    any divergence.  Raises like {!closure} on invalid new state names. *)
+    closure is also built and compared with {!Mechaml_ts.Automaton.equal}
+    — [Failure] on any divergence.  Raises like {!closure} on invalid new
+    state names. *)
 
 val adopt :
   ?label_of:(string -> string list) ->
@@ -119,8 +131,9 @@ val auto : inc -> Mechaml_ts.Automaton.t
 (** The handle's current closure. *)
 
 val delta_edges : inc -> int
-(** Transitions built by the last {!update} (0 after a fresh build, an
-    {!adopt}, or an empty delta). *)
+(** Row entries the last {!update} rebuilt: the explicit transitions of its
+    dirty rows plus the excluded input patterns of its dirty open copies'
+    escapes (0 after a fresh build, an {!adopt}, or an empty delta). *)
 
 val dirty_states : inc -> int list
 (** Closure states whose adjacency rows changed in the last {!update} or

@@ -95,9 +95,10 @@ type result = {
   test_seconds : float;
       (** wall-clock time spent querying the driver (tests and probes) *)
   closure_delta_edges : int;
-      (** transitions rebuilt by incremental closure updates over the whole
-          run (0 when [incremental] is off — everything was rebuilt, nothing
-          was {e patched}) *)
+      (** row entries rebuilt by incremental closure updates over the whole
+          run — explicit transitions and escapes' excluded input patterns
+          of dirty rows ({!Chaos.delta_edges}); 0 when [incremental] is off,
+          where every closure is built fresh *)
   product_states_reused : int;
       (** product states outside the dirty set handed to the warm-started
           checker — their (context state, closure state) pair existed in the
@@ -185,7 +186,7 @@ val run :
     contradicts the driver's behaviour.
 
     [incremental] (default [true]) re-verifies incrementally across
-    iterations: the chaotic closure is patched rather than rebuilt
+    iterations: only the chaotic closure's dirty rows are rebuilt
     ({!Chaos.update}), and the checker's unbounded fixpoints are
     warm-started from the previous iteration's converged sets
     ({!Mechaml_mc.Eval.create_warm}) wherever a product state's pair

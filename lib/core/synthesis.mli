@@ -12,4 +12,5 @@ val initial_model : Mechaml_legacy.Blackbox.t -> Incomplete.t
 
 val initial_abstraction :
   ?label_of:(string -> string list) -> Mechaml_legacy.Blackbox.t -> Mechaml_ts.Automaton.t
-(** [M_a⁰ = chaos(M_l⁰)] (Fig. 4(b)). *)
+(** [M_a⁰ = chaos(M_l⁰)] (Fig. 4(b)), its chaotic rows as escapes
+    ({!Chaos.materialize} writes them out). *)

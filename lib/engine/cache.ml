@@ -182,11 +182,15 @@ let hit_rate s =
    entries in LRU→MRU order.  [save] goes through a temp file + atomic rename
    — the same crash-safety discipline as [Knowledge_io.save_atomic] — so a
    daemon killed mid-snapshot leaves the previous snapshot intact.  The
-   header's version changes whenever the key scheme does: version 2 keys
-   checks by context digest and closure key instead of by product, and a
-   version-1 file would only restore entries no lookup can reach. *)
+   header's version changes whenever the key scheme or an entry's type
+   does: version 2 keys checks by context digest and closure key instead of
+   by product, and a version-1 file would only restore entries no lookup
+   can reach; version 3 stores closures with escape rows (the automaton
+   record gained [escapes]), and unmarshalling a version-2 closure at the
+   new type would be undefined behaviour, so the header check comes before
+   any [Marshal] read. *)
 
-let snapshot_header = "mechaml-cache 2"
+let snapshot_header = "mechaml-cache 3"
 
 (* Under the lock: entries ordered LRU-first, so replaying them through
    [store] reproduces the recency order exactly. *)

@@ -94,9 +94,10 @@ type outcome = {
           structural fact, deterministic across workers/caching/tracing *)
   max_product_states : int;  (** largest context ∥ closure product likewise *)
   closure_delta_edges : int;
-      (** transitions patched into the chaotic closure across incremental
-          updates ({!Mechaml_core.Loop.result.closure_delta_edges}); 0 when
-          the job ran from scratch *)
+      (** row entries (explicit transitions and excluded input patterns)
+          rebuilt in the chaotic closure across incremental updates
+          ({!Mechaml_core.Loop.result.closure_delta_edges}); 0 when the job
+          ran from scratch *)
   product_states_reused : int;
       (** product states whose outgoing moves were replayed from the previous
           iteration's product instead of re-joined *)

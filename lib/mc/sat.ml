@@ -8,6 +8,7 @@ module Bitvec = Mechaml_util.Bitvec
    keeps the successor-counting fixpoints in step with the per-transition
    quantifiers.  Converged sets stay in memory. *)
 let backend (auto : Automaton.t) =
+  Automaton.require_explicit "Sat.create" auto;
   let n = Automaton.num_states auto in
   let row = Automaton.Csr.row auto in
   let dst = Automaton.Csr.dst auto in

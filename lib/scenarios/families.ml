@@ -74,13 +74,11 @@ let lock_context_gen ~n ~depth ~extra_inputs ~extra_outputs =
 let lock_context ~n ~depth = lock_context_gen ~n ~depth ~extra_inputs:[] ~extra_outputs:[]
 
 (* Same protocol as the plain lock, but the interface declares [ki] unused
-   input and [ko] unused output signals.  The chaotic closure must still
-   enumerate ℘(I) × ℘(O) escapes out of every open copy, so each spare
-   signal doubles the closure's per-state escape fan-out while the learned
-   protocol — and with it the iteration count — stays that of the plain
-   lock.  This is the regime where incremental re-verification pays:
-   per-iteration knowledge deltas are a handful of facts against a closure
-   of tens of thousands of transitions. *)
+   input and [ko] unused output signals.  Each spare signal doubles the
+   ℘(I) × ℘(O) fan-out of every open copy's escape row (kept symbolic by
+   the closure) while the learned protocol — and with it the iteration
+   count — stays that of the plain lock: big closures, small per-iteration
+   knowledge deltas. *)
 let wide_lock_context ~n ~depth ~spares:(ki, ko) =
   lock_context_gen ~n ~depth ~extra_inputs:(spare_input_names ki)
     ~extra_outputs:(spare_output_names ko)

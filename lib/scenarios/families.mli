@@ -30,7 +30,9 @@ val wide_lock_box : n:int -> spares:int * int -> Mechaml_legacy.Blackbox.t
     chaotic closure's escape fan-out (℘(I) × ℘(O)) while the learned
     protocol — and hence the synthesis iteration count — stays that of
     {!lock_box}: big closures, small per-iteration deltas, the regime that
-    exercises incremental re-verification.  [|I| + |O|] must stay within
+    exercises incremental re-verification.  The closure keeps that fan-out
+    symbolic (escape rows), so [|I| + |O|] need only fit
+    {!Mechaml_util.Bitset.max_width}; materializing it is capped at
     {!Mechaml_core.Chaos.max_alphabet}. *)
 
 val wide_lock_context : n:int -> depth:int -> spares:int * int -> Mechaml_ts.Automaton.t

@@ -13,9 +13,6 @@ type inter_tbl =
   | Packed of { shift : int; tbl : Itbl.t }
   | Pairs of (int * int, int) Hashtbl.t
 
-(* Published indexes are never written, so a patched index shares
-   [inter_tbl] and [inter_io] with the one it came from until it interns a
-   label that one lacks. *)
 type csr = {
   row : int array;            (* n+1 offsets into the flat arrays *)
   f_dst : int array;          (* per-state segments, stably sorted by id *)
@@ -24,6 +21,8 @@ type csr = {
   inter_tbl : inter_tbl;
   inter_io : (Bitset.t * Bitset.t) array; (* id -> (input, output) *)
 }
+
+type escape = { excluded : int array; dsts : state list }
 
 (* Both halves of the index are derived on first access — many automata are
    intermediate construction results (flattening, projection, products) that
@@ -49,6 +48,7 @@ type t = {
   state_names : string array;
   labels : Bitset.t array;
   trans : trans list array;
+  escapes : escape option array; (* [||] when no state has one *)
   initial : state list;
   index : index;
 }
@@ -60,35 +60,6 @@ let inter_find it a b =
     Itbl.find tbl ((Bitset.to_int a lsl shift) lor Bitset.to_int b) ~default:(-1)
   | Pairs tbl ->
     Option.value (Hashtbl.find_opt tbl (Bitset.to_int a, Bitset.to_int b)) ~default:(-1)
-
-(* Interns labels against [it], which binds the ids of [io] and may belong
-   to a published index: the first label [it] lacks copies it before the
-   insert, so [finish ()] hands [it] and [io] back shared when no label was
-   added. *)
-let interner it io =
-  let it = ref it and rev_io = ref [] and n = ref (Array.length io) in
-  let intern a b =
-    let id = inter_find !it a b in
-    if id >= 0 then id
-    else begin
-      if !rev_io = [] then
-        it :=
-          (match !it with
-          | Packed p -> Packed { p with tbl = Itbl.copy p.tbl }
-          | Pairs tbl -> Pairs (Hashtbl.copy tbl));
-      (match !it with
-      | Packed { shift; tbl } ->
-        ignore (Itbl.find_or_add tbl ((Bitset.to_int a lsl shift) lor Bitset.to_int b) !n)
-      | Pairs tbl -> Hashtbl.add tbl (Bitset.to_int a, Bitset.to_int b) !n);
-      rev_io := (a, b) :: !rev_io;
-      incr n;
-      !n - 1
-    end
-  in
-  let finish () =
-    (!it, if !rev_io = [] then io else Array.append io (Array.of_list (List.rev !rev_io)))
-  in
-  (intern, finish)
 
 let build_name_tbl ~dup_ok ~name state_names =
   let name_tbl = Hashtbl.create (2 * Array.length state_names + 1) in
@@ -171,7 +142,27 @@ let build_csr ~in_width ~out_width ~n ~trans =
       Packed { shift = out_width; tbl = Itbl.create 16 }
     else Pairs (Hashtbl.create 16)
   in
-  let intern, finish = interner it [||] in
+  let rev_io = ref [] and next = ref 0 in
+  let intern a b =
+    let fresh = !next in
+    let id =
+      match it with
+      | Packed { shift; tbl } ->
+        Itbl.find_or_add tbl ((Bitset.to_int a lsl shift) lor Bitset.to_int b) fresh
+      | Pairs tbl -> (
+        let key = (Bitset.to_int a, Bitset.to_int b) in
+        match Hashtbl.find_opt tbl key with
+        | Some id -> id
+        | None ->
+          Hashtbl.add tbl key fresh;
+          fresh)
+    in
+    if id = fresh then begin
+      rev_io := (a, b) :: !rev_io;
+      incr next
+    end;
+    id
+  in
   let f_dst = Array.make row.(n) 0 and adj_inter = Array.make row.(n) 0 in
   let unsorted = ref [] in
   for s = 0 to n - 1 do
@@ -182,63 +173,23 @@ let build_csr ~in_width ~out_width ~n ~trans =
      sort; when every one does, one array serves as both id views. *)
   let f_inter = if !unsorted = [] then adj_inter else Array.copy adj_inter in
   List.iter (fun s -> sort_segment f_inter f_dst row.(s) row.(s + 1)) !unsorted;
-  let inter_tbl, inter_io = finish () in
-  { row; f_dst; f_inter; adj_inter; inter_tbl; inter_io }
+  { row; f_dst; f_inter; adj_inter; inter_tbl = it; inter_io = Array.of_list (List.rev !rev_io) }
 
-(* Splice a new CSR out of an old one: segments of clean states are blitted
-   (destinations remapped through [dst_map]), only dirty segments intern
-   their transitions — against the old interaction table, copied on the
-   first label it lacks, so ids of surviving interactions are preserved and
-   the blitted segments stay per-segment sorted.  Interaction ids therefore
-   differ from what a fresh [build_csr] would assign (stale ids linger, new
-   ones append at the end), which is unobservable: every consumer either
-   walks the adjacency lists ([adj_inter] keeps list order) or treats the
-   sorted view as a set. *)
-let patch_csr ~old_csr ~n ~trans ~dirty ~old_of ~dst_map =
-  let old_row = old_csr.row in
-  let row = Array.make (n + 1) 0 in
-  for s = 0 to n - 1 do
-    let len =
-      if dirty.(s) then List.length trans.(s)
-      else old_row.(old_of.(s) + 1) - old_row.(old_of.(s))
-    in
-    row.(s + 1) <- row.(s) + len
-  done;
-  let intern, finish = interner old_csr.inter_tbl old_csr.inter_io in
-  let f_dst = Array.make row.(n) 0 in
-  let f_inter = Array.make row.(n) 0 and adj_inter = Array.make row.(n) 0 in
-  for s = 0 to n - 1 do
-    let lo = row.(s) and hi = row.(s + 1) in
-    if dirty.(s) then begin
-      let sorted = fill intern adj_inter f_dst lo trans.(s) in
-      Array.blit adj_inter lo f_inter lo (hi - lo);
-      if not sorted then sort_segment f_inter f_dst lo hi
-    end
-    else begin
-      let olo = old_row.(old_of.(s)) in
-      Array.blit old_csr.f_inter olo f_inter lo (hi - lo);
-      Array.blit old_csr.adj_inter olo adj_inter lo (hi - lo);
-      for k = 0 to hi - lo - 1 do
-        f_dst.(lo + k) <- dst_map old_csr.f_dst.(olo + k)
-      done
-    end
-  done;
-  let inter_tbl, inter_io = finish () in
-  { row; f_dst; f_inter; adj_inter; inter_tbl; inter_io }
-
-let make_with_tbl ~name_tbl ~name ~inputs ~outputs ~props ~state_names ~labels ~trans ~initial =
+let make_with_tbl ~name_tbl ~name ~inputs ~outputs ~props ~state_names ~labels ~trans
+    ?(escapes = [||]) ~initial () =
   let index =
     { name_cell = Atomic.make name_tbl; csr_cell = Atomic.make None; digest_cell = Atomic.make None }
   in
-  { name; inputs; outputs; props; state_names; labels; trans; initial; index }
+  { name; inputs; outputs; props; state_names; labels; trans; escapes; initial; index }
 
-let make ~dup_ok ~name ~inputs ~outputs ~props ~state_names ~labels ~trans ~initial =
+let make ~dup_ok ~name ~inputs ~outputs ~props ~state_names ~labels ~trans ?escapes ~initial () =
   (* With [dup_ok] nothing can fail, so the table is derived on demand;
      otherwise build it now to surface duplicates at construction time. *)
   let name_tbl =
     if dup_ok then None else Some (build_name_tbl ~dup_ok ~name state_names)
   in
-  make_with_tbl ~name_tbl ~name ~inputs ~outputs ~props ~state_names ~labels ~trans ~initial
+  make_with_tbl ~name_tbl ~name ~inputs ~outputs ~props ~state_names ~labels ~trans ?escapes
+    ~initial ()
 
 let num_states m = Array.length m.state_names
 
@@ -263,7 +214,7 @@ let csr m =
 
 (* Content only, never the index cells (forcing them must not change the
    digest), and without sharing so physically different but structurally
-   equal automata — e.g. a closure patched by [Chaos.update] and a fresh
+   equal automata — e.g. a closure updated by [Chaos.update] and a fresh
    one — marshal to the same bytes. *)
 let digest m =
   match Atomic.get m.index.digest_cell with
@@ -275,13 +226,59 @@ let digest m =
         m.state_names,
         m.labels,
         m.trans,
+        m.escapes,
         m.initial )
     in
     let d = Digest.to_hex (Digest.string (Marshal.to_string content [ Marshal.No_sharing ])) in
     ignore (Atomic.compare_and_set m.index.digest_cell None (Some d));
     d
 
-let num_transitions m = (csr m).row.(num_states m)
+let escape m s = if Array.length m.escapes = 0 then None else m.escapes.(s)
+
+let has_escapes m = Array.exists Option.is_some m.escapes
+
+let require_explicit fn m =
+  if has_escapes m then
+    invalid_arg (Printf.sprintf "%s: %s has escape rows; materialize them first" fn m.name)
+
+(* Patterns are excluded by a binary search of the sorted array. *)
+let escapes_input (e : escape) a =
+  let lo = ref 0 and hi = ref (Array.length e.excluded) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if e.excluded.(mid) < a then lo := mid + 1 else hi := mid
+  done;
+  not (!lo < Array.length e.excluded && e.excluded.(!lo) = a)
+
+(* (2^|I| - |excluded|) * 2^|O| * |dsts|, saturated at [max_int]. *)
+let escape_size m (e : escape) =
+  let ni = Universe.size m.inputs and no = Universe.size m.outputs in
+  let mul x y = if x = 0 || y = 0 then 0 else if x > max_int / y then max_int else x * y in
+  let pow2 k = if k >= Sys.int_size - 1 then max_int else 1 lsl k in
+  let inputs = if ni >= Sys.int_size - 1 then max_int else pow2 ni - Array.length e.excluded in
+  mul (mul inputs (pow2 no)) (List.length e.dsts)
+
+let equal a b =
+  a.name = b.name
+  && Universe.to_list a.inputs = Universe.to_list b.inputs
+  && Universe.to_list a.outputs = Universe.to_list b.outputs
+  && Universe.to_list a.props = Universe.to_list b.props
+  && a.state_names = b.state_names
+  && a.labels = b.labels
+  && a.trans = b.trans
+  && a.escapes = b.escapes
+  && a.initial = b.initial
+
+let num_transitions m =
+  Array.fold_left
+    (fun acc e ->
+      match e with
+      | Some e ->
+        let k = escape_size m e in
+        if acc > max_int - k then max_int else acc + k
+      | None -> acc)
+    (csr m).row.(num_states m)
+    m.escapes
 
 let state_name m s =
   if s < 0 || s >= num_states m then
@@ -304,7 +301,8 @@ let has_prop m s p =
   | Some i -> Bitset.mem i m.labels.(s)
   | None -> false
 
-let is_blocking m s = m.trans.(s) = []
+let is_blocking m s =
+  m.trans.(s) = [] && match escape m s with Some e -> escape_size m e = 0 | None -> true
 
 let interaction_id m a b =
   match inter_find (csr m).inter_tbl a b with -1 -> None | id -> Some id
@@ -322,18 +320,37 @@ let lower_bound f_inter lo hi id =
   done;
   !lo
 
-(* An unknown label's id, -1, matches no transition. *)
+let escape_dsts m s a =
+  match escape m s with
+  | Some e when escapes_input e (Bitset.to_int a) -> e.dsts
+  | _ -> []
+
+(* An unknown label's id, -1, matches no explicit transition. *)
 let accepts m s a b =
   let ix = csr m in
   let id = inter_find ix.inter_tbl a b in
   let k = lower_bound ix.f_inter ix.row.(s) ix.row.(s + 1) id in
-  k < ix.row.(s + 1) && ix.f_inter.(k) = id
+  (k < ix.row.(s + 1) && ix.f_inter.(k) = id) || escape_dsts m s a <> []
 
 let successors m s a b =
   let ix = csr m in
   let id = inter_find ix.inter_tbl a b and hi = ix.row.(s + 1) in
   let rec collect k = if k < hi && ix.f_inter.(k) = id then ix.f_dst.(k) :: collect (k + 1) else [] in
-  collect (lower_bound ix.f_inter ix.row.(s) hi id)
+  collect (lower_bound ix.f_inter ix.row.(s) hi id) @ escape_dsts m s a
+
+(* A non-empty escape repeats a label when it has several destinations or
+   covers an explicit transition's input, and an input also when there are
+   outputs to vary. *)
+let escape_repeats m ~per_input s =
+  match escape m s with
+  | Some e when escape_size m e > 0 ->
+    List.length e.dsts > 1
+    || (per_input && Universe.size m.outputs > 0)
+    || List.exists (fun t -> escapes_input e (Bitset.to_int t.input)) m.trans.(s)
+  | _ -> false
+
+let no_escape_repeats m ~per_input =
+  not (List.exists (escape_repeats m ~per_input) (List.init (num_states m) Fun.id))
 
 let deterministic m =
   let ix = csr m in
@@ -343,7 +360,7 @@ let deterministic m =
       if ix.f_inter.(k) = ix.f_inter.(k + 1) then ok := false
     done
   done;
-  !ok
+  !ok && no_escape_repeats m ~per_input:false
 
 let input_deterministic m =
   let ok = ref true in
@@ -356,7 +373,7 @@ let input_deterministic m =
           if Hashtbl.mem seen key then ok := false else Hashtbl.add seen key ())
         ts)
     m.trans;
-  !ok
+  !ok && no_escape_repeats m ~per_input:true
 
 let composable a b = Universe.disjoint a.inputs b.inputs && Universe.disjoint a.outputs b.outputs
 
@@ -386,6 +403,7 @@ let dedup_trans ts =
     ts
 
 let restrict m ~inputs ~outputs ~props =
+  require_explicit "Automaton.restrict" m;
   let project_trans t =
     {
       input = Universe.restrict m.inputs ~to_:inputs t.input;
@@ -396,7 +414,7 @@ let restrict m ~inputs ~outputs ~props =
   make ~dup_ok:true ~name:m.name ~inputs ~outputs ~props ~state_names:m.state_names
     ~labels:(Array.map (fun l -> Universe.restrict m.props ~to_:props l) m.labels)
     ~trans:(Array.map (fun ts -> dedup_trans (List.map project_trans ts)) m.trans)
-    ~initial:m.initial
+    ~initial:m.initial ()
 
 let map_states m ~f =
   let state_names = Array.init (num_states m) f in
@@ -412,61 +430,39 @@ let map_signals m ~inputs ~outputs =
     index = redigested m;
   }
 
-(* The checks [of_packed] and [patch] share: every array is [n] long, the
-   initial set is non-empty and in range, and so are the destinations of
-   the rows [fresh] selects. *)
-let validate fn ~name ~n ~lengths ~initial ~trans ~fresh =
-  let fail fmt =
-    Printf.ksprintf (fun m -> invalid_arg (Printf.sprintf "Automaton.%s: %s in %s" fn m name)) fmt
-  in
-  if List.exists (fun l -> l <> n) lengths then fail "array lengths disagree";
-  if initial = [] then fail "no initial state";
-  List.iter (fun q -> if q < 0 || q >= n then fail "initial state %d out of range" q) initial;
-  Array.iteri
-    (fun s ts ->
-      if fresh s then
-        List.iter
-          (fun t -> if t.dst < 0 || t.dst >= n then fail "destination %d out of range" t.dst)
-          ts)
-    trans
-
+(* Every array is [n] long, the initial set is non-empty and in range, and
+   so are the destinations; an escape's excluded patterns are input
+   patterns, strictly ascending. *)
 let of_packed ?(assume_unique_names = false) ~name ~inputs ~outputs ~props ~state_names ~labels
-    ~trans ~initial () =
+    ~trans ?(escapes = [||]) ~initial () =
   let n = Array.length state_names in
-  validate "of_packed" ~name ~n
-    ~lengths:[ Array.length labels; Array.length trans ]
-    ~initial ~trans ~fresh:(fun _ -> true);
-  make ~dup_ok:assume_unique_names ~name ~inputs ~outputs ~props ~state_names ~labels ~trans
-    ~initial
-
-let patch ~old ~name ~props ~state_names ~labels ~trans ~initial ~dirty ~old_of ~dst_map () =
-  let n = Array.length state_names in
-  (* clean rows were checked when [old] was built and are remapped wholesale *)
-  validate "patch" ~name ~n
-    ~lengths:[ Array.length labels; Array.length trans; Array.length dirty; Array.length old_of ]
-    ~initial ~trans ~fresh:(fun s -> dirty.(s));
-  let old_n = num_states old in
-  Array.iteri
-    (fun s o ->
-      if (not dirty.(s)) && (o < 0 || o >= old_n) then
-        invalid_arg
-          (Printf.sprintf "Automaton.patch: clean state %d has no valid old index in %s" s name))
-    old_of;
-  let c = patch_csr ~old_csr:(csr old) ~n ~trans ~dirty ~old_of ~dst_map in
-  let index =
-    { name_cell = Atomic.make None; csr_cell = Atomic.make (Some c); digest_cell = Atomic.make None }
+  let fail fmt =
+    Printf.ksprintf
+      (fun m -> invalid_arg (Printf.sprintf "Automaton.of_packed: %s in %s" m name))
+      fmt
   in
-  {
-    name;
-    inputs = old.inputs;
-    outputs = old.outputs;
-    props;
-    state_names;
-    labels;
-    trans;
-    initial;
-    index;
-  }
+  if Array.length labels <> n || Array.length trans <> n then fail "array lengths disagree";
+  if Array.length escapes <> 0 && Array.length escapes <> n then fail "array lengths disagree";
+  if initial = [] then fail "no initial state";
+  let state what q = if q < 0 || q >= n then fail "%s %d out of range" what q in
+  List.iter (state "initial state") initial;
+  Array.iter (List.iter (fun t -> state "destination" t.dst)) trans;
+  let width = Universe.size inputs in
+  Array.iter
+    (function
+      | None -> ()
+      | Some e ->
+        List.iter (state "escape destination") e.dsts;
+        Array.iteri
+          (fun i p ->
+            if p < 0 || (width < Sys.int_size - 1 && p >= 1 lsl width) then
+              fail "excluded input pattern %d out of range" p;
+            if i > 0 && e.excluded.(i - 1) >= p then fail "excluded patterns not ascending")
+          e.excluded)
+    escapes;
+  let escapes = if Array.exists Option.is_some escapes then escapes else [||] in
+  make ~dup_ok:assume_unique_names ~name ~inputs ~outputs ~props ~state_names ~labels ~trans
+    ~escapes ~initial ()
 
 module Csr = struct
   let row m = (csr m).row
@@ -582,7 +578,7 @@ module Builder = struct
     make_with_tbl ~name_tbl:(Some (Hashtbl.copy b.names)) ~name:b.b_name ~inputs:b.b_inputs
       ~outputs:b.b_outputs ~props ~state_names ~labels
       ~trans:(if b.n = 0 then [||] else trans)
-      ~initial
+      ~initial ()
 end
 
 let pp_io m ppf (a, b) =
@@ -603,6 +599,11 @@ let pp ppf m =
         (fun t ->
           Format.fprintf ppf "    %a -> %s@," (pp_io m) (t.input, t.output)
             m.state_names.(t.dst))
-        ts)
+        ts;
+      match escape m s with
+      | Some e ->
+        Format.fprintf ppf "    * except %d input pattern(s) -> %s@," (Array.length e.excluded)
+          (String.concat ", " (List.map (fun d -> m.state_names.(d)) e.dsts))
+      | None -> ())
     m.trans;
   Format.fprintf ppf "@]"

@@ -15,6 +15,19 @@ type trans = {
   dst : state;
 }
 
+type escape = {
+  excluded : int array;
+      (** input patterns ({!Mechaml_util.Bitset.to_int} of [A]) the escape
+          does not cover, strictly ascending *)
+  dsts : state list;
+}
+(** A symbolic row: every interaction [(A, B) ∈ ℘(I) × ℘(O)] whose input
+    pattern is not [excluded], to each of [dsts].  Its transitions follow
+    the state's explicit ones, inputs ascending outer, outputs ascending
+    inner, destinations in list order — the rows of Definition 8's chaotic
+    state, minus what an incomplete model already knows or refuses
+    (Definition 9), without enumerating them. *)
+
 type index
 (** Packed acceleration structure: a state-name lookup table (built — and
     duplicate names validated — eagerly at construction) plus a CSR
@@ -31,7 +44,10 @@ type t = private {
   props : Universe.t;
   state_names : string array;
   labels : Mechaml_util.Bitset.t array; (** [L], indexed by state *)
-  trans : trans list array;             (** outgoing transitions per state *)
+  trans : trans list array;             (** outgoing explicit transitions per state *)
+  escapes : escape option array;
+      (** per state, the symbolic row after the explicit one; [[||]] when no
+          state has one *)
   initial : state list;
   index : index;
 }
@@ -39,6 +55,25 @@ type t = private {
 val num_states : t -> int
 
 val num_transitions : t -> int
+(** Explicit transitions plus the interactions × destinations every escape
+    covers — counted, not enumerated (saturating at [max_int]). *)
+
+val equal : t -> t -> bool
+(** Same content: name, universes (in order), state names, labels,
+    adjacency lists, escapes and initial states. *)
+
+val escape : t -> state -> escape option
+
+val has_escapes : t -> bool
+
+val require_explicit : string -> t -> unit
+(** [require_explicit fn m] raises [Invalid_argument] (naming [fn]) when [m]
+    has escapes: the guard of every consumer that reads only explicit rows
+    ({!restrict}, simulation, refinement, DOT and text output, the
+    materialized checker). *)
+
+val escapes_input : escape -> int -> bool
+(** [escapes_input e a]: input pattern [a] is not excluded by [e]. *)
 
 val digest : t -> string
 (** Hex MD5 of the automaton's content: name, the names of its three
@@ -57,6 +92,7 @@ val state_index : t -> string -> state
 val state_index_opt : t -> string -> state option
 
 val transitions_from : t -> state -> trans list
+(** The explicit transitions only; see {!escape}. *)
 
 val label : t -> state -> Mechaml_util.Bitset.t
 
@@ -65,13 +101,16 @@ val has_prop : t -> state -> string -> bool
     [L(s)]. *)
 
 val is_blocking : t -> state -> bool
-(** No outgoing transition at all: the state can only start deadlock runs. *)
+(** No outgoing transition at all, explicit or escaping: the state can only
+    start deadlock runs. *)
 
 val accepts : t -> state -> Mechaml_util.Bitset.t -> Mechaml_util.Bitset.t -> bool
-(** [accepts m s a b] is [true] iff some transition [(s, a, b, _)] exists. *)
+(** [accepts m s a b] is [true] iff some transition [(s, a, b, _)] exists,
+    explicit or escaping. *)
 
 val successors : t -> state -> Mechaml_util.Bitset.t -> Mechaml_util.Bitset.t -> state list
-(** Destinations of all [(s, a, b, _)] transitions. *)
+(** Destinations of all [(s, a, b, _)] transitions: the explicit ones in
+    adjacency order, then the escape's. *)
 
 val deterministic : t -> bool
 (** The paper's notion: at most one successor per [(s, A, B)]. *)
@@ -95,7 +134,8 @@ val relabel : t -> props:Universe.t -> (state -> Mechaml_util.Bitset.t) -> t
 val restrict : t -> inputs:Universe.t -> outputs:Universe.t -> props:Universe.t -> t
 (** Project every transition label and state label onto sub-universes,
     dropping hidden signals ([M|_{I'/O'/L'}] as used by Lemma 3).  Duplicate
-    transitions arising from the projection are merged. *)
+    transitions arising from the projection are merged.  Raises
+    [Invalid_argument] on an automaton with escapes. *)
 
 val map_states : t -> f:(state -> string) -> t
 (** Rename states. *)
@@ -116,6 +156,7 @@ val of_packed :
   state_names:string array ->
   labels:Mechaml_util.Bitset.t array ->
   trans:trans list array ->
+  ?escapes:escape option array ->
   initial:state list ->
   unit ->
   t
@@ -123,52 +164,20 @@ val of_packed :
     ({!Compose}, {!Mechaml_core.Chaos}), bypassing the name-interning
     {!Builder} round trip.  All bitsets must already live in the given
     universes; adjacency lists are taken as-is (their order is the
-    enumeration order of {!transitions_from}).  Raises [Invalid_argument] on
-    mismatched array lengths, out-of-range states, an empty initial list, or
-    duplicate state names.  [assume_unique_names] skips the duplicate check
-    (and defers building the name lookup table to first use): names may
-    then repeat, and {!state_index} finds the first state of a name
+    enumeration order of {!transitions_from}).  [escapes] (default: none)
+    is empty or one entry per state.  Raises [Invalid_argument] on
+    mismatched array lengths, out-of-range states (initial, destinations,
+    escape destinations), excluded patterns that are negative, outside
+    [℘(I)] or not strictly ascending, an empty initial list, or duplicate
+    state names.  [assume_unique_names] skips the duplicate check (and
+    defers building the name lookup table to first use): names may then
+    repeat, and {!state_index} finds the first state of a name
     ({!Compose.parallel} relies on this when operand names contain
     [',']). *)
 
-val patch :
-  old:t ->
-  name:string ->
-  props:Universe.t ->
-  state_names:string array ->
-  labels:Mechaml_util.Bitset.t array ->
-  trans:trans list array ->
-  initial:state list ->
-  dirty:bool array ->
-  old_of:int array ->
-  dst_map:(state -> state) ->
-  unit ->
-  t
-(** Incremental sibling of {!of_packed} for callers that derive the new
-    automaton from an [old] one by changing only a few states' adjacency
-    lists ({!Mechaml_core.Chaos}[.update]).  Signal universes are inherited
-    from [old].  For every state [s] with [dirty.(s) = false] the caller
-    asserts that [trans.(s)] lists exactly the transitions of old state
-    [old_of.(s)] with each destination pushed through [dst_map] (same
-    labels, same order); the CSR index is then spliced — clean segments are
-    blitted from [old]'s index with destinations remapped, and only dirty
-    segments intern their transitions, against [old]'s interaction table:
-    the new index shares that table and its id -> label map with [old]
-    until a dirty segment carries a label [old] lacks, and then copies both
-    once (neither index is written after it is published, so the sharing is
-    safe across domains).  Surviving interaction ids are preserved and
-    blitted segments remain sorted.  Interaction ids and per-segment
-    sorted order may therefore differ from a fresh {!of_packed} build;
-    both are internal to the index — adjacency lists, state numbering and
-    all set-valued queries are identical.  Like
-    [of_packed ~assume_unique_names:true], state names are not checked for
-    duplicates.  Raises [Invalid_argument] like {!of_packed} (the same
-    validation, over the dirty rows' destinations only), or on a clean
-    state whose [old_of] is out of range. *)
-
 val interaction_id : t -> Mechaml_util.Bitset.t -> Mechaml_util.Bitset.t -> int option
-(** Interned id of the interaction [(A, B)], if any transition of the
-    automaton carries that exact label.  Ids are dense in
+(** Interned id of the interaction [(A, B)], if any explicit transition of
+    the automaton carries that exact label.  Ids are dense in
     [0, num_interactions). *)
 
 val num_interactions : t -> int
@@ -176,7 +185,7 @@ val num_interactions : t -> int
 val interaction_io : t -> int -> Mechaml_util.Bitset.t * Mechaml_util.Bitset.t
 (** Inverse of {!interaction_id}. *)
 
-(** Read-only views of the packed transition relation, for hot loops that
+(** Read-only views of the packed explicit transition relation, for hot loops that
     want arrays instead of lists ({!Mechaml_mc.Sat}'s fixpoints, the
     {!Compose} join kernel).  Transition [k] of state [s] lives at flat
     offsets [row.(s) <= k < row.(s+1)]; segments are stably sorted by

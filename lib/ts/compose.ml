@@ -58,8 +58,15 @@ let translate cross s = Bitset.fold (fun i acc -> Bitset.add cross.(i) acc) s Bi
    footprint shared by several right ids (open compositions, where
    unconnected signals tell labels apart), and operands whose combined
    signals do not fit one word, where neither footprint keys nor combined
-   labels pack.  Everything is computed up front, so a kernel is read-only
-   afterwards and can be shared across domains. *)
+   labels pack.
+
+   A right escape follows the explicit partners.  A footprint fixes a
+   partner's connected signals — the right input pattern [e_in] and the
+   right output pattern [lk1] — so its escape partners are those patterns
+   extended by every subset of the free (unconnected) right inputs and
+   outputs, ascending, minus excluded inputs: one membership test when the
+   composition is closed.  Everything is computed up front, so a kernel is
+   read-only afterwards and can be shared across domains. *)
 type join = {
   j_left : Automaton.t;
   j_right : Automaton.t;
@@ -81,6 +88,10 @@ type join = {
   r_inter : int array;
   r_dst : int array;
   r_adj : int array;
+  r_esc : Automaton.escape option array;  (* [||] when the right has no escapes *)
+  e_in : int array;  (* left id -> its partners' connected right inputs *)
+  free_in : int;  (* right inputs no left output drives *)
+  free_out : int;  (* right outputs no left input reads *)
 }
 
 let none = -1
@@ -91,10 +102,14 @@ let join (left : Automaton.t) (right : Automaton.t) =
     invalid_arg
       (Printf.sprintf "Compose.join: %s and %s are not composable" left.Automaton.name
          right.Automaton.name);
+  if Automaton.has_escapes left then
+    invalid_arg
+      (Printf.sprintf "Compose.join: the left operand %s has escapes" left.Automaton.name);
   let li_ro = cross_map left.inputs right.outputs in
   let ri_lo = cross_map right.inputs left.outputs in
+  let lo_ri = cross_map left.outputs right.inputs in
   let mask_li = mask_of li_ro
-  and mask_lo = mask_of (cross_map left.outputs right.inputs)
+  and mask_lo = mask_of lo_ri
   and mask_ri = mask_of ri_lo
   and mask_ro = mask_of (cross_map right.outputs left.inputs) in
   let in_shift = Universe.size left.Automaton.inputs in
@@ -122,6 +137,13 @@ let join (left : Automaton.t) (right : Automaton.t) =
       r_out.(id) <- Bitset.to_int b lsl out_shift
     end
   done;
+  let escaping = Automaton.has_escapes right in
+  let e_in =
+    if escaping then
+      Array.map (fun k2 -> Bitset.to_int (translate lo_ri (Bitset.of_int_unsafe k2))) lk2
+    else [||]
+  in
+  let free mask u = Bitset.to_int (Bitset.diff (Bitset.full (Universe.size u)) mask) in
   let partner = Array.make nl scan in
   let c_in = Array.make nl 0 and c_out = Array.make nl 0 in
   if packed then begin
@@ -166,7 +188,55 @@ let join (left : Automaton.t) (right : Automaton.t) =
     r_inter = Automaton.Csr.inter right;
     r_dst = Automaton.Csr.dst right;
     r_adj = Automaton.Csr.adj_inter right;
+    r_esc = (if escaping then right.Automaton.escapes else [||]);
+    e_in;
+    free_in = free mask_ri right.Automaton.inputs;
+    free_out = free mask_ro right.Automaton.outputs;
   }
+
+(* A left label's half combined with right pattern [a'] (inputs) or [b']
+   (outputs), as [parallel]'s universes lay them out. *)
+let join_in j (t : Automaton.trans) a' =
+  if j.packed then Bitset.of_int_unsafe (Bitset.to_int t.input lor (a' lsl j.in_shift))
+  else Bitset.union t.input (Bitset.shift j.in_shift (Bitset.of_int_unsafe a'))
+
+let join_out j (t : Automaton.trans) b' =
+  if j.packed then Bitset.of_int_unsafe (Bitset.to_int t.output lor (b' lsl j.out_shift))
+  else Bitset.union t.output (Bitset.shift j.out_shift (Bitset.of_int_unsafe b'))
+
+let rec emit_dsts emit input output l_dst count = function
+  | [] -> count
+  | d :: rest ->
+    emit input output l_dst d;
+    emit_dsts emit input output l_dst (count + 1) rest
+
+(* Escape [e]'s partners of left transition [t] (id [lid]): every subset of
+   the free right inputs, then of the free right outputs, ascending, on top
+   of the footprint's connected patterns — the materialized row's order.
+   Without free signals that is one membership test. *)
+let escape_moves j (e : Automaton.escape) (t : Automaton.trans) lid emit =
+  let fi = j.free_in and fo = j.free_out in
+  let base_in = Array.unsafe_get j.e_in lid and base_out = Array.unsafe_get j.lk1 lid in
+  if fi = 0 && fo = 0 then
+    if Automaton.escapes_input e base_in then
+      emit_dsts emit (join_in j t base_in) (join_out j t base_out) t.dst 0 e.dsts
+    else 0
+  else begin
+    let count = ref 0 and si = ref 0 and more_in = ref true in
+    while !more_in do
+      let a = base_in lor !si in
+      if Automaton.escapes_input e a then begin
+        let input = join_in j t a in
+        let so = ref 0 and more_out = ref true in
+        while !more_out do
+          count := emit_dsts emit input (join_out j t (base_out lor !so)) t.dst !count e.dsts;
+          if !so = fo then more_out := false else so := (!so - fo) land fo
+        done
+      end;
+      if !si = fi then more_in := false else si := (!si - fi) land fi
+    done;
+    !count
+  end
 
 (* The right row's transitions whose footprint equals left id [lid]'s, in
    adjacency order. *)
@@ -196,7 +266,8 @@ let scan_row j (t : Automaton.trans) lid s' emit =
 
 let moves j s s' emit =
   let lo = Array.unsafe_get j.r_row s' and hi = Array.unsafe_get j.r_row (s' + 1) in
-  if lo = hi then 0
+  let esc = if Array.length j.r_esc = 0 then None else Array.unsafe_get j.r_esc s' in
+  if lo = hi && Option.is_none esc then 0
   else begin
     let count = ref 0 in
     let rec go k = function
@@ -223,6 +294,7 @@ let moves j s s' emit =
           end
         end
         else if rid = scan then count := !count + scan_row j t lid s' emit;
+        (match esc with Some e -> count := !count + escape_moves j e t lid emit | None -> ());
         go (k + 1) rest
     in
     go (Array.unsafe_get j.l_row s) (Automaton.transitions_from j.j_left s);

@@ -21,9 +21,11 @@ val parallel : Automaton.t -> Automaton.t -> product
 (** Every reachable pair is one state, numbered in breadth-first discovery
     order exactly as {!Shard.explore} numbers it, and named ["l,r"]; when
     operand names containing [','] make two names collide, both states
-    stay and {!Automaton.state_index} finds the first.  Raises
+    stay and {!Automaton.state_index} finds the first.  The right operand
+    may carry escapes ({!join}); the product has none.  Raises
     [Invalid_argument] when the operands are not composable ([I ∩ I' ≠ ∅]
-    or [O ∩ O' ≠ ∅]) or their proposition universes overlap. *)
+    or [O ∩ O' ≠ ∅]), their proposition universes overlap, or the left
+    operand has escapes. *)
 
 val record :
   start_us:float option ->
@@ -75,8 +77,9 @@ val join : Automaton.t -> Automaton.t -> join
     transition label's shared-signal footprint (the signals Definition 3's
     communication constraint compares), maps every left id to the single
     right id with the same footprint, and shifts every right label past the
-    left operand's universes.  Raises [Invalid_argument] when the operands
-    are not composable. *)
+    left operand's universes.  The right operand may carry escapes
+    ({!Automaton.escape}); the left may not.  Raises [Invalid_argument]
+    when the operands are not composable or the left one has escapes. *)
 
 val moves :
   join ->
@@ -88,11 +91,16 @@ val moves :
     joint move from the pair [(s, s')] — the combined interaction label
     (left signals first, right signals shifted past them, as in
     {!parallel}'s universes) and the two destinations — and returns the
-    number of moves.  Moves come in left adjacency order outer, right
-    adjacency order inner, the order of a nested scan over both lists.  A
-    left transition finds its partners by binary search for its partner id
-    in the right row of the sorted CSR view ({!Automaton.Csr.inter}); a
+    number of moves.  Moves come in left adjacency order outer; per left
+    transition, its explicit right partners in right adjacency order, then
+    its partners in the escape of [s'] in the escape's order — the order of
+    a nested scan over both lists once the escape is expanded.  A left
+    transition finds its explicit partners by binary search for its partner
+    id in the right row of the sorted CSR view ({!Automaton.Csr.inter}); a
     footprint that several right ids share (open compositions) and operands
     whose combined signals exceed {!Mechaml_util.Bitset.max_width} scan the
-    right row instead.  In that last case a move whose combined label does
-    not fit one word raises [Invalid_argument]. *)
+    right row instead.  Its escape partners are the footprint's connected
+    right signals extended by each subset of the free right signals, minus
+    excluded inputs: a single membership test when every right signal is
+    connected.  When the combined signals exceed one word, a move whose
+    combined label does not fit raises [Invalid_argument]. *)

@@ -10,6 +10,7 @@ let io_label (m : Automaton.t) (t : Automaton.trans) =
   part m.inputs t.input ^ " / " ^ part m.outputs t.output
 
 let of_automaton ?(highlight = []) (m : Automaton.t) =
+  Automaton.require_explicit "Dot.of_automaton" m;
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "digraph \"%s\" {\n" (escape m.name);

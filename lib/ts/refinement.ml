@@ -26,6 +26,8 @@ let check ?(label_match = Simulation.Exact) ~(concrete : Automaton.t)
    in
    if not (same concrete.inputs abstract.inputs && same concrete.outputs abstract.outputs)
    then invalid_arg "Refinement.check: automata have different signal alphabets");
+  Automaton.require_explicit "Refinement.check" concrete;
+  Automaton.require_explicit "Refinement.check" abstract;
   let matches = Simulation.label_matcher label_match concrete abstract in
   let embed_c (t : Automaton.trans) =
     ( Universe.embed concrete.Automaton.inputs ~into:abstract.Automaton.inputs t.input,

@@ -32,6 +32,8 @@ let embedder (m : Automaton.t) (m' : Automaton.t) =
 
 let simulates ?(label_match = Exact) ~(concrete : Automaton.t) ~(abstract : Automaton.t) () =
   check_same_signals concrete abstract;
+  Automaton.require_explicit "Simulation.simulates" concrete;
+  Automaton.require_explicit "Simulation.simulates" abstract;
   let matches = label_matcher label_match concrete abstract in
   let embed = embedder concrete abstract in
   let n = Automaton.num_states concrete and n' = Automaton.num_states abstract in

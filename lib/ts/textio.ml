@@ -112,6 +112,7 @@ let load ~path =
   | exception Error e -> Error e
 
 let print (m : Automaton.t) =
+  Automaton.require_explicit "Textio.print" m;
   let buf = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "automaton %s\n" m.Automaton.name;

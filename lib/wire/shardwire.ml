@@ -75,13 +75,14 @@ let jstr j name =
   | Some (Json.Str s) -> s
   | _ -> fail "wire: missing string field %S" name
 
-let jints j name =
-  match Json.member name j with
+let int_list name = function
   | Some (Json.List l) ->
     List.map
       (function Json.Num f when Float.is_integer f -> int_of_float f | _ -> fail "wire: non-integer in %S" name)
       l
   | _ -> fail "wire: missing list field %S" name
+
+let jints j name = int_list name (Json.member name j)
 
 let num i = Json.Num (float_of_int i)
 
@@ -105,7 +106,10 @@ let bits data name =
    Order-preserving: adjacency lists round-trip in their exact enumeration
    order (unlike {!Mechaml_ts.Textio}, which round-trips only up to
    transition order), so a worker re-expanding a state pair enumerates joint
-   moves byte-identically to the coordinator's in-process twin. *)
+   moves byte-identically to the coordinator's in-process twin.  Escapes
+   travel as what they are — per state [null] or [[excluded, dsts]] — so a
+   closure ships its known edges and exclusion sets, never the interactions
+   that lead to chaos. *)
 
 let json_of_automaton (a : Automaton.t) =
   let univ u = Json.List (List.map (fun n -> Json.Str n) (Universe.to_list u)) in
@@ -127,17 +131,33 @@ let json_of_automaton (a : Automaton.t) =
                    ts))
             a.Automaton.trans))
   in
+  let escapes =
+    if not (Automaton.has_escapes a) then []
+    else
+      [
+        ( "escapes",
+          Json.List
+            (Array.to_list
+               (Array.map
+                  (function
+                    | None -> Json.Null
+                    | Some (e : Automaton.escape) ->
+                      Json.List [ nums (Array.to_list e.excluded); nums e.dsts ])
+                  a.Automaton.escapes)) );
+      ]
+  in
   Json.Obj
-    [
-      ("name", Json.Str a.Automaton.name);
-      ("inputs", univ a.Automaton.inputs);
-      ("outputs", univ a.Automaton.outputs);
-      ("props", univ a.Automaton.props);
-      ("states", states);
-      ("labels", labels);
-      ("initial", nums a.Automaton.initial);
-      ("trans", trans);
-    ]
+    ([
+       ("name", Json.Str a.Automaton.name);
+       ("inputs", univ a.Automaton.inputs);
+       ("outputs", univ a.Automaton.outputs);
+       ("props", univ a.Automaton.props);
+       ("states", states);
+       ("labels", labels);
+       ("initial", nums a.Automaton.initial);
+       ("trans", trans);
+     ]
+    @ escapes)
 
 let automaton_of_json j =
   let univ name =
@@ -184,9 +204,27 @@ let automaton_of_json j =
     | _ -> fail "wire: missing field \"trans\""
   in
   let initial = jints j "initial" in
+  let escapes =
+    match Json.member "escapes" j with
+    | None -> [||]
+    | Some (Json.List l) ->
+      Array.of_list
+        (List.map
+           (function
+             | Json.Null -> None
+             | Json.List [ excluded; dsts ] ->
+               Some
+                 {
+                   Automaton.excluded = Array.of_list (int_list "escapes" (Some excluded));
+                   dsts = int_list "escapes" (Some dsts);
+                 }
+             | _ -> fail "wire: bad escape")
+           l)
+    | Some _ -> fail "wire: bad field \"escapes\""
+  in
   try
     Automaton.of_packed ~assume_unique_names:true ~name ~inputs ~outputs ~props ~state_names
-      ~labels ~trans ~initial ()
+      ~labels ~trans ~escapes ~initial ()
   with Invalid_argument m -> fail "wire: inconsistent automaton: %s" m
 
 (* -- addresses and transport ------------------------------------------------ *)

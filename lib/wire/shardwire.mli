@@ -52,7 +52,11 @@ val bits : Mechaml_util.Segment.payload -> string -> Mechaml_util.Bitvec.t
 
     Order-preserving (adjacency lists round-trip in exact enumeration
     order, unlike {!Mechaml_ts.Textio}), so workers re-enumerate joint
-    moves byte-identically to the coordinator. *)
+    moves byte-identically to the coordinator.  Escape rows travel as
+    exclusion sets and destinations.  [automaton_of_json] raises
+    {!Wire_error} on any inconsistency {!Mechaml_ts.Automaton.of_packed}
+    rejects (out-of-range destinations, excluded patterns outside [℘(I)]
+    or out of order). *)
 
 val json_of_automaton : Mechaml_ts.Automaton.t -> Mechaml_obs.Json.t
 

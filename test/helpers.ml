@@ -196,24 +196,125 @@ let random_automaton rng ~name ~inputs ~outputs ?(out_bits = List.length outputs
     ~trans:(Array.init states (fun _ -> random_row rng pool ~fanout ~states))
     ~initial ()
 
-(* [Automaton.patch] of [old] (whose index is forced first): each state is
-   dirty with probability 1/3 and gets a fresh row over a fresh label pool,
-   so new interaction ids are appended and ids of labels no row carries any
-   more linger in the table. *)
-let random_patch rng (old : Automaton.t) =
-  ignore (Automaton.Csr.row old);
-  let n = Automaton.num_states old in
-  let pool =
-    random_label_pool rng
-      ~in_width:(Mechaml_ts.Universe.size old.Automaton.inputs)
-      ~out_bits:(Mechaml_ts.Universe.size old.Automaton.outputs)
+(* [m] with an escape on each state with probability 1/2: a random subset
+   of the input patterns excluded, one or two random destinations. *)
+let with_random_escapes rng (m : Automaton.t) =
+  let n = Automaton.num_states m in
+  let n_in = 1 lsl Mechaml_ts.Universe.size m.Automaton.inputs in
+  Automaton.of_packed ~assume_unique_names:true ~name:m.Automaton.name ~inputs:m.Automaton.inputs
+    ~outputs:m.Automaton.outputs ~props:m.Automaton.props ~state_names:m.Automaton.state_names
+    ~labels:m.Automaton.labels ~trans:m.Automaton.trans
+    ~escapes:
+      (Array.init n (fun _ ->
+           if Prng.bool rng then None
+           else
+             Some
+               {
+                 Automaton.excluded =
+                   Array.of_list
+                     (List.filter (fun _ -> Prng.int rng 3 = 0) (List.init n_in Fun.id));
+                 dsts = List.init (1 + Prng.int rng 2) (fun _ -> Prng.int rng n);
+               }))
+    ~initial:m.Automaton.initial ()
+
+(* A learning chain the way the loop grows a model: append-only transitions
+   and refusals over inputs [a], [b] and outputs [x], [y] among five
+   states, one random fact per step, skipping facts that would contradict
+   recorded knowledge. *)
+let model_start () =
+  Mechaml_core.Incomplete.create ~name:"q" ~inputs:[ "a"; "b" ] ~outputs:[ "x"; "y" ]
+    ~initial_state:"s0"
+
+let grow_model rng m =
+  let module I = Mechaml_core.Incomplete in
+  let pool = [| "s0"; "s1"; "s2"; "s3"; "s4" |] in
+  let subset l = List.filter (fun _ -> Prng.bool rng) l in
+  try
+    let src = pool.(Prng.int rng (Array.length pool)) in
+    let inputs = subset [ "a"; "b" ] in
+    if Prng.bool rng then
+      let dst = pool.(Prng.int rng (Array.length pool)) in
+      I.add_transition m ~src (I.interaction ~inputs ~outputs:(subset [ "x"; "y" ])) ~dst
+    else I.add_refusal m ~state:src ~inputs
+  with Invalid_argument _ -> m
+
+(* The enumerating chaotic closure: Definition 9 with the determinism
+   sharpening of [chaos.mli], every chaotic row written out over
+   ℘(I) × ℘(O), inputs outer and outputs inner ascending, [s_∀] before
+   [s_δ].  The oracle for [Chaos.materialize]. *)
+let reference_closure ?(label_of = fun _ -> []) ?(extra_props = [])
+    (m : Mechaml_core.Incomplete.t) =
+  let module Chaos = Mechaml_core.Chaos in
+  let module U = Mechaml_ts.Universe in
+  let module B = Mechaml_util.Bitset in
+  let inputs = U.of_list m.input_signals and outputs = U.of_list m.output_signals in
+  let states = Array.of_list m.states in
+  let k_of s =
+    let rec go k = if states.(k) = s then k else go (k + 1) in
+    go 0
   in
-  let dirty = Array.init n (fun _ -> Prng.int rng 3 = 0) in
-  let trans =
-    Array.init n (fun s ->
-        if dirty.(s) then random_row rng pool ~fanout:8 ~states:n
-        else Automaton.transitions_from old s)
+  let n = (2 * Array.length states) + 2 in
+  let all = n - 2 in
+  let props =
+    let declared = Chaos.chaos_prop :: List.filter (( <> ) Chaos.chaos_prop) extra_props in
+    U.of_list
+      (Array.fold_left
+         (fun acc s -> acc @ List.filter (fun p -> not (List.mem p acc)) (label_of s))
+         declared states)
   in
-  Automaton.patch ~old ~name:old.Automaton.name ~props:old.Automaton.props
-    ~state_names:old.Automaton.state_names ~labels:old.Automaton.labels ~trans
-    ~initial:old.Automaton.initial ~dirty ~old_of:(Array.init n Fun.id) ~dst_map:Fun.id ()
+  let known k =
+    List.concat_map
+      (fun (src, (i : Mechaml_core.Incomplete.interaction), dst) ->
+        if k_of src <> k then []
+        else
+          let input = U.set_of_names inputs i.in_signals
+          and output = U.set_of_names outputs i.out_signals in
+          [ { Automaton.input; output; dst = 2 * k_of dst };
+            { Automaton.input; output; dst = (2 * k_of dst) + 1 } ])
+      m.trans
+  in
+  let answered k a =
+    List.exists
+      (fun (src, (i : Mechaml_core.Incomplete.interaction), _) ->
+        k_of src = k && B.to_int (U.set_of_names inputs i.in_signals) = a)
+      m.trans
+    || List.exists
+         (fun (s, ins) -> k_of s = k && B.to_int (U.set_of_names inputs ins) = a)
+         m.refusals
+  in
+  let chaotic skip =
+    List.concat_map
+      (fun a ->
+        if skip a then []
+        else
+          List.concat_map
+            (fun o ->
+              let input = B.of_int_unsafe a and output = B.of_int_unsafe o in
+              [
+                { Automaton.input; output; dst = all };
+                { Automaton.input; output; dst = all + 1 };
+              ])
+            (List.init (1 lsl U.size outputs) Fun.id))
+      (List.init (1 lsl U.size inputs) Fun.id)
+  in
+  let chaos_label = U.set_of_names props [ Chaos.chaos_prop ] in
+  let core s = s < all in
+  Automaton.of_packed ~assume_unique_names:true ~name:("chaos(" ^ m.name ^ ")") ~inputs ~outputs
+    ~props
+    ~state_names:
+      (Array.init n (fun s ->
+           if s = all then Chaos.s_all
+           else if s = all + 1 then Chaos.s_delta
+           else if s land 1 = 0 then states.(s / 2)
+           else states.(s / 2) ^ Chaos.closed_suffix))
+    ~labels:
+      (Array.init n (fun s ->
+           if core s then U.set_of_names props (label_of states.(s / 2)) else chaos_label))
+    ~trans:
+      (Array.init n (fun s ->
+           if s = all then chaotic (fun _ -> false)
+           else if s = all + 1 then []
+           else if s land 1 = 0 then known (s / 2) @ chaotic (answered (s / 2))
+           else known (s / 2)))
+    ~initial:(List.concat_map (fun q -> [ 2 * k_of q; (2 * k_of q) + 1 ]) m.initial)
+    ()

@@ -1,5 +1,6 @@
 module Automaton = Mechaml_ts.Automaton
 module Universe = Mechaml_ts.Universe
+module Bitset = Mechaml_util.Bitset
 open Helpers
 
 let simple () =
@@ -173,8 +174,7 @@ let digest_tests =
 (* The sorted CSR view the join kernel binary-searches: per state, the
    segment of [Csr.inter] is the adjacency list stably sorted by interaction
    id — sorted, equal ids in adjacency order, and each [adj_inter] id the
-   transition's own label.  Fresh indexes and [Automaton.patch] output (whose
-   interaction table keeps stale ids) must both satisfy it. *)
+   transition's own label. *)
 let csr_is_stably_sorted (m : Automaton.t) =
   let row = Automaton.Csr.row m and adj = Automaton.Csr.adj_inter m in
   let inter = Automaton.Csr.inter m and dst = Automaton.Csr.dst m in
@@ -210,72 +210,64 @@ let wide rng ~name =
     ~outputs:(List.init 24 (Printf.sprintf "o%d"))
     ~out_bits:(1 + Prng.int rng 24) ~fanout:12 ~states:(1 + Prng.int rng 8) ()
 
-(* Everything a published index answers, over [labels]. *)
-let index_view (m : Automaton.t) labels =
-  ( Automaton.num_interactions m,
-    List.map (fun (a, b) -> Automaton.interaction_id m a b) labels,
-    Array.copy (Automaton.Csr.inter m),
-    Array.copy (Automaton.Csr.adj_inter m),
-    List.init (Automaton.num_states m) (fun s ->
-        List.map (fun (a, b) -> (Automaton.accepts m s a b, Automaton.successors m s a b)) labels) )
-
-let labels_of (m : Automaton.t) =
-  List.init (Automaton.num_interactions m) (Automaton.interaction_io m)
-
-(* [Automaton.patch] of [old] that gives state 0 one transition labelled
-   [(a, b)]. *)
-let patch_with_label (old : Automaton.t) (a, b) =
-  let n = Automaton.num_states old in
-  let dirty = Array.init n (fun s -> s = 0) in
-  let trans =
-    Array.init n (fun s ->
-        if s = 0 then [ { Automaton.input = a; output = b; dst = 0 } ]
-        else Automaton.transitions_from old s)
+(* Every relation query of an escaped automaton answers as its
+   materialization does, and its transition count is the materialized
+   one. *)
+let escapes_answer_like_materialized rng =
+  let m = with_random_escapes rng (narrow rng ~name:"m") in
+  let x = Mechaml_core.Chaos.materialize m in
+  let labels =
+    List.concat_map
+      (fun a -> List.init 4 (fun b -> (Bitset.of_int_unsafe a, Bitset.of_int_unsafe b)))
+      (List.init 8 Fun.id)
   in
-  Automaton.patch ~old ~name:old.Automaton.name ~props:old.Automaton.props
-    ~state_names:old.Automaton.state_names ~labels:old.Automaton.labels ~trans
-    ~initial:old.Automaton.initial ~dirty ~old_of:(Array.init n Fun.id) ~dst_map:Fun.id ()
-
-(* A patch shares its parent's interaction table until it adds a label; the
-   copy it then makes must leave the parent (and the parent's parent, whose
-   table the parent may share) exactly as they answered before. *)
-let cow_isolated rng make =
-  let m = make rng ~name:"m" in
-  let p1 = random_patch rng m in
-  let in_width = Universe.size m.Automaton.inputs in
-  let out_width = Universe.size m.Automaton.outputs in
-  let rec fresh () =
-    let l = (random_subset rng in_width, random_subset rng out_width) in
-    if Automaton.interaction_id p1 (fst l) (snd l) = None then l else fresh ()
-  in
-  let label = fresh () in
-  let labels = (label :: labels_of m) @ labels_of p1 in
-  let before_m = index_view m labels and before_p1 = index_view p1 labels in
-  let p2 = patch_with_label p1 label in
-  Automaton.interaction_id p2 (fst label) (snd label) <> None
-  && Automaton.accepts p2 0 (fst label) (snd label)
-  && index_view m labels = before_m
-  && index_view p1 labels = before_p1
-  && csr_is_stably_sorted p2
+  let states = List.init (Automaton.num_states m) Fun.id in
+  Automaton.num_transitions m = Automaton.num_transitions x
+  && List.for_all
+       (fun s ->
+         Automaton.is_blocking m s = Automaton.is_blocking x s
+         && List.for_all
+              (fun (a, b) ->
+                Automaton.accepts m s a b = Automaton.accepts x s a b
+                && Automaton.successors m s a b = Automaton.successors x s a b)
+              labels)
+       states
+  && Automaton.deterministic m = Automaton.deterministic x
+  && Automaton.input_deterministic m = Automaton.input_deterministic x
 
 let csr_tests =
   [
-    qcheck ~count:200 "CSR segments are stably sorted by id, fresh and patched"
+    qcheck ~count:200 "CSR segments are stably sorted by id, fresh narrow and wide builds"
       QCheck.(int_bound 1_000_000)
       (fun seed ->
         let rng = Prng.create ~seed in
-        List.for_all
-          (fun make ->
-            let m = make rng ~name:"m" in
-            let p1 = random_patch rng m in
-            let p2 = random_patch rng p1 in
-            csr_is_stably_sorted m && csr_is_stably_sorted p1 && csr_is_stably_sorted p2)
-          [ narrow; wide ]);
-    qcheck ~count:200 "a patch that adds a label leaves its ancestors' indexes unchanged"
+        List.for_all (fun make -> csr_is_stably_sorted (make rng ~name:"m")) [ narrow; wide ]);
+    qcheck ~count:200 "escape rows answer queries like their materialization"
       QCheck.(int_bound 1_000_000)
-      (fun seed ->
-        let rng = Prng.create ~seed in
-        cow_isolated rng narrow && cow_isolated rng wide);
+      (fun seed -> escapes_answer_like_materialized (Prng.create ~seed));
+    test "of_packed rejects malformed escapes" (fun () ->
+        let make escape =
+          Automaton.of_packed ~name:"e" ~inputs:(Universe.of_list [ "a"; "b" ])
+            ~outputs:Universe.empty ~props:Universe.empty ~state_names:[| "s"; "t" |]
+            ~labels:[| Bitset.empty; Bitset.empty |]
+            ~trans:[| []; [] |]
+            ~escapes:[| Some escape; None |]
+            ~initial:[ 0 ] ()
+        in
+        ignore (make { Automaton.excluded = [| 0; 3 |]; dsts = [ 1; 0 ] });
+        List.iter
+          (fun (what, escape) ->
+            match make escape with
+            | exception Invalid_argument _ -> ()
+            | _ -> Alcotest.failf "%s accepted" what)
+          [
+            ("a destination past the last state", { Automaton.excluded = [||]; dsts = [ 2 ] });
+            ("a negative destination", { Automaton.excluded = [||]; dsts = [ -1 ] });
+            ("a negative pattern", { Automaton.excluded = [| -1 |]; dsts = [ 0 ] });
+            ("a pattern outside the inputs", { Automaton.excluded = [| 4 |]; dsts = [ 0 ] });
+            ("unsorted patterns", { Automaton.excluded = [| 2; 1 |]; dsts = [ 0 ] });
+            ("a repeated pattern", { Automaton.excluded = [| 1; 1 |]; dsts = [ 0 ] });
+          ]);
   ]
 
 let () = Alcotest.run "automaton" [ ("unit", unit_tests @ digest_tests @ csr_tests) ]

@@ -38,6 +38,18 @@ let unit_tests =
         let m = Chaos.chaotic_automaton ~name:"c" ~inputs:many ~outputs:[] in
         check_int "one transition per interaction and chaos target" (2 * (1 lsl 21))
           (Automaton.num_transitions m));
+    test "a 40-signal closure is built; only its materialization is capped" (fun () ->
+        let names p k = List.init k (Printf.sprintf "%s%d" p) in
+        let m =
+          Incomplete.create ~name:"w" ~inputs:(names "i" 22) ~outputs:(names "o" 18)
+            ~initial_state:"s0"
+        in
+        let c = Chaos.closure m in
+        (* the open copy and s_all each cover 2^40 interactions, twice *)
+        check_int "counted transitions" (2 * 2 * (1 lsl 40)) (Automaton.num_transitions c);
+        match Chaos.materialize c with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.fail "materialized past max_alphabet");
     test "closure of the trivial model matches Fig. 4(b)" (fun () ->
         let m = Incomplete.create ~name:"m" ~inputs:[ "x" ] ~outputs:[ "o" ] ~initial_state:"s0" in
         let c = Chaos.closure m in
@@ -47,8 +59,11 @@ let unit_tests =
         let closed = Automaton.state_index c ("s0" ^ Chaos.closed_suffix) in
         check_bool "closed copy blocks (nothing known)" true (Automaton.is_blocking c closed);
         let open_ = Automaton.state_index c "s0" in
-        (* open copy: all 4 interactions to both chaos states *)
-        check_int "open copy fan-out" 8 (List.length (Automaton.transitions_from c open_)));
+        (* open copy: all 4 interactions to both chaos states, as one escape *)
+        check_int "no explicit transitions" 0 (List.length (Automaton.transitions_from c open_));
+        check_int "open copy fan-out" 8
+          (List.length (Automaton.transitions_from (Chaos.materialize c) open_));
+        check_int "counted without enumerating" 16 (Automaton.num_transitions c));
     test "origin classifies closure state names" (fun () ->
         check_bool "s_all chaotic" true (Chaos.origin Chaos.s_all = Chaos.Chaotic);
         check_bool "s_delta chaotic" true (Chaos.origin Chaos.s_delta = Chaos.Chaotic);
@@ -123,7 +138,7 @@ let unit_tests =
         check_bool "M_r ⊑ chaos(M_l0)" true
           (Refinement.refines
              ~label_match:(Simulation.Wildcard Chaos.chaos_prop)
-             ~concrete:real ~abstract:closure ()));
+             ~concrete:real ~abstract:(Chaos.materialize closure) ()));
     test "Theorem 1 holds after learning a real observation" (fun () ->
         let real = Mechaml_scenarios.Railcab.legacy_correct in
         let box = Blackbox.of_automaton real in
@@ -133,7 +148,7 @@ let unit_tests =
         check_bool "M_r ⊑ chaos(learn(M, pi))" true
           (Refinement.refines
              ~label_match:(Simulation.Wildcard Chaos.chaos_prop)
-             ~concrete:real ~abstract:closure ()));
+             ~concrete:real ~abstract:(Chaos.materialize closure) ()));
     test "closure of a model with a WRONG fact is not an abstraction" (fun () ->
         let real = Mechaml_scenarios.Railcab.legacy_correct in
         let box = Blackbox.of_automaton real in
@@ -146,7 +161,7 @@ let unit_tests =
         check_bool "refinement fails" false
           (Refinement.refines
              ~label_match:(Simulation.Wildcard Chaos.chaos_prop)
-             ~concrete:real ~abstract:closure ()));
+             ~concrete:real ~abstract:(Chaos.materialize closure) ()));
   ]
 
 let () = Alcotest.run "chaos" [ ("unit", unit_tests) ]

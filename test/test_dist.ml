@@ -317,6 +317,38 @@ let fault_tests =
                     Alcotest.failf "after %s the worker stopped answering: %s" what
                       (Printexc.to_string e)
                 in
+                (* a right operand whose first state's escape is hostile *)
+                let escaped escape =
+                  match Wire.json_of_automaton right with
+                  | Json.Obj fields ->
+                    Json.Obj
+                      (fields
+                      @ [
+                          ( "escapes",
+                            Json.List
+                              (escape
+                              :: List.init (Automaton.num_states right - 1) (fun _ -> Json.Null)) );
+                        ])
+                  | _ -> assert false
+                in
+                let escape excluded dsts = Json.List [ Wire.nums excluded; Wire.nums dsts ] in
+                List.iter
+                  (fun (what, e) ->
+                    refused what (fun () ->
+                        call "open"
+                          [
+                            ("shards", Wire.num 2);
+                            ("left", Wire.json_of_automaton left);
+                            ("right", escaped e);
+                          ]))
+                  [
+                    ("an escape past the last state", escape [] [ Automaton.num_states right ]);
+                    ("an escape to a negative state", escape [] [ -1 ]);
+                    ("a negative excluded pattern", escape [ -1 ] [ 0 ]);
+                    ("an excluded pattern outside the inputs", escape [ 8 ] [ 0 ]);
+                    ("excluded patterns out of order", escape [ 3; 1 ] [ 0 ]);
+                    ("a malformed escape", Json.Str "everything");
+                  ];
                 ignore
                   (call "open"
                      [

@@ -31,6 +31,27 @@ let unit_tests =
         in
         let dot = Dot.of_automaton chaotic in
         check_bool "star edge" true (contains dot "label=\"*\""));
+    test "Fig. 3 and Fig. 4(b) regenerate byte-identically" (fun () ->
+        let module Chaos = Mechaml_core.Chaos in
+        let module Railcab = Mechaml_scenarios.Railcab in
+        let committed name =
+          In_channel.with_open_bin (Filename.concat "../railcab_figures" (name ^ ".dot"))
+            In_channel.input_all
+        in
+        check_string "fig3_chaotic_automaton" (committed "fig3_chaotic_automaton")
+          (Dot.of_automaton
+             (Chaos.chaotic_automaton ~name:"chaos" ~inputs:Railcab.front_to_rear
+                ~outputs:Railcab.rear_to_front));
+        let legacy_props =
+          List.filter
+            (fun p -> not (Mechaml_ts.Universe.mem Railcab.context.Automaton.props p))
+            (Mechaml_logic.Ctl.props Railcab.constraint_)
+        in
+        let m0 = Mechaml_core.Synthesis.initial_model Railcab.box_correct in
+        check_string "fig4b_initial_closure" (committed "fig4b_initial_closure")
+          (Dot.of_automaton
+             (Chaos.materialize
+                (Chaos.closure ~label_of:Railcab.label_of ~extra_props:legacy_props m0))));
     test "highlighting marks states" (fun () ->
         let dot = Dot.of_automaton ~highlight:[ 0 ] (simple ()) in
         check_bool "filled" true (contains dot "lightyellow"));

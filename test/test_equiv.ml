@@ -104,52 +104,50 @@ let neutrality_tests =
              (Campaign.run ~jobs:1 ~incremental_debug:true (Campaign.bundled ()))));
   ]
 
-(* Structural automaton identity — the incremental contract is not just
-   language equivalence but byte-identical construction (state numbering,
-   adjacency order, labels), which is what keeps witnesses and verdicts
-   independent of the mode. *)
-let same_auto (a : Automaton.t) (b : Automaton.t) =
-  a.Automaton.name = b.Automaton.name
-  && a.Automaton.state_names = b.Automaton.state_names
-  && Array.for_all2 Mechaml_util.Bitset.equal a.Automaton.labels b.Automaton.labels
-  && a.Automaton.trans = b.Automaton.trans
-  && a.Automaton.initial = b.Automaton.initial
-  && Universe.to_list a.Automaton.props = Universe.to_list b.Automaton.props
-
-(* A random learning sequence: grow an incomplete automaton fact by fact the
-   way the loop does (append-only transitions and refusals), skipping facts
-   that would contradict recorded knowledge. *)
+(* Random learning chains ([Helpers.grow_model]) against structural
+   automaton identity ([Automaton.equal]) — the incremental contract is not
+   just language equivalence but byte-identical construction (state
+   numbering, adjacency order, escapes, labels), which is what keeps
+   witnesses and verdicts independent of the mode. *)
 let label_of s = if s = "s1" then [ "odd" ] else []
 
 let extra_props = [ "odd" ]
 
-(* One learning fact drawn from [rng] added to [m], unless it contradicts
-   recorded knowledge. *)
-let grow rng m =
-  let pool = [| "s0"; "s1"; "s2"; "s3"; "s4" |] in
-  let subset l = List.filter (fun _ -> Prng.bool rng) l in
-  try
-    let src = pool.(Prng.int rng (Array.length pool)) in
-    let inputs = subset [ "a"; "b" ] in
-    if Prng.bool rng then
-      let dst = pool.(Prng.int rng (Array.length pool)) in
-      let outputs = subset [ "x" ] in
-      Incomplete.add_transition m ~src (Incomplete.interaction ~inputs ~outputs) ~dst
-    else Incomplete.add_refusal m ~state:src ~inputs
-  with Invalid_argument _ -> m
-
-let chain_start () =
-  Incomplete.create ~name:"q" ~inputs:[ "a"; "b" ] ~outputs:[ "x" ] ~initial_state:"s0"
-
 let chaos_update_chain_prop seed =
   let rng = Prng.create ~seed in
-  let m = ref (chain_start ()) in
+  let m = ref (model_start ()) in
   let inc = Chaos.inc_closure ~label_of ~extra_props !m in
   for _ = 1 to 12 do
-    m := grow rng !m;
+    m := grow_model rng !m;
     Chaos.update ~debug:true inc !m;
-    if not (same_auto (Chaos.auto inc) (Chaos.closure ~label_of ~extra_props !m)) then
-      QCheck.Test.fail_reportf "patched closure diverged from fresh closure (seed %d)" seed
+    if not (Automaton.equal (Chaos.auto inc) (Chaos.closure ~label_of ~extra_props !m)) then
+      QCheck.Test.fail_reportf "updated closure diverged from fresh closure (seed %d)" seed
+  done;
+  true
+
+(* Escape rows written out are the enumerating construction's rows: for the
+   fresh closure of every model along a chain and for the handle updated
+   along it. *)
+let materialize_reference_prop seed =
+  let rng = Prng.create ~seed in
+  let m = ref (model_start ()) in
+  let inc = Chaos.inc_closure ~label_of ~extra_props !m in
+  for step = 0 to 12 do
+    if step > 0 then begin
+      m := grow_model rng !m;
+      Chaos.update inc !m
+    end;
+    let reference = reference_closure ~label_of ~extra_props !m in
+    if not (Automaton.equal (Chaos.materialize (Chaos.closure ~label_of ~extra_props !m)) reference)
+    then
+      QCheck.Test.fail_reportf "fresh closure differs from the reference (seed %d, step %d)" seed
+        step;
+    if not (Automaton.equal (Chaos.materialize (Chaos.auto inc)) reference) then
+      QCheck.Test.fail_reportf "updated closure differs from the reference (seed %d, step %d)" seed
+        step;
+    if Automaton.num_transitions (Chaos.auto inc) <> Automaton.num_transitions reference then
+      QCheck.Test.fail_reportf "counted transitions differ from the reference (seed %d, step %d)"
+        seed step
   done;
   true
 
@@ -159,13 +157,13 @@ let chaos_update_chain_prop seed =
    fresh closure by [~debug]. *)
 let chaos_adopt_chain_prop seed =
   let rng = Prng.create ~seed in
-  let m = ref (chain_start ()) in
+  let m = ref (model_start ()) in
   let inc = Chaos.inc_closure ~label_of ~extra_props !m in
   let replayed = ref (Chaos.adopt ~label_of ~extra_props ~prev:None !m (Chaos.auto inc)) in
   if Chaos.dirty_states !replayed <> Chaos.dirty_states inc then
     QCheck.Test.fail_reportf "adopted fresh handle reports other dirty states (seed %d)" seed;
   for step = 1 to 12 do
-    m := grow rng !m;
+    m := grow_model rng !m;
     Chaos.update ~debug:true inc !m;
     if Prng.bool rng then begin
       replayed := Chaos.adopt ~prev:(Some !replayed) !m (Chaos.auto inc);
@@ -175,7 +173,7 @@ let chaos_adopt_chain_prop seed =
     end
     else begin
       Chaos.update ~debug:true !replayed !m;
-      if not (same_auto (Chaos.auto !replayed) (Chaos.auto inc)) then
+      if not (Automaton.equal (Chaos.auto !replayed) (Chaos.auto inc)) then
         QCheck.Test.fail_reportf "update after adopt diverged (seed %d, step %d)" seed step
     end
   done;
@@ -223,6 +221,8 @@ let property_tests =
       QCheck.small_nat chaos_update_chain_prop;
     qcheck ~count:40 "Chaos.adopt around a replayed update dirties the same states"
       QCheck.small_nat chaos_adopt_chain_prop;
+    qcheck ~count:40 "materialized closures, fresh and updated, equal the enumerating reference"
+      QCheck.small_nat materialize_reference_prop;
     qcheck ~count:15 "incremental Loop.run matches scratch Loop.run"
       QCheck.small_nat loop_equivalence_prop;
   ]

@@ -184,7 +184,7 @@ let property_tests =
         && Refinement.refines
              ~label_match:(Simulation.Wildcard Chaos.chaos_prop)
              ~concrete:real
-             ~abstract:(Chaos.closure model)
+             ~abstract:(Chaos.materialize (Chaos.closure model))
              ());
     qcheck ~count:30 "Theorem 2: loop verdict matches ground truth" seed_arb (fun seed ->
         let legacy = deterministic_legacy seed in

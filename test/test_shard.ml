@@ -248,6 +248,70 @@ let identity_tests =
         [ 1; 3; 8 ])
     [ ("torus 5^4x3", torus); ("mesh 23x16", mesh) ]
 
+(* -- symbolic closures ---------------------------------------------------------
+
+   The loop explores context ∥ closure with the closure's chaotic rows as
+   escapes.  Whatever the shard count or budget, that product must be
+   [Compose.parallel] of the materialized closure — states, labels,
+   adjacency, and each edge's label as [Shard.io] rebuilds it — for a
+   context closed over the closure's signals (one membership test per
+   move) and for an open one, which leaves closure input [b] and output [y]
+   unconnected. *)
+
+let closure_configs =
+  [ Shard.config (); Shard.config ~shards:3 (); Shard.config ~shards:8 ~mem_budget:1 () ]
+
+let symbolic_closure_prop seed =
+  let rng = Prng.create ~seed in
+  let model = ref (model_start ()) in
+  for _ = 1 to Prng.int rng 10 do
+    model := grow_model rng !model
+  done;
+  let closure = Mechaml_core.Chaos.closure !model in
+  let materialized = Mechaml_core.Chaos.materialize closure in
+  let states = 1 + Prng.int rng 5 in
+  List.iter
+    (fun context ->
+      let product = Compose.parallel context materialized in
+      let auto = product.Compose.auto in
+      List.iter
+        (fun config ->
+          let sp = Shard.explore ~config context closure in
+          Fun.protect
+            ~finally:(fun () -> Shard.close sp)
+            (fun () ->
+              let fail what s =
+                QCheck.Test.fail_reportf "state %d: %s differs (seed %d)" s what seed
+              in
+              let n = Automaton.num_states auto in
+              if Shard.num_states sp <> n || Shard.initial sp <> auto.Automaton.initial then
+                fail "state count or initial set" 0;
+              let succ = Shard.succ sp (Array.init n Fun.id) in
+              for s = 0 to n - 1 do
+                let ts = Automaton.transitions_from auto s in
+                if not (Mechaml_util.Bitset.equal (Shard.label sp s) (Automaton.label auto s)) then
+                  fail "label" s;
+                if Array.to_list succ.(s) <> List.map (fun (t : Automaton.trans) -> t.dst) ts then
+                  fail "adjacency" s;
+                if Bitvec.get (Shard.blocking sp) s <> (ts = []) then fail "blocking" s;
+                List.iteri
+                  (fun k (t : Automaton.trans) ->
+                    if Shard.io sp s k <> (t.input, t.output) then fail "an edge label" s)
+                  ts
+              done))
+        closure_configs)
+    [
+      random_automaton rng ~name:"closed" ~inputs:[ "x"; "y" ] ~outputs:[ "a"; "b" ] ~states ();
+      random_automaton rng ~name:"open" ~inputs:[ "x"; "e" ] ~outputs:[ "a"; "f" ] ~states ();
+    ];
+  true
+
+let closure_tests =
+  [
+    qcheck ~count:60 "context x symbolic closure = Compose.parallel of its materialization"
+      QCheck.small_nat symbolic_closure_prop;
+  ]
+
 (* -- witnesses on the sharded product ---------------------------------------
 
    The loop extracts its counterexamples from the [Shard.t] it checked:
@@ -500,6 +564,7 @@ let () =
       ("equivalence", equivalence_tests);
       ("spill", spill_tests);
       ("identity", identity_tests);
+      ("closure", closure_tests);
       ("witness", witness_tests);
       ("kernel", kernel_tests);
     ]

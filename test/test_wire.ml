@@ -86,14 +86,6 @@ let codec_tests =
   ]
 
 (* structural identity, as in test_equiv: numbering, adjacency order, labels *)
-let same_auto (a : Automaton.t) (b : Automaton.t) =
-  a.Automaton.name = b.Automaton.name
-  && a.Automaton.state_names = b.Automaton.state_names
-  && Array.for_all2 Mechaml_util.Bitset.equal a.Automaton.labels b.Automaton.labels
-  && a.Automaton.trans = b.Automaton.trans
-  && a.Automaton.initial = b.Automaton.initial
-  && Universe.to_list a.Automaton.props = Universe.to_list b.Automaton.props
-
 let automaton_tests =
   [
     test "random machines round-trip structurally" (fun () ->
@@ -103,7 +95,16 @@ let automaton_tests =
               ~inputs:[ "a"; "b" ] ~outputs:[ "x"; "y" ]
           in
           let m' = Wire.automaton_of_json (Wire.json_of_automaton m) in
-          if not (same_auto m m') then Alcotest.failf "round trip differs at seed %d" seed
+          if not (Automaton.equal m m') then Alcotest.failf "round trip differs at seed %d" seed
+        done);
+    test "closures round-trip with their escapes" (fun () ->
+        let rng = Prng.create ~seed:3 in
+        let m = ref (model_start ()) in
+        for step = 0 to 10 do
+          m := grow_model rng !m;
+          let c = Mechaml_core.Chaos.closure !m in
+          if not (Automaton.equal c (Wire.automaton_of_json (Wire.json_of_automaton c))) then
+            Alcotest.failf "round trip differs at step %d" step
         done);
     test "the JSON form itself is a fixpoint of the round trip" (fun () ->
         let m =
