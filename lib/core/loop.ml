@@ -337,40 +337,51 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
   let sharding = Option.value sharding ~default:(Shard.config ()) in
   (* Incremental re-verification state, threaded across iterations: the
      chaotic-closure handle (delta closure), the previous product's pair
-     index and the converged sets of the previous iteration's check
+     keys and the converged sets of the previous iteration's check
      (warm-started fixpoints).  Both stages produce results byte-identical
      to the from-scratch path; [incremental_debug] additionally recomputes
      each stage cold and fails on any divergence. *)
   let chaos_inc : Chaos.inc option ref = ref None in
-  let prev_pairs = ref (Itbl.create 0) in
+  let prev_keys = ref [||] in
   let prev : Eval.seeds option ref = ref None in
   (* Pair correspondence between the products of consecutive computed
      checks, what [create_warm] needs: a product state is keyed by its
      context state and the stable key of its closure state (core copies
      keep their index across updates; [s_∀]/[s_δ], the last two states, key
-     by distance from the end).  [old_of] maps each state to the previous
-     product's state with the same key; a state is dirty when its closure
+     by distance from the end).  Every computed check keeps its product's
+     keys; only a warm start — seeds from the previous check — indexes the
+     previous keys to build [old_of], which maps each state to the previous
+     product's state with the same key.  A state is dirty when its closure
      row changed in the last update or the previous product had no such
-     pair.  Only a check that is computed needs it, so a memo hit skips it
-     (and leaves no environment to warm-start from). *)
+     pair.  A memo hit skips all of it (and leaves no environment to
+     warm-start from). *)
   let nl = Automaton.num_states context in
   let correspond inc (closure : Automaton.t) sp =
     let n = Automaton.num_states closure in
-    let row_dirty = Array.make n false in
-    List.iter (fun r -> row_dirty.(r) <- true) (Chaos.dirty_states inc);
-    let count = Shard.num_states sp in
-    let ids = Itbl.create 0 in
-    let old_of = Array.make count (-1) in
-    let dirty = ref [] in
-    for id = count - 1 downto 0 do
-      let l, r = Shard.pair sp id in
-      let key = ((if r >= n - 2 then r - (n - 2) else r + 2) * nl) + l in
-      ignore (Itbl.find_or_add ids key id);
-      old_of.(id) <- Itbl.find !prev_pairs key ~default:(-1);
-      if row_dirty.(r) || old_of.(id) < 0 then dirty := id :: !dirty
-    done;
-    prev_pairs := ids;
-    (old_of, !dirty)
+    let keys =
+      Array.init (Shard.num_states sp) (fun id ->
+          let l, r = Shard.pair sp id in
+          ((if r >= n - 2 then r - (n - 2) else r + 2) * nl) + l)
+    in
+    let warm =
+      Option.map
+        (fun seeds ->
+          let old = !prev_keys in
+          let ids = Itbl.create (Array.length old) in
+          Array.iteri (fun id key -> ignore (Itbl.find_or_add ids key id)) old;
+          let row_dirty = Array.make n false in
+          List.iter (fun r -> row_dirty.(r) <- true) (Chaos.dirty_states inc);
+          let old_of = Array.make (Array.length keys) (-1) in
+          let dirty = ref [] in
+          for id = Array.length keys - 1 downto 0 do
+            old_of.(id) <- Itbl.find ids keys.(id) ~default:(-1);
+            if row_dirty.(snd (Shard.pair sp id)) || old_of.(id) < 0 then dirty := id :: !dirty
+          done;
+          (seeds, old_of, !dirty))
+        !prev
+    in
+    prev_keys := keys;
+    warm
   in
   let delta_edges_total = ref 0 in
   let product_reused_total = ref 0 in
@@ -439,9 +450,8 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
             let env =
               match (incremental, !chaos_inc) with
               | true, Some inc -> (
-                let old_of, dirty = correspond inc closure product.sp in
-                match !prev with
-                | Some prev ->
+                match correspond inc closure product.sp with
+                | Some (prev, old_of, dirty) ->
                   let reused = Array.length old_of - List.length dirty in
                   product_reused_total := !product_reused_total + reused;
                   Metrics.add m_product_reused reused;
@@ -582,7 +592,7 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
       in
       (* Before the product is released, keep the sets that can seed the
          next check, extra witnesses' included: a memoized verdict leaves
-         no environment, and without [incremental] no pair index relates
+         no environment, and without [incremental] no pair keys relate
          this product's states to the next one's. *)
       let continue model record =
         let model = learn_extras model in

@@ -194,8 +194,11 @@ val run :
     count and on a fleet alike.  The product itself is explored afresh
     every iteration and released (segments, spill files, fleet) when the
     iteration ends; only its converged sets carry over
-    ({!Mechaml_mc.Eval.seeds}), so one product is open at a time and a
-    [mem_budget] bounds the whole run.  Every stage is byte-identical to the
+    ({!Mechaml_mc.Eval.seeds}), with its stable pair keys, so one product
+    is open at a time and a [mem_budget] bounds the whole run.  The index
+    relating the previous product's pairs to the next one's is built only
+    when a warm start reads it, so a one-check run pays for the keys
+    alone.  Every stage is byte-identical to the
     from-scratch path — same closures, products, witnesses and verdicts —
     so the flag is purely a performance switch; [incremental_debug]
     additionally recomputes each stage from scratch and raises [Failure] on

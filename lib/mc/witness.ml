@@ -34,6 +34,17 @@ let join a b =
 (* The [k]-th transition out of [s], labelled *)
 let step (sp : space) s k t = { states = [ s; t ]; io = [ sp.io s k ] }
 
+(* A walk being extended one transition at a time, newest first, so each
+   step is constant time; [close] builds its fragment once. *)
+type walk = { rev_states : int list; rev_io : Run.io list }
+
+let walk_from s = { rev_states = [ s ]; rev_io = [] }
+
+let extend (sp : space) w s k t =
+  { rev_states = t :: w.rev_states; rev_io = sp.io s k :: w.rev_io }
+
+let close w = { states = List.rev w.rev_states; io = List.rev w.rev_io }
+
 let bfs (sp : space) ~from ~expand stop =
   let parent = Array.make sp.states None and seen = Array.make sp.states false in
   let stopped = ref false and next = Queue.create () in
@@ -183,25 +194,25 @@ let witness (sp : space) ~strategy ~start psi =
   and lasso s g =
     let inside = holds (Ctl.Eg (None, g)) in
     let seen = Hashtbl.create 16 in
-    let rec go s acc =
+    let rec go s w =
       if blocking s then begin
         residual (Printf.sprintf "EG evidence ends at the blocking state %s" (sp.name s));
-        acc
+        w
       end
       else if Hashtbl.mem seen s then begin
         note (Printf.sprintf "loop closes at state %s" (sp.name s));
-        acc
+        w
       end
       else begin
         Hashtbl.add seen s ();
         match succ_with s inside with
-        | Some (k, t) -> go t (join acc (step sp s k t))
+        | Some (k, t) -> go t (extend sp w s k t)
         | None ->
           residual "EG evidence stops without a qualifying successor";
-          acc
+          w
       end
     in
-    go s (single s)
+    close (go s (walk_from s))
   (* Bounded EF/EU/EG walks guided by the DP satisfaction sets of the
      residual formulas at each elapsed time.  For `F the walk is complete
      iff it reaches a goal state; for `G iff it survives the whole window —
@@ -213,12 +224,12 @@ let witness (sp : space) ~strategy ~start psi =
       | `F -> Ctl.Eu (Some b, f, g)
       | `G -> Ctl.Eg (Some b, f)
     in
-    let rec go k s acc =
-      if k > hi then acc
+    let rec go k s w =
+      if k > hi then close w
       else
         let goal = match exist with `F -> k >= lo && holds g s | `G -> false in
-        if goal then join acc (gen s g)
-        else if k >= hi then acc
+        if goal then join (close w) (gen s g)
+        else if k >= hi then close w
         else if blocking s then begin
           (match exist with
           | `F ->
@@ -228,17 +239,17 @@ let witness (sp : space) ~strategy ~start psi =
               residual
                 (Printf.sprintf "bounded EG evidence ends early at the blocking state %s"
                    (sp.name s)));
-          acc
+          close w
         end
         else begin
           match succ_with s (holds (residual_formula (k + 1))) with
-          | Some (j, t) -> go (k + 1) t (join acc (step sp s j t))
+          | Some (j, t) -> go (k + 1) t (extend sp w s j t)
           | None ->
             residual "bounded evidence stops without a qualifying successor";
-            acc
+            close w
         end
     in
-    go 0 s (single s)
+    go 0 s (walk_from s)
   in
   let frag = gen start psi in
   let run = Run.regular ~states:frag.states ~io:frag.io in

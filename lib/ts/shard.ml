@@ -144,29 +144,21 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
       ~name:"shard" ()
   in
   try
-    (* one interning table over all shards; per-shard construction state *)
+    (* One interning table over all shards.  A state is its packed key
+       during the build — one word, at its global id in [keys]; owners,
+       local indices and member lists are derived once the BFS is done. *)
     let tbl = Itbl.create 256 in
-    let members = Array.init shards (fun _ -> Ivec.create ()) in
-    let frontier = Array.init shards (fun _ -> Ivec.create ()) in
+    let keys = Ivec.create () in
     let deg = Array.init shards (fun _ -> Ivec.create ()) in
     let edges = Array.init shards (fun _ -> Ivec.create ()) in
     let echunks = Array.make shards [] in
-    (* global discovery-order state *)
-    let keys = Ivec.create () in
-    let owner = Ivec.create () in
-    let local = Ivec.create () in
     let intern key =
-      let fresh = Ivec.length owner in
+      let fresh = Ivec.length keys in
       let id = Itbl.find_or_add tbl key fresh in
       if id = fresh then begin
         if fresh = max_states then
           invalid_arg "Shard.explore: the product exceeds 2^31 states";
-        let k = shard_of key in
-        Ivec.push keys key;
-        Ivec.push owner k;
-        Ivec.push local (Ivec.length members.(k));
-        Ivec.push members.(k) id;
-        Ivec.push frontier.(k) key
+        Ivec.push keys key
       end;
       id
     in
@@ -213,39 +205,55 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
         (List.rev chunks)
     in
     let round = ref 0 in
-    (* per-shard read cursors into a level's answer *)
-    let ccur = Array.make shards 0 and kcur = Array.make shards 0 in
+    (* per level: each frontier state's shard (hashed once), then per-shard
+       fill and read cursors *)
+    let level_owner = ref [||] in
+    let fill = Array.make shards 0 and ccur = Array.make shards 0 and kcur = Array.make shards 0 in
     let lo = ref 0 in
-    while !lo < Ivec.length owner do
-      let hi = Ivec.length owner in
+    while !lo < Ivec.length keys do
+      let hi = Ivec.length keys in
+      let width = hi - !lo in
       let t0 = if Trace.is_enabled () then Some (Trace.now_us ()) else None in
-      (* expand: each shard's frontier, in discovery order *)
+      (* expand: each shard's frontier, cut from [keys.(lo) .. keys.(hi - 1)]
+         in discovery order *)
       let level =
-        Array.map
-          (fun f ->
-            if Ivec.length f = 0 then [||]
-            else begin
-              let a = Ivec.to_array f in
-              Ivec.clear f;
-              a
-            end)
-          frontier
+        if shards = 1 then [| Array.sub keys.Ivec.a !lo width |]
+        else begin
+          if Array.length !level_owner < width then level_owner := Array.make (2 * width) 0;
+          let own = !level_owner in
+          Array.fill fill 0 shards 0;
+          for i = 0 to width - 1 do
+            let k = shard_of (Ivec.get keys (!lo + i)) in
+            own.(i) <- k;
+            fill.(k) <- fill.(k) + 1
+          done;
+          let level = Array.map (fun c -> if c = 0 then [||] else Array.make c 0) fill in
+          Array.fill fill 0 shards 0;
+          for i = 0 to width - 1 do
+            let k = own.(i) in
+            level.(k).(fill.(k)) <- Ivec.get keys (!lo + i);
+            fill.(k) <- fill.(k) + 1
+          done;
+          level
+        end
       in
       let out = expand level in
+      (* a shard's frontier is in discovery order, the merge's order: its
+         degrees line up with its members as they come *)
+      Array.iteri (fun k (counts, _) -> Ivec.append deg.(k) counts) out;
       (* merge: serial, in global id order — the boundary exchange.  The
          numbering this hands out is exactly the single-queue BFS order,
          whatever the shard count, transport or scheduling. *)
       Array.fill ccur 0 shards 0;
       Array.fill kcur 0 shards 0;
-      for gid = !lo to hi - 1 do
-        let k = Ivec.get owner gid in
-        let counts, keys = out.(k) in
+      for i = 0 to width - 1 do
+        let k = if shards = 1 then 0 else !level_owner.(i) in
+        let counts, succ = out.(k) in
         let c = counts.(ccur.(k)) in
         ccur.(k) <- ccur.(k) + 1;
-        Ivec.push deg.(k) c;
         let base = kcur.(k) in
         for j = base to base + c - 1 do
-          Ivec.push edges.(k) (intern keys.(j))
+          Ivec.push edges.(k) (intern succ.(j))
         done;
         kcur.(k) <- base + c
       done;
@@ -257,7 +265,7 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
           ~args:
             [
               ("round", Trace.Int !round);
-              ("frontier", Trace.Int (hi - !lo));
+              ("frontier", Trace.Int width);
               ("fanout", Trace.Str fanout);
             ]
           ()
@@ -266,11 +274,22 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
     done;
     Metrics.add m_build_rounds !round;
     Itbl.reset tbl;
-    let n = Ivec.length owner in
+    let n = Ivec.length keys in
     let keys = Ivec.to_array keys in
-    let owner = Ivec.to_array owner in
-    let local = Ivec.to_array local in
-    let sizes = Array.map Ivec.length members in
+    (* the derived maps, in one counting pass: a shard's members are its
+       states in id order *)
+    let sizes = Array.make shards 0 in
+    let owner = Array.make n 0 and local = Array.make n 0 in
+    for s = 0 to n - 1 do
+      let k = shard_of keys.(s) in
+      owner.(s) <- k;
+      local.(s) <- sizes.(k);
+      sizes.(k) <- sizes.(k) + 1
+    done;
+    let members = Array.map (fun size -> Array.make size 0) sizes in
+    for s = 0 to n - 1 do
+      members.(owner.(s)).(local.(s)) <- s
+    done;
     (* Finalization in one pass over the forward CSR: while a shard's
        [row]/[dst] are in hand, count each destination's predecessors (into
        its shard's [prow], shifted by one) and scatter the (local
@@ -292,8 +311,8 @@ let explore ?(config = config ()) ?expand (left : Automaton.t) (right : Automato
     let fwd_slots =
       Array.init shards (fun k ->
           let size = sizes.(k) in
-          let mem = Ivec.to_array members.(k) in
-          Ivec.reset members.(k);
+          let mem = members.(k) in
+          members.(k) <- [||];
           let row = Array.make (size + 1) 0 in
           for m = 0 to size - 1 do
             let d = Ivec.get deg.(k) m in
@@ -392,16 +411,18 @@ let props t = t.props
 
 let blocking t = t.blocking
 
+(* A forward segment's fields by position, as [explore] stores them;
+   any other shape is read by name. *)
+let fwd_fields pf =
+  match pf with
+  | [ ("members", Segment.Ints members); ("row", Segment.Ints row); ("dst", Segment.Ints dst) ] ->
+    (members, row, dst)
+  | _ -> (ints pf "members", ints pf "row", ints pf "dst")
+
 let view t k =
-  let pf = Segment.get t.mgr t.fwd_slots.(k) in
+  let members, row, dst = fwd_fields (Segment.get t.mgr t.fwd_slots.(k)) in
   let pp = Segment.get t.mgr t.pred_slots.(k) in
-  {
-    members = ints pf "members";
-    row = ints pf "row";
-    dst = ints pf "dst";
-    prow = ints pp "prow";
-    psrc = ints pp "psrc";
-  }
+  { members; row; dst; prow = ints pp "prow"; psrc = ints pp "psrc" }
 
 let pair t s =
   let nr = Automaton.num_states t.right in
@@ -417,20 +438,28 @@ let state_name t s =
   let l, r = pair t s in
   Automaton.state_name t.left l ^ "," ^ Automaton.state_name t.right r
 
-(* shard by shard, so a batch reads each segment once *)
+(* shard by shard, so a batch reads each segment once; a shard no state
+   asks for is never read *)
 let succ t states =
   let out = Array.make (Array.length states) [||] in
   Array.iteri
     (fun k slot ->
-      if Array.exists (fun s -> t.owner.(s) = k) states then begin
-        let pf = Segment.get t.mgr slot in
-        let row = ints pf "row" and dst = ints pf "dst" in
-        Array.iteri
-          (fun i s ->
+      let fwd = ref None in
+      Array.iteri
+        (fun i s ->
+          if t.owner.(s) = k then begin
+            let _, row, dst =
+              match !fwd with
+              | Some f -> f
+              | None ->
+                let f = fwd_fields (Segment.get t.mgr slot) in
+                fwd := Some f;
+                f
+            in
             let m = t.local.(s) in
-            if t.owner.(s) = k then out.(i) <- Array.sub dst row.(m) (row.(m + 1) - row.(m)))
-          states
-      end)
+            out.(i) <- Array.sub dst row.(m) (row.(m + 1) - row.(m))
+          end)
+        states)
     t.fwd_slots;
   out
 

@@ -10,6 +10,11 @@
     order, and therefore every verdict derived from them are byte-identical
     to the single-shard construction for any shard count.
 
+    During the build a state is its packed pair key — one word per
+    discovered state, in discovery order; each level's frontiers are cut
+    from that array, and the {!owner}, {!local} and member maps are
+    derived from the keys in one counting pass once the BFS is done.
+
     Where a level's expansion runs is the caller's choice of {!expand}
     transport: by default inline in the calling domain, or — through
     [Mechaml_dist.Distshard] — on a fleet of worker processes.  Interning,
@@ -119,10 +124,13 @@ val sizes : t -> int array
 (** States per shard. *)
 
 val owner : t -> int array
-(** Global state id -> owning shard. *)
+(** Global state id -> owning shard (derived from the packed keys after
+    the build). *)
 
 val local : t -> int array
-(** Global state id -> local index within its owning shard. *)
+(** Global state id -> local index within its owning shard: its rank
+    among the shard's states in id order, so that
+    [(view t (owner.(s))).members.(local.(s)) = s]. *)
 
 val label : t -> int -> Bitset.t
 (** A state's proposition label, computed from its pair: left labels, then
@@ -145,8 +153,9 @@ val state_name : t -> int -> string
 
 val succ : t -> int array -> int array array
 (** Each state's successors in adjacency order ({!Compose.parallel}'s
-    [transitions_from] order), read from the shards' views one shard at a
-    time, so a batch reads each segment once (a breadth-first search that
+    [transitions_from] order), read from the shards' forward segments one
+    shard at a time, so a batch reads each segment once and none that no
+    state of the batch lives in (a breadth-first search that
     asks for a whole level does not thrash a spilling budget); raises
     {!Segment.Spill_error} on a damaged spill file. *)
 

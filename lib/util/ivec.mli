@@ -13,6 +13,8 @@ val push : t -> int -> unit
 (** Append one element, doubling the capacity when full. *)
 
 val append : t -> int array -> unit
+(** Append every element of the array in one blit, growing the capacity
+    to what as many {!push}es would reach. *)
 
 val get : t -> int -> int
 (** Unchecked read; the index must be below {!length}. *)

@@ -4,7 +4,11 @@
 #   1. run the tiny bundled campaign through the sharded check pipeline
 #      (--shards 4 --mem-budget 64M) with a dedicated spill directory and
 #      require its canonical report to be byte-identical to a --shards 1
-#      run and to the default (unsharded) pipeline;
+#      run and to the default (unsharded) pipeline — and so must the
+#      canonical-identity matrix: --no-incremental, --incremental-debug,
+#      --shards 3 --incremental-debug and --shards 8 --mem-budget 4K
+#      --incremental-debug (from-scratch checks, and warm starts
+#      cross-checked against cold ones, across shard counts and spills);
 #   2. rerun with a 1 KiB budget so every shard segment actually spills,
 #      require the same canonical bytes again, and require the spill
 #      directory to be empty afterwards — completed runs must not leak
@@ -53,7 +57,7 @@ spill_leftovers() {
   find "$DIR/spill" -mindepth 1 2>/dev/null | head -n 5
 }
 
-# -- 1: canonical equality across shard counts --------------------------------
+# -- 1: canonical equality across shard counts and incremental modes ---------
 
 "$BIN" campaign --tiny --jobs 2 --log-level quiet \
   --canonical "$DIR/unsharded.canonical" >"$DIR/unsharded.out" 2>&1 \
@@ -73,6 +77,18 @@ cmp -s "$DIR/unsharded.canonical" "$DIR/shard1.canonical" \
   || fail "--shards 1 canonical differs from the unsharded pipeline"
 cmp -s "$DIR/unsharded.canonical" "$DIR/shard4.canonical" \
   || fail "--shards 4 --mem-budget 64M canonical differs from the unsharded pipeline"
+
+matrix=0
+for mode in "--no-incremental" "--incremental-debug" "--shards 3 --incremental-debug" \
+  "--shards 8 --mem-budget 4K --incremental-debug"; do
+  matrix=$((matrix + 1))
+  # shellcheck disable=SC2086 # each mode is a list of flags
+  "$BIN" campaign --tiny --jobs 2 --log-level quiet $mode --spill-dir "$DIR/spill" \
+    --canonical "$DIR/matrix$matrix.canonical" >"$DIR/matrix$matrix.out" 2>&1 \
+    || fail "$mode campaign failed: $(cat "$DIR/matrix$matrix.out")"
+  cmp -s "$DIR/unsharded.canonical" "$DIR/matrix$matrix.canonical" \
+    || fail "$mode canonical differs from the unsharded pipeline"
+done
 
 # -- 2: forced spilling, identical bytes, no scratch left behind --------------
 

@@ -41,20 +41,17 @@ let check_structure product sp =
     if not (Mechaml_util.Bitset.equal (Automaton.label auto s) labels.(s)) then
       Alcotest.failf "label mismatch at state %d" s
   done;
-  let row = Automaton.Csr.row auto and dst = Automaton.Csr.dst auto in
   let owner = Shard.owner sp and local = Shard.local sp in
   for s = 0 to n - 1 do
     let v = Shard.view sp owner.(s) in
     let m = local.(s) in
     check_int "member" s v.Shard.members.(m);
-    let deg = row.(s + 1) - row.(s) in
-    if v.Shard.row.(m + 1) - v.Shard.row.(m) <> deg then
-      Alcotest.failf "degree mismatch at state %d" s;
-    for e = 0 to deg - 1 do
-      if v.Shard.dst.(v.Shard.row.(m) + e) <> dst.(row.(s) + e) then
-        Alcotest.failf "adjacency mismatch at state %d edge %d" s e
-    done;
-    if Bitvec.get (Shard.blocking sp) s <> (row.(s + 1) = row.(s)) then
+    (* adjacency order, not the CSR's per-state sort by interaction id *)
+    let dst = List.map (fun (t : Automaton.trans) -> t.dst) (Automaton.transitions_from auto s) in
+    let lo = v.Shard.row.(m) and hi = v.Shard.row.(m + 1) in
+    if Array.to_list (Array.sub v.Shard.dst lo (hi - lo)) <> dst then
+      Alcotest.failf "adjacency mismatch at state %d" s;
+    if Bitvec.get (Shard.blocking sp) s <> (dst = []) then
       Alcotest.failf "blocking mismatch at state %d" s
   done
 
@@ -248,6 +245,64 @@ let identity_tests =
         [ 1; 3; 8 ])
     [ ("torus 5^4x3", torus); ("mesh 23x16", mesh) ]
 
+(* -- derived maps ---------------------------------------------------------
+
+   The build keeps one packed key per state and derives the owner, local
+   and member maps afterwards.  They must be inverse — [members.(owner s)
+   .(local s) = s] — with each shard's locals ascending in id order, and
+   the sizes must count the members, for any shard count and under a
+   spilling budget. *)
+
+(* the layouts the map and witness properties run under *)
+let layouts =
+  [
+    ("1 shard", Shard.config ());
+    ("3 shards", Shard.config ~shards:3 ());
+    ("8 shards", Shard.config ~shards:8 ());
+    ("8 shards, spilling", Shard.config ~shards:8 ~mem_budget:1 ());
+  ]
+
+let derived_maps_prop seed =
+  let rng = Prng.create ~seed in
+  let left =
+    random_automaton rng ~name:"l" ~inputs:[ "a"; "e" ] ~outputs:[ "x" ] ~fanout:4
+      ~states:(1 + Prng.int rng 12) ()
+  in
+  let right =
+    random_automaton rng ~name:"r" ~inputs:[ "x" ] ~outputs:[ "a"; "z" ] ~fanout:4
+      ~states:(1 + Prng.int rng 12) ()
+  in
+  let product = Compose.parallel left right in
+  List.iter
+    (fun (what, config) ->
+      let sp = Shard.explore ~config left right in
+      Fun.protect
+        ~finally:(fun () -> Shard.close sp)
+        (fun () ->
+          let fail fmt = QCheck.Test.fail_reportf ("seed %d, %s: " ^^ fmt) seed what in
+          let owner = Shard.owner sp and local = Shard.local sp and sizes = Shard.sizes sp in
+          let members = Array.init (Shard.shards sp) (fun k -> (Shard.view sp k).Shard.members) in
+          Array.iteri
+            (fun k ms ->
+              if Array.length ms <> sizes.(k) then fail "shard %d has %d members, size %d" k
+                  (Array.length ms) sizes.(k);
+              Array.iteri
+                (fun m s ->
+                  if m > 0 && ms.(m - 1) >= s then fail "shard %d: locals not in id order" k;
+                  if owner.(s) <> k || local.(s) <> m then fail "state %d is not member %d of %d" s m k)
+                ms)
+            members;
+          for s = 0 to Shard.num_states sp - 1 do
+            if members.(owner.(s)).(local.(s)) <> s then fail "state %d: maps not inverse" s
+          done;
+          check_structure product sp;
+          if config.Shard.mem_budget <> None && Shard.spills sp = 0 then fail "the budget never spilled"))
+    layouts;
+  true
+
+let map_tests =
+  [ qcheck ~count:100 "owner/local/members are inverse, 1/3/8 shards" QCheck.small_nat derived_maps_prop ]
+
 (* -- symbolic closures ---------------------------------------------------------
 
    The loop explores context ∥ closure with the closure's chaotic rows as
@@ -339,14 +394,6 @@ let witness_formulas =
     Ctl.Or (Ctl.Ag (None, Ctl.Not p), Ctl.Af (None, Ctl.Not q)) (* two temporal conjuncts *);
   ]
 
-let witness_configs =
-  [
-    ("1 shard", Shard.config ());
-    ("3 shards", Shard.config ~shards:3 ());
-    ("8 shards", Shard.config ~shards:8 ());
-    ("8 shards, spilling", Shard.config ~shards:8 ~mem_budget:1 ());
-  ]
-
 let witness_identity_prop (seed, strategy) =
   let rng = Prng.create ~seed in
   let left =
@@ -379,7 +426,7 @@ let witness_identity_prop (seed, strategy) =
             witness_formulas;
           if config.Shard.mem_budget <> None && Shard.spills sp = 0 then
             QCheck.Test.fail_reportf "seed %d, %s: the budget never spilled" seed what))
-    witness_configs;
+    layouts;
   true
 
 let witness_tests =
@@ -564,6 +611,7 @@ let () =
       ("equivalence", equivalence_tests);
       ("spill", spill_tests);
       ("identity", identity_tests);
+      ("maps", map_tests);
       ("closure", closure_tests);
       ("witness", witness_tests);
       ("kernel", kernel_tests);

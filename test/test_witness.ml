@@ -172,6 +172,27 @@ let unit_tests =
         match Checker.check m (Parser.parse_exn "AF (not p)") with
         | Checker.Violated { complete; _ } -> check_bool "residual" false complete
         | Checker.Holds -> Alcotest.fail "violated");
+    test "EG lasso around a 5,000-state cycle is the whole cycle, closed" (fun () ->
+        let n = 5_000 in
+        let name i = Printf.sprintf "c%d" i in
+        let m =
+          automaton ~inputs:[] ~outputs:[]
+            ~states:(List.init n (fun i -> (name i, [ "p" ])))
+            ~trans:(List.init n (fun i -> (name i, [], [], name ((i + 1) mod n))))
+            ~initial:[ name 0 ] ()
+        in
+        let { Witness.run; explanation; complete } = witness m "EG p" in
+        (* the reference: every state once, then the start again *)
+        let states = List.init (n + 1) (fun i -> i mod n) in
+        let io =
+          List.init n (fun i ->
+              let t = List.hd (Automaton.transitions_from m i) in
+              (t.Automaton.input, t.Automaton.output))
+        in
+        check_bool "the reference run" true (run = Run.regular ~states ~io);
+        check_bool "valid" true (Run.is_run_of m run);
+        check_bool "complete" true complete;
+        check_string "loop noted" "loop closes at state c0" explanation);
   ]
 
 let () = Alcotest.run "witness" [ ("unit", unit_tests) ]
