@@ -5,7 +5,10 @@
    Bechamel.
 
    Run all groups:      dune exec bench/main.exe
-   Run selected groups: dune exec bench/main.exe -- fig7_proof t1_vs_lstar *)
+   Run selected groups: dune exec bench/main.exe -- fig7_proof t1_vs_lstar
+
+   Every selected group runs even when an earlier one raises; the driver
+   then names the groups that raised and exits 1. *)
 
 open Bechamel
 open Toolkit
@@ -35,6 +38,7 @@ module Shardsat = Mechaml_mc.Shardsat
 module Segment = Mechaml_util.Segment
 module Distshard = Mechaml_dist.Distshard
 module Distsat = Mechaml_dist.Distsat
+module Metrics = Mechaml_obs.Metrics
 
 (* -- timing helpers ------------------------------------------------------ *)
 
@@ -748,7 +752,7 @@ let exp_t13 () =
 
 let exp_t14 () =
   header "EXP-T14"
-    "Incremental re-verification: delta closures, warm fixpoints — \
+    "Incremental re-verification: delta closures — \
      wide-alphabet lock, incremental on vs off";
   let n = 12 and spares = (4, 3) in
   let context = Families.wide_lock_context ~n ~depth:(n - 1) ~spares in
@@ -805,9 +809,7 @@ let exp_t14 () =
            "incremental on";
            Printf.sprintf "%.1f ms" (t_on *. 1e3);
            string_of_int (iters r_on);
-           Printf.sprintf "delta edges %d, unchanged product states %d, seed rate %.2f"
-             r_on.Loop.closure_delta_edges r_on.Loop.product_states_reused
-             r_on.Loop.sat_seed_hit_rate;
+           Printf.sprintf "delta edges %d" r_on.Loop.closure_delta_edges;
          ];
          [ "speedup (min of 3 interleaved)"; Printf.sprintf "%.2fx" !min_ratio; "-"; "-" ];
        ]);
@@ -1265,7 +1267,12 @@ let exp_t19 () =
   let row name t = rows := [ name; Printf.sprintf "%.2f s" t ] :: !rows in
   row "in-process sharded x8" t_ref;
   (* two forked workers reproduce the in-process verdict and sizes exactly;
-     the wire totals below are what that byte-identity costs in traffic *)
+     the wire totals below are what that byte-identity costs in traffic.
+     They are [Metrics] counters, which count only while the registry is
+     on, so the fleet runs are metered and the previous setting restored. *)
+  let was_metered = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was_metered) @@ fun () ->
   let rounds0 = Distshard.total_rounds () in
   let tx0 = Distshard.total_bytes_tx () and rx0 = Distshard.total_bytes_rx () in
   let (verdict, _), t_dist2 = time (fun () -> distributed ~workers:2 8) in
@@ -1351,14 +1358,27 @@ let () =
   in
   List.iter
     (fun name ->
-      match List.assoc_opt name groups with
-      | Some f ->
+      if not (List.mem_assoc name groups) then begin
+        Printf.eprintf "unknown group %S; available: %s\n" name
+          (String.concat ", " (List.map fst groups));
+        exit 2
+      end)
+    selected;
+  let raised =
+    List.filter
+      (fun name ->
         (* full-suite hygiene: don't let one group's garbage (chaos closures,
            big products) skew the GC behaviour measured in the next *)
         Gc.compact ();
-        f ()
-      | None ->
-        Printf.eprintf "unknown group %S; available: %s\n" name
-          (String.concat ", " (List.map fst groups));
-        exit 2)
-    selected
+        match (List.assoc name groups) () with
+        | () -> false
+        | exception e ->
+          flush stdout;
+          Printf.eprintf "\ngroup %s raised: %s\n%!" name (Printexc.to_string e);
+          true)
+      selected
+  in
+  if raised <> [] then begin
+    Printf.eprintf "\n%d group(s) raised: %s\n" (List.length raised) (String.concat ", " raised);
+    exit 1
+  end

@@ -41,17 +41,17 @@ let dot_dir_t =
 
 let no_incremental_t =
   let doc =
-    "Recompute the chaotic closure, the parallel product and every CCTL fixpoint from \
-     scratch each iteration instead of updating the previous iteration's results.  \
-     Verdicts are identical either way; this only trades speed for simpler profiling."
+    "Build the chaotic closure from scratch each iteration instead of patching the \
+     previous iteration's closure.  Verdicts are identical either way; this only trades \
+     speed for simpler profiling."
   in
   Arg.(value & flag & info [ "no-incremental" ] ~doc)
 
 let incremental_debug_t =
   let doc =
-    "Cross-check incremental re-verification: recompute every updated closure and \
-     warm-started fixpoint from scratch as well and abort on any divergence.  Slower \
-     than both modes combined; a correctness harness, not a production setting."
+    "Cross-check incremental re-verification: rebuild every updated closure from \
+     scratch as well and abort on any divergence.  Slower than both modes combined; \
+     a correctness harness, not a production setting."
   in
   Arg.(value & flag & info [ "incremental-debug" ] ~doc)
 

@@ -134,14 +134,11 @@ type inc = {
   ix : index;
   mutable auto : Automaton.t;
   mutable delta_edges : int;
-  mutable dirty : int list; (* closure states whose rows the last delta changed *)
 }
 
 let auto inc = inc.auto
 
 let delta_edges inc = inc.delta_edges
-
-let dirty_states inc = inc.dirty
 
 let index ~label_of ~extra_props (m : Incomplete.t) =
   let inputs_u = Universe.of_list m.Incomplete.input_signals in
@@ -311,31 +308,27 @@ let build ix ?prev (m : Incomplete.t) (old_n_core, fresh, dirty) =
   in
   (auto, !built)
 
-let dirty_list dirty = List.filter (fun s -> dirty.(s)) (List.init (Array.length dirty) Fun.id)
-
 let inc_closure ?(label_of = fun _ -> []) ?(extra_props = []) (m : Incomplete.t) =
   let ix = index ~label_of ~extra_props m in
-  let ((_, _, dirty) as delta) = extend ix m in
-  { ix; auto = fst (build ix m delta); delta_edges = 0; dirty = dirty_list dirty }
+  { ix; auto = fst (build ix m (extend ix m)); delta_edges = 0 }
 
 let adopt ?(label_of = fun _ -> []) ?(extra_props = []) ~prev (m : Incomplete.t) a =
   let inc =
     match prev with
     | Some inc -> inc
-    | None -> { ix = index ~label_of ~extra_props m; auto = a; delta_edges = 0; dirty = [] }
+    | None -> { ix = index ~label_of ~extra_props m; auto = a; delta_edges = 0 }
   in
-  let _, _, dirty = extend inc.ix m in
+  ignore (extend inc.ix m);
   inc.auto <- a;
   inc.delta_edges <- 0;
-  inc.dirty <- dirty_list dirty;
   inc
 
 let update ?(debug = false) inc (m : Incomplete.t) =
   let t0 = if Trace.is_enabled () then Some (Trace.now_us ()) else None in
   let ((_, _, dirty) as delta) = extend inc.ix m in
-  inc.dirty <- dirty_list dirty;
+  let n_dirty = Array.fold_left (fun n d -> if d then n + 1 else n) 0 dirty in
   inc.delta_edges <- 0;
-  if inc.dirty <> [] then begin
+  if n_dirty > 0 then begin
     let a, built = build inc.ix ~prev:inc.auto m delta in
     inc.auto <- a;
     inc.delta_edges <- built;
@@ -354,7 +347,7 @@ let update ?(debug = false) inc (m : Incomplete.t) =
         [
           ("model", Trace.Str m.Incomplete.name);
           ("delta_edges", Trace.Int inc.delta_edges);
-          ("dirty", Trace.Int (List.length inc.dirty));
+          ("dirty", Trace.Int n_dirty);
         ]
       ()
   | None -> ()

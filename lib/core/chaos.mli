@@ -122,9 +122,8 @@ val adopt :
     memo-cache path, where a hook returned the automaton without running
     the construction.  With [prev] (the handle for the model before this
     iteration, which is extended in place and returned) only the index is
-    extended by the delta and the dirty states are those {!update} would
-    report, so warm-started fixpoints compose with cache replay; without it
-    a new index is built and every core copy is dirty.
+    extended by the delta, so a later {!update} patches exactly the rows it
+    would have after an update in place; without it a new index is built.
     [label_of]/[extra_props] are only consulted when [prev] is [None]. *)
 
 val auto : inc -> Mechaml_ts.Automaton.t
@@ -134,10 +133,3 @@ val delta_edges : inc -> int
 (** Row entries the last {!update} rebuilt: the explicit transitions of its
     dirty rows plus the excluded input patterns of its dirty open copies'
     escapes (0 after a fresh build, an {!adopt}, or an empty delta). *)
-
-val dirty_states : inc -> int list
-(** Closure states whose adjacency rows changed in the last {!update} or
-    {!adopt} (every core copy after a fresh build), sorted.  Indices of
-    core copies are stable across updates, which is what lets {!Loop}
-    relate consecutive products state by state for warm-started
-    fixpoints. *)

@@ -15,14 +15,9 @@ module Trace = Mechaml_obs.Trace
 module Prof = Mechaml_obs.Prof
 module Metrics = Mechaml_obs.Metrics
 module Clock = Mechaml_obs.Clock
-module Itbl = Mechaml_util.Itbl
 
 let m_iterations =
   Metrics.counter "loop_iterations_total" ~help:"Synthesis-loop iterations executed."
-
-let m_product_reused =
-  Metrics.counter "ts_product_pairs_reused_total"
-    ~help:"Product states of warm-started checks whose pair and closure row carry over from the previous check's product."
 
 let m_tests =
   Metrics.counter "loop_tests_total" ~help:"Driver queries executed by the synthesis loop."
@@ -87,8 +82,6 @@ type result = {
   check_seconds : float;
   test_seconds : float;
   closure_delta_edges : int;
-  product_states_reused : int;
-  sat_seed_hit_rate : float;
 }
 
 (* The projection of a product counterexample onto the legacy side, decoded
@@ -132,6 +125,21 @@ let all_steps_known (model : Incomplete.t) proj =
     | _ -> false
   in
   go proj.closure_states proj.step_inputs proj.step_outputs
+
+(* Replay a test's inputs on the learned model (which contains the test's
+   observation): the core state reached, exactly when every step produced
+   the expected outputs. *)
+let replay (model : Incomplete.t) inputs outputs =
+  let rec walk state ins outs =
+    match (ins, outs) with
+    | [], [] -> Some state
+    | i :: ins', o :: outs' -> (
+      match Incomplete.known_response model ~state ~inputs:i with
+      | Some (b, d) when b = List.sort_uniq compare o -> walk d ins' outs'
+      | _ -> None)
+    | _ -> None
+  in
+  match model.Incomplete.initial with [ q ] -> walk q inputs outputs | _ -> None
 
 (* Candidate legacy interactions the context offers in a given context state:
    for each context transition, the legacy must consume the context's outputs
@@ -335,57 +343,12 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
     | _ -> ()
   in
   let sharding = Option.value sharding ~default:(Shard.config ()) in
-  (* Incremental re-verification state, threaded across iterations: the
-     chaotic-closure handle (delta closure), the previous product's pair
-     keys and the converged sets of the previous iteration's check
-     (warm-started fixpoints).  Both stages produce results byte-identical
-     to the from-scratch path; [incremental_debug] additionally recomputes
-     each stage cold and fails on any divergence. *)
+  (* The delta-closure handle, threaded across iterations: each update
+     rebuilds only the rows the model's delta changed, byte-identical to a
+     fresh closure; [incremental_debug] additionally builds each closure
+     fresh and fails on any divergence. *)
   let chaos_inc : Chaos.inc option ref = ref None in
-  let prev_keys = ref [||] in
-  let prev : Eval.seeds option ref = ref None in
-  (* Pair correspondence between the products of consecutive computed
-     checks, what [create_warm] needs: a product state is keyed by its
-     context state and the stable key of its closure state (core copies
-     keep their index across updates; [s_∀]/[s_δ], the last two states, key
-     by distance from the end).  Every computed check keeps its product's
-     keys; only a warm start — seeds from the previous check — indexes the
-     previous keys to build [old_of], which maps each state to the previous
-     product's state with the same key.  A state is dirty when its closure
-     row changed in the last update or the previous product had no such
-     pair.  A memo hit skips all of it (and leaves no environment to
-     warm-start from). *)
-  let nl = Automaton.num_states context in
-  let correspond inc (closure : Automaton.t) sp =
-    let n = Automaton.num_states closure in
-    let keys =
-      Array.init (Shard.num_states sp) (fun id ->
-          let l, r = Shard.pair sp id in
-          ((if r >= n - 2 then r - (n - 2) else r + 2) * nl) + l)
-    in
-    let warm =
-      Option.map
-        (fun seeds ->
-          let old = !prev_keys in
-          let ids = Itbl.create (Array.length old) in
-          Array.iteri (fun id key -> ignore (Itbl.find_or_add ids key id)) old;
-          let row_dirty = Array.make n false in
-          List.iter (fun r -> row_dirty.(r) <- true) (Chaos.dirty_states inc);
-          let old_of = Array.make (Array.length keys) (-1) in
-          let dirty = ref [] in
-          for id = Array.length keys - 1 downto 0 do
-            old_of.(id) <- Itbl.find ids keys.(id) ~default:(-1);
-            if row_dirty.(snd (Shard.pair sp id)) || old_of.(id) < 0 then dirty := id :: !dirty
-          done;
-          (seeds, old_of, !dirty))
-        !prev
-    in
-    prev_keys := keys;
-    warm
-  in
   let delta_edges_total = ref 0 in
-  let product_reused_total = ref 0 in
-  let seed_hits = ref 0 and seed_total = ref 0 in
   (* The body of one iteration, factored out of the recursion so that the
      per-iteration profiling span closes before the next iteration starts
      (wrapping a recursive call would nest every iteration inside its
@@ -424,7 +387,8 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
     if incremental then begin
       (* When the [on_closure] hook replayed a memoized closure, [compute]
          never ran the handle — extend it by the delta around the replayed
-         automaton, so the dirty set stays exact.  A hook may also return
+         automaton, so its next update patches exactly the changed rows.
+         A hook may also return
          an equal copy of what [compute] built: the handle is then current
          already. *)
       let inc =
@@ -441,53 +405,28 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
        one of the deadlocks the chaotic closure also induces. *)
     let formulas = [ weakened; Ctl.deadlock_free ] in
     (* The check's only input is the operand pair: the product is explored
-       here and checked in [compute] — warm-started from the previous
-       product's environment wherever the pair correspondence allows. *)
-    let check product =
-      let env_used = ref None in
-      let outcome =
-        on_check ~product:(context, closure) ~formulas ~compute:(fun () ->
-            let env =
-              match (incremental, !chaos_inc) with
-              | true, Some inc -> (
-                match correspond inc closure product.sp with
-                | Some (prev, old_of, dirty) ->
-                  let reused = Array.length old_of - List.length dirty in
-                  product_reused_total := !product_reused_total + reused;
-                  Metrics.add m_product_reused reused;
-                  Eval.create_warm ~debug:incremental_debug ~prev ~old_of ~dirty
-                    product.backend
-                | None -> Eval.create product.backend)
-              | _ -> Eval.create product.backend
-            in
-            env_used := Some env;
-            Checker.check_space ~strategy
-              (Shardsat.space product.sp ~sat:(Eval.sat_vec env))
-              formulas)
-      in
-      Option.iter
-        (fun env ->
-          match Eval.warm_stats env with
-          | Some (h, t) ->
-            seed_hits := !seed_hits + h;
-            seed_total := !seed_total + t
-          | None -> ())
-        !env_used;
-      (!env_used, outcome)
-    in
+       here and checked in [compute]. *)
     let product, env_used, outcome =
       timed check_seconds ~name:"loop.check"
         ~args:[ ("iteration", Trace.Int index) ]
         (fun () ->
           let product = explore sharding context closure in
-          match check product with
-          | env_used, outcome -> (product, env_used, outcome)
+          let env_used = ref None in
+          match
+            on_check ~product:(context, closure) ~formulas ~compute:(fun () ->
+                let env = Eval.create product.backend in
+                env_used := Some env;
+                Checker.check_space ~strategy
+                  (Shardsat.space product.sp ~sat:(Eval.sat_vec env))
+                  formulas)
+          with
+          | outcome -> (product, !env_used, outcome)
           | exception e ->
             product.close ();
             raise e)
     in
     (* One product is open at a time: it is released when the iteration
-       is done, and only its converged sets carry over to the next check. *)
+       is done. *)
     Fun.protect ~finally:product.close @@ fun () ->
     let sp = product.sp in
     let product_states = Shard.num_states sp in
@@ -590,18 +529,7 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
                (Shardsat.space sp ~sat:(Eval.sat_vec (Lazy.force env)))
                formula)
       in
-      (* Before the product is released, keep the sets that can seed the
-         next check, extra witnesses' included: a memoized verdict leaves
-         no environment, and without [incremental] no pair keys relate
-         this product's states to the next one's. *)
-      let continue model record =
-        let model = learn_extras model in
-        (prev :=
-           match env_used with
-           | Some env when incremental -> Some (Eval.seeds env)
-           | _ -> None);
-        `Continue (model, record :: records)
-      in
+      let continue model record = `Continue (learn_extras model, record :: records) in
       let continue_or_fail model' record =
         if Incomplete.knowledge model' <= knowledge_before then
           failwith
@@ -638,58 +566,34 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
         Prof.phase ~name:"loop.test" (fun () ->
             let model' = observe model proj.step_inputs in
             (* Reproduced iff the component produced exactly the expected
-               outputs for every fed input: walk the freshly learned model
-               (which now contains the observation) and compare outputs.  The
-               expected closure states cannot be compared — they are chaotic. *)
-            let reproduced =
-              let rec walk state ins outs =
-                match (ins, outs) with
-                | [], [] -> true
-                | i :: ins', o :: outs' -> (
-                  match Incomplete.known_response model' ~state ~inputs:i with
-                  | Some (b, d) when b = List.sort_uniq compare o -> walk d ins' outs'
-                  | _ -> false)
-                | _ -> false
-              in
-              match model'.Incomplete.initial with
-              | [ q ] -> walk q proj.step_inputs proj.step_outputs
-              | _ -> false
-            in
+               outputs for every fed input.  The expected closure states
+               cannot be compared — they are chaotic. *)
+            let reached = replay model' proj.step_inputs proj.step_outputs in
             let gained = Incomplete.knowledge model' - knowledge_before in
             let test =
-              Some { inputs_fed = proj.step_inputs; reproduced; knowledge_gained = gained }
+              Some
+                {
+                  inputs_fed = proj.step_inputs;
+                  reproduced = Option.is_some reached;
+                  knowledge_gained = gained;
+                }
             in
-            if reproduced then begin
-              if complete then
-                finish_real ~model:model' ~confirmed:true ~record:{ base with test } ()
-              else begin
-                (* The trace reproduced; find the real final state by walking
-                   the learned model, then validate the residual claim there. *)
-                let final_core =
-                  let rec walk state = function
-                    | [] -> state
-                    | i :: ins -> (
-                      match Incomplete.known_response model' ~state ~inputs:i with
-                      | Some (_, d) -> walk d ins
-                      | None -> state)
-                  in
-                  match model'.Incomplete.initial with
-                  | [ q ] -> walk q proj.step_inputs
-                  | _ -> assert false
-                in
-                let model'', probes, status =
-                  analyse_final model' ~final_core ~prefix_inputs:proj.step_inputs
-                in
-                let record = { base with test; probes } in
-                match status with
-                | `Confirmed -> finish_real ~model:model'' ~confirmed:true ~record ()
-                | `Refuted -> continue_or_fail model'' record
-              end
-            end
-            else begin
+            match reached with
+            | None ->
               assert (gained > 0);
               continue model' { base with test }
-            end)
+            | Some _ when complete ->
+              finish_real ~model:model' ~confirmed:true ~record:{ base with test } ()
+            | Some final_core -> (
+              (* The trace reproduced at [final_core]; validate the
+                 residual claim there. *)
+              let model'', probes, status =
+                analyse_final model' ~final_core ~prefix_inputs:proj.step_inputs
+              in
+              let record = { base with test; probes } in
+              match status with
+              | `Confirmed -> finish_real ~model:model'' ~confirmed:true ~record ()
+              | `Refuted -> continue_or_fail model'' record))
   in
   let rec iterate model index records =
     latest_model := model;
@@ -765,9 +669,6 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
     check_seconds = !check_seconds;
     test_seconds = !test_seconds;
     closure_delta_edges = !delta_edges_total;
-    product_states_reused = !product_reused_total;
-    sat_seed_hit_rate =
-      (if !seed_total = 0 then 0. else float_of_int !seed_hits /. float_of_int !seed_total);
   }
 
 let pp_iteration ppf (it : iteration) =

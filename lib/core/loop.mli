@@ -99,15 +99,6 @@ type result = {
           run — explicit transitions and escapes' excluded input patterns
           of dirty rows ({!Chaos.delta_edges}); 0 when [incremental] is off,
           where every closure is built fresh *)
-  product_states_reused : int;
-      (** product states outside the dirty set handed to the warm-started
-          checker — their (context state, closure state) pair existed in the
-          previous iteration's product and their closure row did not change
-          — summed over all iterations *)
-  sat_seed_hit_rate : float;
-      (** fraction of unbounded fixpoint computations that were warm-started
-          from the previous iteration's converged sets ([0.] when
-          [incremental] is off or no fixpoint was seedable) *)
 }
 
 val run :
@@ -185,24 +176,16 @@ val run :
     completion).  [Invalid_argument] if the resume journal is unreadable or
     contradicts the driver's behaviour.
 
-    [incremental] (default [true]) re-verifies incrementally across
-    iterations: only the chaotic closure's dirty rows are rebuilt
-    ({!Chaos.update}), and the checker's unbounded fixpoints are
-    warm-started from the previous iteration's converged sets
-    ({!Mechaml_mc.Eval.create_warm}) wherever a product state's pair
-    and closure row carry over from the previous product — at any shard
-    count and on a fleet alike.  The product itself is explored afresh
-    every iteration and released (segments, spill files, fleet) when the
-    iteration ends; only its converged sets carry over
-    ({!Mechaml_mc.Eval.seeds}), with its stable pair keys, so one product
-    is open at a time and a [mem_budget] bounds the whole run.  The index
-    relating the previous product's pairs to the next one's is built only
-    when a warm start reads it, so a one-check run pays for the keys
-    alone.  Every stage is byte-identical to the
-    from-scratch path — same closures, products, witnesses and verdicts —
-    so the flag is purely a performance switch; [incremental_debug]
-    additionally recomputes each stage from scratch and raises [Failure] on
-    any divergence (for tests).
+    [incremental] (default [true]) builds each iteration's chaotic
+    closure by patching the previous one: only the rows the model's delta
+    changed are rebuilt ({!Chaos.update}).  The result is byte-identical to
+    a fresh closure, so the flag is purely a performance switch;
+    [incremental_debug] additionally builds every closure fresh and raises
+    [Failure] on any divergence (for tests).  Every check runs cold: the
+    product is explored afresh and its fixpoints computed from scratch each
+    iteration, and the product is released (segments, spill files, fleet)
+    when the iteration ends, so one product is open at a time and a
+    [mem_budget] bounds the whole run.
 
     [sharding] (default {!Mechaml_ts.Shard.config}[ ()], one unbudgeted
     shard) configures the one check path: the product is explored by
@@ -213,8 +196,8 @@ val run :
     memory budget and spill dir change how the product is laid out; a
     [distribution] moves the level expansion and the fixpoints to a
     worker-process fleet ({!Mechaml_dist.Distshard},
-    {!Mechaml_dist.Distsat}).  Verdicts, witnesses, trails, reuse
-    counters and canonical reports are identical for every choice. *)
+    {!Mechaml_dist.Distsat}).  Verdicts, witnesses, trails and canonical
+    reports are identical for every choice. *)
 
 val pp_iteration : Format.formatter -> iteration -> unit
 

@@ -7,8 +7,7 @@
     (including mid-operator worker restarts) converges to bit-for-bit the
     same sets as {!Mechaml_mc.Sat} and the in-process
     {!Mechaml_mc.Shardsat}, for any worker and shard count.  Environments
-    and warm starts are {!Mechaml_mc.Eval}'s, witnesses
-    {!Mechaml_mc.Shardsat.space}. *)
+    are {!Mechaml_mc.Eval}'s, witnesses {!Mechaml_mc.Shardsat.space}. *)
 
 val fleet : Distshard.t -> Mechaml_mc.Shardsat.fixpoints
 (** The product's sweeps and fixpoints on its fleet, for

@@ -60,7 +60,11 @@ val manager : t -> Segment.t
 val restarts : t -> int
 (** Workers declared dead and replaced over this product's lifetime. *)
 
-(** {1 Process-wide wire totals — the [mc_dist_*_total] metrics} *)
+(** {1 Process-wide wire totals — the [mc_dist_*_total] metrics}
+
+    These are {!Mechaml_obs.Metrics} counters: they count only while the
+    registry is enabled ({!Mechaml_obs.Metrics.set_enabled}), and read 0
+    for work done while it is off. *)
 
 val total_rounds : unit -> int
 

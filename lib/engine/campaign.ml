@@ -66,7 +66,6 @@ type outcome = {
   max_product_states : int;
   closure_delta_edges : int;
   product_states_reused : int;
-  sat_seed_hit_rate : float;
   cache : cache_counters;
   fault : string option;
   supervision : Supervisor.stats option;
@@ -238,8 +237,7 @@ let run_spec_unobserved ?cache ?(incremental = true) ?(incremental_debug = false
       max_closure_states;
       max_product_states;
       closure_delta_edges = r.Loop.closure_delta_edges;
-      product_states_reused = r.Loop.product_states_reused;
-      sat_seed_hit_rate = r.Loop.sat_seed_hit_rate;
+      product_states_reused = 0;
       cache;
       fault = spec.inject;
       supervision;
@@ -263,7 +261,6 @@ let run_spec_unobserved ?cache ?(incremental = true) ?(incremental_debug = false
       max_product_states = 0;
       closure_delta_edges = 0;
       product_states_reused = 0;
-      sat_seed_hit_rate = 0.;
       cache;
       fault = spec.inject;
       supervision;

@@ -99,11 +99,8 @@ type outcome = {
           ({!Mechaml_core.Loop.result.closure_delta_edges}); 0 when the job
           ran from scratch *)
   product_states_reused : int;
-      (** product states whose outgoing moves were replayed from the previous
-          iteration's product instead of re-joined *)
-  sat_seed_hit_rate : float;
-      (** fraction of seedable CCTL fixpoints warm-started from the previous
-          iteration's converged sat-sets (0 when nothing was seedable) *)
+      (** always 0: every check explores its product afresh.  Kept only
+          because [perfbench/synth.ml] reads it; no report prints it *)
   cache : cache_counters;
       (** this job's lookups; under a shared cache and [jobs > 1] the
           hit/miss split depends on sibling scheduling *)
@@ -124,10 +121,10 @@ val run_spec :
     when given), enforcing the timeout between stages and retrying crashed
     attempts up to [retries] times.  Never raises: crashes and timeouts
     become verdicts.  [incremental] (default [true]) selects the loop's
-    incremental re-verification engine; verdicts and canonical reports are
-    identical either way ({!Mechaml_core.Loop.run}), so memo-cache keys and
-    hits are unaffected.  [incremental_debug] recomputes every reused stage
-    from scratch and fails on divergence.  [sharding] selects the loop's
+    delta closures; verdicts and canonical reports are identical either way
+    ({!Mechaml_core.Loop.run}), so memo-cache keys and hits are unaffected.
+    [incremental_debug] also builds every closure from scratch and fails on
+    divergence.  [sharding] selects the loop's
     partitioned, out-of-core check pipeline ({!Mechaml_core.Loop.run});
     verdicts and canonical reports are byte-identical to the default path,
     so sharded and materialized checks share memo entries: a check is keyed

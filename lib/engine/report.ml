@@ -42,18 +42,11 @@ let phases_cell (o : Campaign.outcome) =
       (human_duration o.Campaign.check_seconds)
       (human_duration o.Campaign.test_seconds)
 
-(* Incremental-reuse accounting, "d:44720 p:370 s:1.00" = closure delta edges,
-   product states reused, sat-set seed hit rate.  "-" when the job ran from
-   scratch (or never reached a second iteration). *)
+(* Incremental-reuse accounting, "d:44720" = closure delta edges.  "-" when
+   the job ran from scratch (or never reached a second iteration). *)
 let reuse_cell (o : Campaign.outcome) =
-  if
-    o.Campaign.closure_delta_edges = 0
-    && o.Campaign.product_states_reused = 0
-    && o.Campaign.sat_seed_hit_rate = 0.
-  then "-"
-  else
-    Printf.sprintf "d:%d p:%d s:%.2f" o.Campaign.closure_delta_edges
-      o.Campaign.product_states_reused o.Campaign.sat_seed_hit_rate
+  if o.Campaign.closure_delta_edges = 0 then "-"
+  else Printf.sprintf "d:%d" o.Campaign.closure_delta_edges
 
 let table outcomes =
   Pp.table
@@ -205,8 +198,6 @@ let json_outcome (o : Campaign.outcome) =
         ("max_closure_states", string_of_int o.Campaign.max_closure_states);
         ("max_product_states", string_of_int o.Campaign.max_product_states);
         ("closure_delta_edges", string_of_int o.Campaign.closure_delta_edges);
-        ("product_states_reused", string_of_int o.Campaign.product_states_reused);
-        ("sat_seed_hit_rate", Printf.sprintf "%.4f" o.Campaign.sat_seed_hit_rate);
         ("cache", json_cache o.Campaign.cache);
       ]
     @
@@ -259,8 +250,7 @@ let to_csv outcomes =
     "id,family,verdict,confirmed_by_test,error,fault,iterations,states_learned,knowledge,\
      tests_executed,test_steps,attempts,duration_s,closure_seconds,check_seconds,\
      test_seconds,max_closure_states,max_product_states,closure_delta_edges,\
-     product_states_reused,sat_seed_hit_rate,closure_hits,closure_misses,\
-     check_hits,check_misses,sup_attempts,sup_retried,sup_crashes,sup_divergences,\
+     closure_hits,closure_misses,check_hits,check_misses,sup_attempts,sup_retried,sup_crashes,sup_divergences,\
      sup_votes_held,sup_outvoted,sup_breaker_trips"
   in
   let row (o : Campaign.outcome) =
@@ -311,8 +301,6 @@ let to_csv outcomes =
            string_of_int o.Campaign.max_closure_states;
            string_of_int o.Campaign.max_product_states;
            string_of_int o.Campaign.closure_delta_edges;
-           string_of_int o.Campaign.product_states_reused;
-           Printf.sprintf "%.4f" o.Campaign.sat_seed_hit_rate;
            string_of_int o.Campaign.cache.Campaign.closure_hits;
            string_of_int o.Campaign.cache.Campaign.closure_misses;
            string_of_int o.Campaign.cache.Campaign.check_hits;

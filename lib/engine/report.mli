@@ -11,12 +11,11 @@
       cache warmth, machine load or incremental re-verification mode.  The
       engine tests compare campaigns through it.
 
-    The incremental-reuse counters ([closure_delta_edges],
-    [product_states_reused], [sat_seed_hit_rate]) appear in the table, JSON
-    and CSV outputs but deliberately {e not} in {!canonical}: they describe
-    how a result was computed, not what it is, and differ between
-    [incremental] on and off while the verdicts do not.  Like the cache
-    counters they also depend on worker scheduling — a closure served by
+    The incremental-reuse counter [closure_delta_edges] appears in the
+    table, JSON and CSV outputs but deliberately {e not} in {!canonical}:
+    it describes how a result was computed, not what it is, and differs
+    between [incremental] on and off while the verdicts do not.  Like the
+    cache counters it also depends on worker scheduling — a closure served by
     the shared memo cache contributes no delta edges, and which job
     computes first varies with [jobs]. *)
 

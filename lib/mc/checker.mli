@@ -29,8 +29,7 @@ val check_conjunction :
 val check_space :
   ?strategy:Witness.strategy -> Witness.space -> Mechaml_logic.Ctl.t list -> outcome
 (** {!check_conjunction} on any checked state space — the synthesis loop
-    passes its sharded product with a (possibly warm-started) environment's
-    sets.  The automaton entry points are this over {!Sat.space}. *)
+    passes its sharded product with an environment's sets.  The automaton entry points are this over {!Sat.space}. *)
 
 val check_with_deadlock_freedom :
   ?strategy:Witness.strategy -> Mechaml_ts.Automaton.t -> Mechaml_logic.Ctl.t -> outcome

@@ -10,9 +10,9 @@
 
     An environment ({!env}) owns everything that is independent of how the
     state space is stored: the per-subformula memo, the operator table,
-    the bounded dynamic programs (as vector algebra over [agg]), warm-start
-    seeding and the initial-state queries.  Satisfaction sets are global
-    bit vectors indexed by state id.  The backends are {!Sat} (an
+    the bounded dynamic programs (as vector algebra over [agg]) and the
+    initial-state queries.  Satisfaction sets are global bit vectors
+    indexed by state id.  The backends are {!Sat} (an
     automaton) and {!Shardsat} (a sharded product, its sweeps and
     fixpoints in process or, through [Mechaml_dist.Distsat], on a worker
     fleet).  All compute [agg] and [fixpoint] on the one {!Worklist}
@@ -59,35 +59,6 @@ type env
 (** Memoizes satisfaction sets per subformula for one state space. *)
 
 val create : backend -> env
-
-type seeds
-(** An environment's converged satisfaction sets, copied out of its state
-    space: all a later warm start reads, so the state space (its segments,
-    its fleet) can be released once they are taken. *)
-
-val seeds : env -> seeds
-(** The sets computed so far, read back (from spill files too) while the
-    environment's state space is still open. *)
-
-val create_warm :
-  ?debug:bool -> prev:seeds -> old_of:int array -> dirty:int list -> backend -> env
-(** Warm-started environment for a state space derived from [prev]'s by
-    localized change.  [old_of] maps each state to its counterpart in
-    [prev]'s state space ([-1] if none); [dirty] lists the states whose
-    outgoing transitions may differ from their counterpart's (new states
-    included).  On the {e exactness region} — states that cannot reach any
-    dirty state — the counterpart's converged bits are identical for every
-    subformula, so the least fixpoints ([EF]/[AF]/[AG]/[AU]/[EU]) join
-    those bits into their initial set and only explore outward from the
-    seam.  [EG] and the bounded operators recompute cold.  [debug]
-    recomputes every seeded fixpoint cold and raises [Failure] on any bit
-    difference.  Raises [Invalid_argument] when [old_of]/[dirty] are
-    inconsistent with the state space. *)
-
-val warm_stats : env -> (int * int) option
-(** [(seeded, seedable)] counts of unbounded fixpoint computations in a
-    warm environment — the seed hit rate is [seeded / seedable]; [None]
-    for cold ones. *)
 
 val sat_vec : env -> Ctl.t -> Bitvec.t
 (** The characteristic vector of [{ s | s ⊨ f }], memoized.  Callers must

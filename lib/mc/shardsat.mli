@@ -15,7 +15,7 @@
     Converged sets are banked in the product's
     {!Mechaml_ts.Shard.manager}, so under a memory budget cold sat sets
     spill to disk alongside the CSR segments and reload on demand.  Every
-    check of the synthesis loop, warm starts and witnesses included, runs
+    check of the synthesis loop, witnesses included, runs
     on this backend; [Mechaml_dist.Distsat.fleet] moves its sweeps and
     fixpoints to a worker fleet. *)
 

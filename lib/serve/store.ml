@@ -85,7 +85,6 @@ let standin (spec : Campaign.spec) verdict =
     max_product_states = 0;
     closure_delta_edges = 0;
     product_states_reused = 0;
-    sat_seed_hit_rate = 0.;
     cache = { closure_hits = 0; closure_misses = 0; check_hits = 0; check_misses = 0 };
     fault = spec.Campaign.inject;
     supervision = None;

@@ -170,8 +170,6 @@ let encode_outcome (o : Campaign.outcome) =
         ("max_closure_states", num o.Campaign.max_closure_states);
         ("max_product_states", num o.Campaign.max_product_states);
         ("closure_delta_edges", num o.Campaign.closure_delta_edges);
-        ("product_states_reused", num o.Campaign.product_states_reused);
-        ("sat_seed_hit_rate", Json.Num o.Campaign.sat_seed_hit_rate);
         ( "cache",
           Json.Obj
             [
@@ -287,8 +285,6 @@ let decode_outcome obj =
   let* max_closure_states = int_field "max_closure_states" obj in
   let* max_product_states = int_field "max_product_states" obj in
   let* closure_delta_edges = int_field "closure_delta_edges" obj in
-  let* product_states_reused = int_field "product_states_reused" obj in
-  let* sat_seed_hit_rate = float_field "sat_seed_hit_rate" obj in
   let* cache_obj = require "cache" obj in
   let* closure_hits = int_field "closure_hits" cache_obj in
   let* closure_misses = int_field "closure_misses" cache_obj in
@@ -317,8 +313,7 @@ let decode_outcome obj =
       max_closure_states;
       max_product_states;
       closure_delta_edges;
-      product_states_reused;
-      sat_seed_hit_rate;
+      product_states_reused = 0;
       cache = { Campaign.closure_hits; closure_misses; check_hits; check_misses };
       fault;
       supervision;

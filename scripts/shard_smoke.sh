@@ -7,8 +7,8 @@
 #      run and to the default (unsharded) pipeline — and so must the
 #      canonical-identity matrix: --no-incremental, --incremental-debug,
 #      --shards 3 --incremental-debug and --shards 8 --mem-budget 4K
-#      --incremental-debug (from-scratch checks, and warm starts
-#      cross-checked against cold ones, across shard counts and spills);
+#      --incremental-debug (from-scratch closures, and delta closures
+#      cross-checked against fresh ones, across shard counts and spills);
 #   2. rerun with a 1 KiB budget so every shard segment actually spills,
 #      require the same canonical bytes again, and require the spill
 #      directory to be empty afterwards — completed runs must not leak

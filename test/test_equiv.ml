@@ -1,7 +1,6 @@
 (* Kernel-equivalence suite: the state-space engine rewrite (packed automata,
    the CSR join kernel, bitset fixpoints) and the incremental re-verification
-   engine (delta closures, warm-started fixpoints) must be
-   pure speedups.  These tests pin the observable behaviour of the whole
+   engine (delta closures) must be pure speedups.  These tests pin the observable behaviour of the whole
    pipeline to the seed engine:
 
    - the canonical report of the bundled campaign matrix is byte-identical to
@@ -13,7 +12,10 @@
    - incremental mode does not leak into results either: incremental on/off
      × jobs 1/4 all produce the same canonical report, and qcheck properties
      drive random learning sequences through [Chaos.update] and whole random
-     scenarios through [Loop.run] in both modes. *)
+     scenarios through [Loop.run] in both modes;
+   - incremental mode changes how closures are built, never the fixpoint
+     work: a job pops the same worklist states and sweeps as often in both
+     modes. *)
 
 module Campaign = Mechaml_engine.Campaign
 module Report = Mechaml_engine.Report
@@ -28,6 +30,7 @@ module Ctl = Mechaml_logic.Ctl
 module Prng = Mechaml_util.Prng
 module Shard = Mechaml_ts.Shard
 module Segment = Mechaml_util.Segment
+module Metrics = Mechaml_obs.Metrics
 open Helpers
 
 (* [dune runtest] runs in [_build/default/test] next to the (dep-declared)
@@ -95,10 +98,10 @@ let neutrality_tests =
           (Report.canonical (Lazy.force scratch_sequential));
         check_string "incremental off, jobs:4" reference
           (Report.canonical (Lazy.force scratch_parallel)));
-    test "incremental-debug re-checks every warm stage cold and agrees" (fun () ->
-        (* every seeded fixpoint, delta closure and reused product is
-           recomputed from scratch and compared bit for bit; a divergence
-           raises inside the job instead of changing a verdict *)
+    test "incremental-debug re-checks every delta closure fresh and agrees" (fun () ->
+        (* every delta closure is rebuilt from scratch and compared
+           structurally; a divergence raises inside the job instead of
+           changing a verdict *)
         check_string "incremental debug, jobs:1" (read_file golden_file)
           (Report.canonical
              (Campaign.run ~jobs:1 ~incremental_debug:true (Campaign.bundled ()))));
@@ -152,25 +155,19 @@ let materialize_reference_prop seed =
   true
 
 (* A memo replay along the same kind of chain: a second handle either
-   adopts the automaton the first one's [update] produced — and must then
-   report the same dirty states — or is updated itself, checked against a
-   fresh closure by [~debug]. *)
+   adopts the automaton the first one's [update] produced or is updated
+   itself — checked against a fresh closure by [~debug] and against the
+   first handle's closure, so an index that adopt left stale shows in the
+   next update. *)
 let chaos_adopt_chain_prop seed =
   let rng = Prng.create ~seed in
   let m = ref (model_start ()) in
   let inc = Chaos.inc_closure ~label_of ~extra_props !m in
   let replayed = ref (Chaos.adopt ~label_of ~extra_props ~prev:None !m (Chaos.auto inc)) in
-  if Chaos.dirty_states !replayed <> Chaos.dirty_states inc then
-    QCheck.Test.fail_reportf "adopted fresh handle reports other dirty states (seed %d)" seed;
   for step = 1 to 12 do
     m := grow_model rng !m;
     Chaos.update ~debug:true inc !m;
-    if Prng.bool rng then begin
-      replayed := Chaos.adopt ~prev:(Some !replayed) !m (Chaos.auto inc);
-      if Chaos.dirty_states !replayed <> Chaos.dirty_states inc then
-        QCheck.Test.fail_reportf "adopt and update dirty different states (seed %d, step %d)"
-          seed step
-    end
+    if Prng.bool rng then replayed := Chaos.adopt ~prev:(Some !replayed) !m (Chaos.auto inc)
     else begin
       Chaos.update ~debug:true !replayed !m;
       if not (Automaton.equal (Chaos.auto !replayed) (Chaos.auto inc)) then
@@ -219,7 +216,7 @@ let property_tests =
   [
     qcheck ~count:40 "Chaos.update chain is structurally a fresh closure"
       QCheck.small_nat chaos_update_chain_prop;
-    qcheck ~count:40 "Chaos.adopt around a replayed update dirties the same states"
+    qcheck ~count:40 "Chaos.adopt around a replayed update keeps later updates exact"
       QCheck.small_nat chaos_adopt_chain_prop;
     qcheck ~count:40 "materialized closures, fresh and updated, equal the enumerating reference"
       QCheck.small_nat materialize_reference_prop;
@@ -261,35 +258,27 @@ let sharded_loop_equivalence_prop shards seed =
       shards;
   true
 
-(* Warm start is a property of the loop, not of the shard count: the pair
-   keys every [Shard.t] keeps give each layout the same [old_of]/dirty map,
-   so a job past the incremental gate reuses the same product states and
-   seeds the same fixpoints at 1, 3 and 8 shards (8 spilling), every seeded
-   fixpoint re-checked cold by [incremental_debug]. *)
+let lock_spec () =
+  List.find
+    (fun (s : Campaign.spec) -> s.Campaign.id = "lock/n96-d48/locked/bfs")
+    (Campaign.bundled ())
+
 (* [on_closure] may hand back an equal copy of what [compute] built, or
-   call [compute] more than once: neither may change which product states
-   the next check treats as clean.  [incremental_debug] re-checks every
-   seeded fixpoint cold, so a stale dirty set raises. *)
+   call [compute] more than once: neither may change the run.
+   [incremental_debug] builds every closure fresh as well, so a stale
+   delta closure raises. *)
 let closure_hook_test =
-  test "a closure hook that copies or recomputes keeps warm starts exact" (fun () ->
-      let spec =
-        List.find
-          (fun (s : Campaign.spec) -> s.Campaign.id = "lock/n96-d48/locked/bfs")
-          (Campaign.bundled ())
-      in
+  test "a closure hook that copies or recomputes keeps the run unchanged" (fun () ->
+      let spec = lock_spec () in
       let go on_closure =
         let r =
           Loop.run ~strategy:spec.strategy ~label_of:spec.label_of ~incremental_debug:true
             ~on_closure ~context:spec.context ~property:spec.property
             ~legacy:(spec.make_box ()) ()
         in
-        ( verdict_tag r.Loop.verdict,
-          List.map iteration_signature r.Loop.iterations,
-          r.Loop.product_states_reused )
+        (verdict_tag r.Loop.verdict, List.map iteration_signature r.Loop.iterations)
       in
       let reference = go (fun ~model:_ ~compute -> compute ()) in
-      let _, _, reused = reference in
-      check_bool "states reused" true (reused > 0);
       List.iter
         (fun (what, on_closure) ->
           if go on_closure <> reference then Alcotest.failf "%s: run differs" what)
@@ -304,35 +293,48 @@ let closure_hook_test =
               compute () );
         ])
 
-let warm_start_test =
-  test "warm start reuses the same states at shards 1/3/8, spilling included" (fun () ->
-      let spec =
-        List.find
-          (fun (s : Campaign.spec) -> s.Campaign.id = "lock/n96-d48/locked/bfs")
-          (Campaign.bundled ())
+(* Incremental mode changes how closures are built, never the fixpoint
+   work: every check computes its fixpoints cold, so a multi-iteration job
+   pops the same worklist states and sweeps as often either way. *)
+let fixpoint_work_test =
+  test "incremental on and off do the same fixpoint work" (fun () ->
+      let spec = lock_spec () in
+      let pops = Metrics.counter "mc_worklist_pops_total" ~help:""
+      and sweeps = Metrics.counter "mc_fixpoint_sweeps_total" ~help:"" in
+      let was_enabled = Metrics.enabled () in
+      Metrics.set_enabled true;
+      Fun.protect ~finally:(fun () -> Metrics.set_enabled was_enabled) @@ fun () ->
+      let work incremental =
+        let p0 = Metrics.counter_value pops and s0 = Metrics.counter_value sweeps in
+        let r =
+          Loop.run ~strategy:spec.strategy ~label_of:spec.label_of ~incremental
+            ~context:spec.context ~property:spec.property ~legacy:(spec.make_box ()) ()
+        in
+        check_bool "several checks" true (List.length r.Loop.iterations > 1);
+        (Metrics.counter_value pops - p0, Metrics.counter_value sweeps - s0)
       in
+      let pops_on, sweeps_on = work true and pops_off, sweeps_off = work false in
+      check_bool "pops counted" true (pops_on > 0);
+      check_int "worklist pops, incremental on = off" pops_off pops_on;
+      check_int "fixpoint sweeps, incremental on = off" sweeps_off sweeps_on)
+
+let shard_layout_test =
+  test "a loop run gives one verdict and trail at shards 1/3/8, spilling included" (fun () ->
+      let spec = lock_spec () in
       let go sharding =
         let r =
           Loop.run ~strategy:spec.strategy ~label_of:spec.label_of ~incremental_debug:true
             ~sharding ~context:spec.context ~property:spec.property
             ~legacy:(spec.make_box ()) ()
         in
-        ( verdict_tag r.Loop.verdict,
-          List.map iteration_signature r.Loop.iterations,
-          r.Loop.product_states_reused,
-          r.Loop.sat_seed_hit_rate )
+        (verdict_tag r.Loop.verdict, List.map iteration_signature r.Loop.iterations)
       in
-      let ((_, _, reused, rate) as reference) = go (Shard.config ()) in
-      check_bool "states reused" true (reused > 0);
-      check_bool "fixpoints seeded" true (rate > 0.);
+      let verdict0, trail0 = go (Shard.config ()) in
       List.iter
         (fun (what, sharding) ->
-          let verdict, trail, reused', rate' = go sharding in
-          let verdict0, trail0, _, _ = reference in
+          let verdict, trail = go sharding in
           check_string (what ^ ": verdict") verdict0 verdict;
-          Alcotest.(check (list string)) (what ^ ": trail") trail0 trail;
-          check_int (what ^ ": product_states_reused") reused reused';
-          Alcotest.(check (float 0.)) (what ^ ": sat_seed_hit_rate") rate rate')
+          Alcotest.(check (list string)) (what ^ ": trail") trail0 trail)
         [
           ("3 shards", Shard.config ~shards:3 ());
           ("8 shards, spilling", Shard.config ~shards:8 ~mem_budget:1024 ());
@@ -340,15 +342,10 @@ let warm_start_test =
 
 (* A product is released when its iteration ends, so an incremental run
    under a budget never holds the segments of two products: what is
-   resident across every open manager stays within one budget, while the
-   run still reuses states from product to product. *)
+   resident across every open manager stays within one budget. *)
 let one_budget_test =
   test "an incremental 8-shard run stays within one memory budget" (fun () ->
-      let spec =
-        List.find
-          (fun (s : Campaign.spec) -> s.Campaign.id = "lock/n96-d48/locked/bfs")
-          (Campaign.bundled ())
-      in
+      let spec = lock_spec () in
       let budget = 8 * 1024 in
       let base = Segment.total_resident () and spills = Segment.total_spills () in
       Segment.reset_peak ();
@@ -357,7 +354,7 @@ let one_budget_test =
           ~sharding:(Shard.config ~shards:8 ~mem_budget:budget ())
           ~context:spec.context ~property:spec.property ~legacy:(spec.make_box ()) ()
       in
-      check_bool "states reused" true (r.Loop.product_states_reused > 0);
+      check_bool "several checks" true (List.length r.Loop.iterations > 1);
       check_bool "spills engaged" true (Segment.total_spills () > spills);
       check_bool
         (Printf.sprintf "peak %d bytes above the %d at the start, budget %d"
@@ -376,7 +373,7 @@ let sharding_tests =
              (Campaign.run ~jobs:4
                 ~sharding:(Shard.config ~shards:2 ())
                 (Campaign.bundled ()))));
-    warm_start_test;
+    shard_layout_test;
     one_budget_test;
     test "shards 1/2/8 x jobs 1/4, spilling on and off, agree on the tiny matrix"
       (fun () ->
@@ -586,7 +583,7 @@ let () =
   Alcotest.run "equiv"
     [
       ("unit", unit_tests);
-      ("incremental-neutrality", neutrality_tests @ [ closure_hook_test ]);
+      ("incremental-neutrality", neutrality_tests @ [ closure_hook_test; fixpoint_work_test ]);
       ("incremental-properties", property_tests);
       ("sharding-neutrality", sharding_tests @ sharding_property_tests);
       ("distribution-neutrality", distribution_tests);
